@@ -1,25 +1,25 @@
 """Big-step evaluation: plain call-by-value and the cost-annotated memoizing form.
 
-Both evaluators use explicit stacks, so recursion depth never tracks input
-depth. The plain evaluator re-derives every value it touches node by node
-(that exponential behavior on duplication-heavy programs is the point of
-having it), and its budget bounds the total number of inferences. The
-memoizing evaluator caches operation calls on evaluated arguments; its cost
-counts cache writes only, and reads are free.
+Both run the compiled program in `core.execute` over terms. The plain
+evaluator re-derives every value it touches node by node (that exponential
+behavior on duplication-heavy programs is the point of having it), and its
+budget bounds the total number of inferences. The memoizing evaluator caches
+operation calls on evaluated arguments; its cost counts cache writes only,
+reads are free, and its budget bounds machine steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
+from .core import compile_term, execute
 from .errors import BudgetExceededError, StuckError
-from .terms import App, Program, Rule, Term, Var, match_term, substitute
+from .terms import App, Program, Rule, Term, match_term
 
 CacheKey = tuple[str, tuple[Term, ...]]
 TermCache = dict[CacheKey, Term]
-
-_EVAL, _CON, _CALL, _UPDATE = 0, 1, 2, 3
 
 
 @dataclass
@@ -43,26 +43,52 @@ class MemoStats:
     work: int = 0
 
 
-def match_rule(rule: Rule, args: tuple[Term, ...]) -> Optional[dict[str, Term]]:
-    """Match every argument pattern; patterns are jointly linear."""
-    binding: dict[str, Term] = {}
-    for p, a in zip(rule.lhs.args, args):
-        b = match_term(p, a)
-        if b is None:
-            return None
-        binding.update(b)
-    return binding
-
-
 def _find_rule(
     program: Program, sym: str, args: tuple[Term, ...]
 ) -> tuple[Rule, dict[str, Term]]:
+    """The rule whose argument patterns (jointly linear) all match args."""
     for rule in program.rules_for(sym):
-        binding = match_rule(rule, args)
-        if binding is not None:
+        binding: dict[str, Term] = {}
+        for p, a in zip(rule.lhs.args, args):
+            b = match_term(p, a)
+            if b is None:
+                break
+            binding.update(b)
+        else:
             return rule, binding
-    witness = App(sym, args)
-    raise StuckError(f"no rule matches {sym}/{len(args)} call", witness)
+    raise StuckError(f"no rule matches {sym}/{len(args)} call", App(sym, args))
+
+
+def _rederive(value: Term) -> tuple[Term, int]:
+    """A fresh copy of a value built node by node, and its node count."""
+    order: list[Term] = []
+    stack = [value]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.args)
+    built: list[Term] = []
+    for node in reversed(order):  # every node comes after its subtrees
+        k = len(node.args)
+        if k == 1:
+            built[-1] = App(node.sym, (built[-1],))
+        elif k:
+            args = tuple(built[-k:])
+            del built[-k:]
+            built.append(App(node.sym, args))
+        else:
+            built.append(App(node.sym, ()))
+    return built[0], len(order)
+
+
+def _run_terms(program: Program, term: Term, over: BudgetExceededError, **domain):
+    """Run a term through `core.execute` with terms as values; over is
+    raised when the run needs more than over.budget steps."""
+    code = compile_term(program.signature, term, values=True)
+    match = partial(_find_rule, program)
+    return execute(
+        program, code, match, App, lambda counts: over, limit=over.budget, **domain
+    )
 
 
 def naive_run(program: Program, term: Term, budget: Optional[int] = None) -> NaiveResult:
@@ -72,55 +98,11 @@ def naive_run(program: Program, term: Term, budget: Optional[int] = None) -> Nai
     derived (values included, every time they are derived), one per
     operation split, one per rule firing.
     """
-    sig = program.signature
-    vals: list[Term] = []
-    work: list = [(_EVAL, term)]
-    rewrites = 0
-    total = 0
-    while work:
-        frame = work.pop()
-        tag = frame[0]
-        if tag == _EVAL:
-            t = frame[1]
-            if isinstance(t, Var):
-                raise StuckError(f"free variable {t.name} in evaluated term", t)
-            total += 1
-            if budget is not None and total > budget:
-                raise BudgetExceededError(
-                    f"naive evaluation exceeded {budget} inferences", "naive", budget
-                )
-            k = len(t.args)
-            if sig.is_constructor(t.sym):
-                work.append((_CON, t.sym, k))
-            else:
-                work.append((_CALL, t.sym, k))
-            for a in reversed(t.args):
-                work.append((_EVAL, a))
-        elif tag == _CON:
-            _, sym, k = frame
-            if k:
-                args = tuple(vals[len(vals) - k :])
-                del vals[len(vals) - k :]
-            else:
-                args = ()
-            vals.append(App(sym, args))
-        else:  # _CALL
-            _, sym, k = frame
-            if k:
-                args = tuple(vals[len(vals) - k :])
-                del vals[len(vals) - k :]
-            else:
-                args = ()
-            rule, binding = _find_rule(program, sym, args)
-            rewrites += 1
-            total += 1
-            if budget is not None and total > budget:
-                raise BudgetExceededError(
-                    f"naive evaluation exceeded {budget} inferences", "naive", budget
-                )
-            work.append((_EVAL, substitute(rule.rhs, binding)))
-    assert len(vals) == 1
-    return NaiveResult(vals[0], rewrites, total)
+    over = BudgetExceededError(
+        f"naive evaluation exceeded {budget} inferences", "naive", budget
+    )
+    value, (applies, _, _, _, steps) = _run_terms(program, term, over, load=_rederive)
+    return NaiveResult(value, applies, steps)
 
 
 def eval_cbv(program: Program, term: Term, budget: Optional[int] = None) -> Term:
@@ -139,100 +121,21 @@ def eval_memo(
 
     Cost counts cache writes (one per operation call evaluated via its rule);
     cache reads cost nothing. The input cache is not modified; the outcome
-    carries the extended one. A constructor-only term is its own value at no
-    cost and with no cache effect, so such subterms are returned directly
-    instead of being re-derived. The optional budget bounds internal work
-    units (frames processed) and exists to abort runaway evaluations.
+    carries the extended one. Constructor-only subterms of the input are
+    values already and cost nothing. The optional budget bounds machine
+    steps (applies, reads, stores and constructor merges, as the shared
+    machine counts them) and exists to abort runaway evaluations.
     """
-    sig = program.signature
-    cache2: TermCache = dict(cache)
-    known: set[int] = set()  # ids of terms established to be values
-    for v in cache2.values():
-        known.add(id(v))
-    cost = 0
-    work_units = 0
-    vals: list[Term] = []
-    work: list = [(_EVAL, term)]
-
-    def is_known_value(t: Term) -> bool:
-        if id(t) in known:
-            return True
-        if not t.ground:
-            return False
-        # walk once, marking constructor-only subterms
-        pending = [t]
-        nodes: list[Term] = []
-        while pending:
-            node = pending.pop()
-            if id(node) in known:
-                continue
-            if not sig.is_constructor(node.sym):
-                return False
-            nodes.append(node)
-            pending.extend(node.args)
-        known.update(id(n) for n in nodes)
-        return True
-
-    while work:
-        frame = work.pop()
-        work_units += 1
-        if budget is not None and work_units > budget:
-            raise BudgetExceededError(
-                f"memoized evaluation exceeded {budget} work units", "memo", budget
-            )
-        tag = frame[0]
-        if tag == _EVAL:
-            t = frame[1]
-            if isinstance(t, Var):
-                raise StuckError(f"free variable {t.name} in evaluated term", t)
-            if is_known_value(t):
-                vals.append(t)
-                continue
-            k = len(t.args)
-            if sig.is_constructor(t.sym):
-                work.append((_CON, t.sym, k))
-            else:
-                work.append((_CALL, t.sym, k))
-            for a in reversed(t.args):
-                work.append((_EVAL, a))
-        elif tag == _CON:
-            _, sym, k = frame
-            if k:
-                args = tuple(vals[len(vals) - k :])
-                del vals[len(vals) - k :]
-            else:
-                args = ()
-            v = App(sym, args)
-            known.add(id(v))
-            vals.append(v)
-        elif tag == _CALL:
-            _, sym, k = frame
-            if k:
-                args = tuple(vals[len(vals) - k :])
-                del vals[len(vals) - k :]
-            else:
-                args = ()
-            key = (sym, args)
-            hit = cache2.get(key)
-            if hit is not None:
-                if stats is not None:
-                    stats.reads += 1
-                vals.append(hit)
-                continue
-            rule, binding = _find_rule(program, sym, args)
-            cost += 1
-            if stats is not None:
-                stats.updates += 1
-            work.append((_UPDATE, key))
-            work.append((_EVAL, substitute(rule.rhs, binding)))
-        else:  # _UPDATE
-            v = vals[-1]
-            cache2[frame[1]] = v
-            known.add(id(v))
-    assert len(vals) == 1
+    over = BudgetExceededError(
+        f"memoized evaluation exceeded {budget} steps", "memo", budget
+    )
+    out: TermCache = dict(cache)
+    value, (applies, reads, _, _, steps) = _run_terms(program, term, over, cache=out)
     if stats is not None:
-        stats.work = work_units
-    return CostedOutcome(cache2, vals[0], cost)
+        stats.updates += applies
+        stats.reads += reads
+        stats.work = steps
+    return CostedOutcome(out, value, applies)
 
 
 def equivalence_check(program: Program, term: Term, budget: Optional[int] = None) -> bool:

@@ -11,6 +11,7 @@ input (parse or validation), 3 stuck term, 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from .parser import (
     parse_program_loose,
     parse_term,
 )
-from .smallstep import ELoc, initial_expression, run, run_traced
+from .smallstep import initial_expression, run, run_traced
 from .terms import (
     App,
     Program,
@@ -55,6 +56,7 @@ DEFAULT_NAIVE_BUDGET = 10**7
 DEFAULT_DEPTH_CAP = 16
 # sizes at or above this print as a marker instead of a number
 OVERFLOW_LIMIT = 2**63
+MAX_BUDGET_BITS = 64
 
 
 @dataclass
@@ -71,54 +73,8 @@ class RunReport:
     wall_ns: int
 
 
-def _size_or_overflow(n: int) -> Union[int, str]:
-    return n if n < OVERFLOW_LIMIT else "overflow"
-
-
-def _run_naive(
-    program: Program, term: Term, text: str, budget: Optional[int], depth_cap: int
-) -> tuple[RunReport, Term]:
-    t0 = time.perf_counter_ns()
-    res = naive_run(program, term, budget)
-    wall = time.perf_counter_ns() - t0
-    report = RunReport(
-        engine="naive",
-        input_text=text,
-        value_text=format_term(res.value, max_depth=depth_cap, compress=True),
-        dag_nodes=minimal_shared_size([res.value]),
-        unfolded_size=_size_or_overflow(term_size(res.value)),
-        cost_m=res.rewrite_steps,
-        total_steps=res.total_steps,
-        heap_size=None,
-        cache_size=None,
-        wall_ns=wall,
-    )
-    return report, res.value
-
-
-def _run_memo(
-    program: Program, term: Term, text: str, budget: Optional[int], depth_cap: int
-) -> tuple[RunReport, Term]:
-    stats = MemoStats()
-    t0 = time.perf_counter_ns()
-    out = eval_memo(program, {}, term, budget=budget, stats=stats)
-    wall = time.perf_counter_ns() - t0
-    report = RunReport(
-        engine="memo",
-        input_text=text,
-        value_text=format_term(out.value, max_depth=depth_cap, compress=True),
-        dag_nodes=minimal_shared_size([out.value]),
-        unfolded_size=_size_or_overflow(term_size(out.value)),
-        cost_m=out.cost,
-        total_steps=stats.work,
-        heap_size=None,
-        cache_size=len(out.cache),
-        wall_ns=wall,
-    )
-    return report, out.value
-
-
-def _run_shared(
+def _run(
+    engine: str,
     program: Program,
     term: Term,
     text: str,
@@ -127,36 +83,53 @@ def _run_shared(
     dot_path: Optional[str] = None,
     trace_path: Optional[str] = None,
 ) -> tuple[RunReport, Term]:
-    heap, expr = initial_expression(program, Heap.empty(), term)
+    """Evaluate term under one engine; --dot and --trace apply to shared only."""
+    if engine == "naive" and budget is None:
+        budget = DEFAULT_NAIVE_BUDGET
+    heap = None
+    if engine == "shared":
+        heap, expr = initial_expression(program, Heap.empty(), term)
     t0 = time.perf_counter_ns()
-    if trace_path is not None:
+    if engine == "naive":
+        res = naive_run(program, term, budget)
+        value, m, total = res.value, res.rewrite_steps, res.total_steps
+        cache_size = None
+    elif engine == "memo":
+        stats = MemoStats()
+        out = eval_memo(program, {}, term, budget=budget, stats=stats)
+        value, m, total, cache_size = out.value, out.cost, stats.work, len(out.cache)
+    elif trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
-            cfg, stats = run_traced(program, heap, expr, fh, step_budget=budget)
+            cfg, rs = run_traced(program, heap, expr, fh, step_budget=budget)
     else:
-        cfg, stats = run(program, heap, expr, step_budget=budget)
+        cfg, rs = run(program, heap, expr, step_budget=budget)
     wall = time.perf_counter_ns() - t0
-    assert isinstance(cfg.expr, ELoc)
-    loc = cfg.expr.loc
-    value = cfg.heap.unfold(loc)
-    if dot_path is not None:
-        with open(dot_path, "w", newline="") as fh:
-            fh.write(cfg.heap.to_dot([loc]))
+    if heap is None:
+        dag_nodes, size = minimal_shared_size([value]), term_size(value)
+    else:
+        heap, loc = cfg.heap, cfg.expr.loc
+        m, total, cache_size = rs.applies, rs.total, len(cfg.cache)
+        value = heap.unfold(loc)
+        if dot_path is not None:
+            with open(dot_path, "w", newline="") as fh:
+                fh.write(heap.to_dot([loc]))
+        dag_nodes, size = heap.reachable_count(loc), heap.unfolded_size(loc)
     report = RunReport(
-        engine="shared",
+        engine=engine,
         input_text=text,
         value_text=format_term(value, max_depth=depth_cap, compress=True),
-        dag_nodes=cfg.heap.reachable_count(loc),
-        unfolded_size=_size_or_overflow(cfg.heap.unfolded_size(loc)),
-        cost_m=stats.applies,
-        total_steps=stats.total,
-        heap_size=cfg.heap.node_count,
-        cache_size=len(cfg.cache),
+        dag_nodes=dag_nodes,
+        unfolded_size=size if size < OVERFLOW_LIMIT else "overflow",
+        cost_m=m,
+        total_steps=total,
+        heap_size=None if heap is None else heap.node_count,
+        cache_size=cache_size,
         wall_ns=wall,
     )
     return report, value
 
 
-_ENGINES = {"naive": _run_naive, "memo": _run_memo, "shared": _run_shared}
+ENGINES = ("memo", "naive", "shared")
 
 
 def _print_report(r: RunReport, out) -> None:
@@ -189,19 +162,19 @@ def cmd_run(args) -> int:
     if (args.trace or args.dot) and args.engine != "shared" and not args.check_all:
         raise ParseError("--trace and --dot need the shared engine")
     if args.check_all:
-        shared_rep, shared_val = _run_shared(
-            program, term, args.term, args.budget, args.depth_cap,
+        shared_rep, shared_val = _run(
+            "shared", program, term, args.term, args.budget, args.depth_cap,
             dot_path=args.dot, trace_path=args.trace,
         )
-        memo_rep, memo_val = _run_memo(
-            program, term, args.term, args.budget, args.depth_cap
+        memo_rep, memo_val = _run(
+            "memo", program, term, args.term, args.budget, args.depth_cap
         )
-        naive_budget = args.budget if args.budget else DEFAULT_NAIVE_BUDGET
         naive_note = None
         naive_val = None
         try:
-            naive_rep, naive_val = _run_naive(
-                program, term, args.term, naive_budget, args.depth_cap
+            naive_rep, naive_val = _run(
+                "naive", program, term, args.term,
+                args.budget or DEFAULT_NAIVE_BUDGET, args.depth_cap,
             )
         except BudgetExceededError as e:
             naive_rep = None
@@ -227,15 +200,9 @@ def cmd_run(args) -> int:
             return 1
         out.write("agreement: ok\n")
         return 0
-    if args.engine == "naive" and args.budget is None:
-        args.budget = DEFAULT_NAIVE_BUDGET
-    report, _ = _ENGINES[args.engine](
-        program, term, args.term, args.budget, args.depth_cap,
-        **(
-            {"dot_path": args.dot, "trace_path": args.trace}
-            if args.engine == "shared"
-            else {}
-        ),
+    report, _ = _run(
+        args.engine, program, term, args.term, args.budget, args.depth_cap,
+        dot_path=args.dot, trace_path=args.trace,
     )
     _print_report(report, out)
     return 0
@@ -335,7 +302,7 @@ def cmd_bench(args) -> int:
     program = parse_program(_read(args.file))
     engines = args.engine.split(",")
     for e in engines:
-        if e not in _ENGINES:
+        if e not in ENGINES:
             raise ParseError(f"unknown engine {e}")
     try:
         lo_text, hi_text = args.range.split("..", 1)
@@ -351,12 +318,9 @@ def cmd_bench(args) -> int:
             term = _family_term(args, program, n)
             text = format_term(term, max_depth=4)
             for eng in engines:
-                budget = args.budget
-                if eng == "naive" and budget is None:
-                    budget = DEFAULT_NAIVE_BUDGET
                 t0 = time.perf_counter_ns()
                 try:
-                    report, _ = _ENGINES[eng](program, term, text, budget, 1)
+                    report, _ = _run(eng, program, term, text, args.budget, 1)
                 except BudgetExceededError:
                     wall = time.perf_counter_ns() - t0
                     out.write(f"{eng},{n},,,,overflow,{wall}\n")
@@ -376,7 +340,13 @@ def cmd_bench(args) -> int:
 def _budget_value(text: str) -> int:
     if "^" in text:
         base, _, exp = text.partition("^")
-        return int(base) ** int(exp)
+        b, e = int(base), int(exp)
+        # checked before exponentiating: 10^999999999 alone needs ~415 MB
+        if abs(b) > 1 and e * math.log2(abs(b)) > MAX_BUDGET_BITS:
+            raise argparse.ArgumentTypeError(
+                f"budget {text} is larger than 2^{MAX_BUDGET_BITS}"
+            )
+        return b**e
     return int(text)
 
 
@@ -391,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="evaluate a term")
     p.add_argument("file", help="program file")
     p.add_argument("term", help="ground term to evaluate")
-    p.add_argument("--engine", choices=sorted(_ENGINES), default="shared")
+    p.add_argument("--engine", choices=ENGINES, default="shared")
     p.add_argument("--budget", type=_budget_value, default=None,
                    help="step budget (accepts B^E)")
     p.add_argument("--check-all", action="store_true",
@@ -421,7 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("entry", nargs="?", default=None,
                    help="unary operation for the sucN family")
-    p.add_argument("--family", choices=["sucN"], default="sucN")
     p.add_argument("--template", default=None,
                    help="term template with an {n} placeholder (overrides family)")
     p.add_argument("--range", default="1..20", help="n range A..B")

@@ -12,8 +12,9 @@ One step rewrites the unique leftmost-innermost redex:
     merge   constructor on locations: merge into the heap, keep the location
 
 `step` is the literal one-step transcription (re-decomposes every time and
-returns fresh configurations). `run` is an equivalent focus-stack engine that
-never rescans; tests hold the two to identical traces.
+returns fresh configurations). `run` compiles the expression and drives it
+through `core.execute` over heap locations; tests hold the two to identical
+traces.
 """
 
 from __future__ import annotations
@@ -21,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .core import APPLY, CALL, CON, ENTER, MERGE, READ, RET, STORE, VAL, execute
 from .errors import ArityError, BudgetExceededError, HeapError, StuckError
 from .heap import Heap, match_pattern_at
 from .terms import App, Program, Rule, Term, Var, program_delta
-
-APPLY, READ, STORE, MERGE = "apply", "read", "store", "merge"
 
 
 class Expr:
@@ -271,14 +271,12 @@ def _match_call(
 ) -> tuple[Rule, dict[str, int]]:
     for rule in program.rules_for(sym):
         binding: dict[str, int] = {}
-        ok = True
         for p, l in zip(rule.lhs.args, locs):
             b = match_pattern_at(heap, p, l)
             if b is None:
-                ok = False
                 break
             binding.update(b)
-        if ok:
+        else:
             return rule, binding
     witness = App(sym, tuple(heap.unfold(l) for l in locs))
     raise StuckError(f"no rule matches {sym}/{len(locs)} call", witness)
@@ -335,26 +333,34 @@ def applicable_step_kinds(cfg: Configuration, program: Program) -> list[str]:
     return []
 
 
-def _rhs_weight(t: Term) -> int:
-    """Symbols in the right-hand side tree (variable occurrences weigh 0)."""
-    n = 0
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, App):
-            n += 1
-            stack.extend(node.args)
-    return n
-
-
 def default_step_budget(program: Program, expr: Expr) -> int:
     delta = program_delta(program) if program.rules else 0
     return (1 + delta) * 10**7 + expression_weight(expr)
 
 
-_ANNOT, _ARGS = 0, 1
-
 TraceFn = Callable[[int, str, int, int, int], None]
+
+
+def _code_of_expr(e: Expr) -> list:
+    """Postfix code of a machine expression: locations are pushed, and an
+    annotation enters its body's code like a call whose value gets stored."""
+    code: list = []
+    stack: list = [((RET,), code), (e, code)]
+    while stack:
+        node, out = stack.pop()
+        t = type(node)
+        if t is ELoc:
+            out.append((VAL, node.loc))
+        elif t is EAnnot:
+            body: list = []
+            out.append((ENTER, body, (node.sym, node.locs)))
+            stack.extend((((RET,), body), (node.body, body)))
+        elif t is tuple:  # a finished symbol's instruction, or the end of a body
+            out.append(node)
+        else:
+            stack.append(((CON if t is ECon else CALL, node.sym, len(node.args)), out))
+            stack.extend((a, out) for a in reversed(node.args))
+    return code
 
 
 def run(
@@ -368,105 +374,41 @@ def run(
 
     on_step, when given, observes (index, kind, weight, heap nodes, cache
     entries) after each step. The default budget is (1+delta)*10^7 plus the
-    initial weight.
+    initial weight. The given heap is left as it was.
     """
     delta = program_delta(program) if program.rules else 0
-    w = w0 = expression_weight(expr)
+    w0 = expression_weight(expr)
     if step_budget is None:
         step_budget = (1 + delta) * 10**7 + w0
-    rhs_weights = {id(r): _rhs_weight(r.rhs) for r in program.rules}
     cache: RefCache = {}
-    steps = applies = reads = stores = merges = 0
-    frames: list = []
-    pending: Optional[Expr] = expr
-    ret = -1
 
-    def overrun() -> BudgetExceededError:
+    def build(sym: str, locs: tuple[int, ...]) -> int:
+        nonlocal heap
+        heap, loc = heap.merge(sym, locs)
+        return loc
+
+    def match(sym: str, locs: tuple[int, ...]) -> tuple[Rule, dict[str, int]]:
+        return _match_call(program, heap, sym, locs)
+
+    def over(counts) -> BudgetExceededError:
         err = BudgetExceededError(
             f"machine exceeded {step_budget} steps", "shared", step_budget
         )
-        err.stats = RunStats(applies, reads, stores, merges, steps - 1, delta, w0)
+        err.stats = RunStats(*counts, delta, w0)
         return err
 
-    while True:
-        while pending is not None:
-            e = pending
-            t = type(e)
-            if t is ELoc:
-                ret = e.loc
-                pending = None
-            elif t is EAnnot:
-                frames.append((_ANNOT, e.sym, e.locs))
-                pending = e.body
-            else:
-                frames.append([_ARGS, t is ECon, e.sym, e.args, [], 0])
-                pending = None
-                ret = -1
-        if not frames:
-            break
-        fr = frames[-1]
-        if fr[0] == _ANNOT:
-            steps += 1
-            if steps > step_budget:
-                raise overrun()
-            stores += 1
-            w -= 1
-            cache[(fr[1], fr[2])] = ret
-            frames.pop()
-            if on_step is not None:
-                on_step(steps, STORE, w, heap.node_count, len(cache))
-            continue
-        if ret >= 0:
-            fr[4].append(ret)
-            ret = -1
-        args = fr[3]
-        done = fr[4]
-        idx = fr[5]
-        n = len(args)
-        while idx < n:
-            a = args[idx]
-            if type(a) is ELoc:
-                done.append(a.loc)
-                idx += 1
-            else:
-                break
-        if idx < n:
-            fr[5] = idx + 1
-            pending = args[idx]
-            continue
-        frames.pop()
-        sym = fr[2]
-        locs = tuple(done)
-        steps += 1
-        if steps > step_budget:
-            raise overrun()
-        if fr[1]:  # constructor redex
-            merges += 1
-            w -= 1
-            heap, loc = heap.merge(sym, locs)
-            ret = loc
-            if on_step is not None:
-                on_step(steps, MERGE, w, heap.node_count, len(cache))
-            continue
-        key = (sym, locs)
-        hit = cache.get(key)
-        if hit is not None:
-            reads += 1
-            w -= 1
-            ret = hit
-            if on_step is not None:
-                on_step(steps, READ, w, heap.node_count, len(cache))
-            continue
-        rule, binding = _match_call(program, heap, sym, locs)
-        applies += 1
-        w += rhs_weights[id(rule)]
-        frames.append((_ANNOT, sym, locs))
-        pending = expr_of_term(program, rule.rhs, binding)
-        if on_step is not None:
-            on_step(steps, APPLY, w, heap.node_count, len(cache))
+    w = w0
 
-    stats = RunStats(applies, reads, stores, merges, steps, delta, w0)
-    return Configuration(dict(cache), heap, ELoc(ret)), stats
+    def emit(i: int, kind: str, dw: int) -> None:
+        nonlocal w
+        w += dw
+        on_step(i, kind, w, heap.node_count, len(cache))
+
+    loc, counts = execute(
+        program, _code_of_expr(expr), match, build, over,
+        cache=cache, limit=step_budget, emit=None if on_step is None else emit,
+    )
+    return Configuration(cache, heap, ELoc(loc)), RunStats(*counts, delta, w0)
 
 
 def run_traced(

@@ -367,7 +367,7 @@ class Program:
     and pairwise non-ambiguity of left-hand sides per operation.
     """
 
-    __slots__ = ("signature", "rules", "_by_op", "_delta")
+    __slots__ = ("signature", "rules", "_by_op", "_delta", "_code")
 
     def __init__(self, signature: Signature, rules: Iterable[Rule]):
         self.signature = signature
@@ -386,6 +386,7 @@ class Program:
                         )
         self._by_op = {op: tuple(group) for op, group in by_op.items()}
         self._delta: Optional[int] = None
+        self._code = None  # compiled rule bodies, see core.program_code
 
     def _validate_rule(self, idx: int, rule: Rule) -> None:
         sig = self.signature

@@ -30,9 +30,15 @@ from helpers import (
 )
 
 
+class StuckInference(Exception):
+    def __init__(self, count: int):
+        self.count = count
+
+
 def count_inferences(program: Program, t: App) -> tuple[int, int]:
     """Independent recount of big-step derivation size: one inference per
-    evaluation judgement plus one per rule firing."""
+    evaluation judgement plus one per rule firing. A stuck call raises
+    StuckInference with the inferences reached up to it."""
     sig = program.signature
     judgements = [0]
     firings = [0]
@@ -47,7 +53,7 @@ def count_inferences(program: Program, t: App) -> tuple[int, int]:
             if all(_match(p, a, binding) for p, a in zip(rule.lhs.args, args)):
                 firings[0] += 1
                 return ev(_subst(rule.rhs, binding))
-        raise AssertionError("stuck")
+        raise StuckInference(judgements[0] + firings[0])
 
     ev(t)
     return judgements[0] + firings[0], firings[0]
@@ -265,6 +271,16 @@ def test_stuck_call_raises_with_witness():
     # memoized evaluation gets stuck at the same call
     with pytest.raises(StuckError):
         eval_memo(p, {}, App("half", (suc_chain(3),)))
+    # the plain budget counts every inference reached before the stuck call,
+    # the pending suc symbols and rule firings of enclosing calls included
+    for n in (3, 7):
+        call = App("half", (suc_chain(n),))
+        with pytest.raises(StuckInference) as reached:
+            count_inferences(p, call)
+        with pytest.raises(BudgetExceededError):
+            naive_run(p, call, budget=reached.value.count - 1)
+        with pytest.raises(StuckError):
+            naive_run(p, call, budget=reached.value.count)
 
 
 def test_stuck_and_budget_are_distinct(programs):

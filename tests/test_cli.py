@@ -1,3 +1,5 @@
+import argparse
+import time
 from pathlib import Path
 
 import pytest
@@ -294,6 +296,7 @@ def test_bench_csv_schema_and_bound(tmp_path):
     for n in range(1, 9):
         assert int(shared[n][2]) <= 2 * n + 1
         assert shared[n][2] == memo[n][2]  # same m under both engines
+        assert shared[n][3] == memo[n][3]  # and the same machine steps
     # heap column holds the answer DAG size; cross-check one row
     from memotrs import minimal_shared_size
 
@@ -363,3 +366,13 @@ def test_budget_notation():
     assert _budget_value("10^6") == 10**6
     assert _budget_value("2^10") == 1024
     assert _budget_value("333") == 333
+    assert _budget_value("2^64") == 2**64
+    # an over-large power is refused before it is computed
+    with pytest.raises(argparse.ArgumentTypeError):
+        _budget_value("2^65")
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as e:
+        main(["run", str(PROGRAMS / "add.trs"), "add(zero, zero)",
+              "--budget", "10^999999999"])
+    assert e.value.code == 2
+    assert time.perf_counter() - t0 < 5

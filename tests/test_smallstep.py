@@ -14,6 +14,7 @@ from memotrs import (
     ELoc,
     Heap,
     HeapError,
+    MemoStats,
     Var,
     applicable_step_kinds,
     check_well_formed,
@@ -54,6 +55,18 @@ def drive(program, heap, expr):
         kinds.append(kind)
         seen.append(cfg)
     return cfg, kinds, seen
+
+
+def annotations(e):
+    """The annotation frames of an expression."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, EAnnot):
+            yield node
+            stack.append(node.body)
+        elif isinstance(node, (ECon, ECall)):
+            stack.extend(node.args)
 
 
 # ------------------------------------------------------------- decompose
@@ -181,6 +194,35 @@ def test_run_matches_manual_stepping(programs):
         assert c == len(after.cache)
 
 
+def test_run_resumes_mid_run_configuration(programs):
+    p = programs["rabbits"]
+    heap, expr = initial_call(p, "rabbits", [suc_chain(6)])
+    cfg = Configuration({}, heap, expr)
+    # step until two annotation frames are open, one inside the other
+    while len(list(annotations(cfg.expr))) < 2:
+        cfg, _ = step(cfg, p)
+    nodes_before = cfg.heap.nodes()
+    observed = []
+    final, _ = run(
+        p, cfg.heap, cfg.expr,
+        on_step=lambda i, k, w, h, c: observed.append((k, w, h)),
+    )
+    assert cfg.heap.nodes() == nodes_before  # the given heap is left alone
+    # run starts from an empty cache, so compare with stepping from one too
+    mcfg, kinds, seen = drive(p, cfg.heap, cfg.expr)
+    assert [k for k, _, _ in observed] == kinds
+    assert mcfg.heap.nodes() == final.heap.nodes()
+    assert mcfg.cache == final.cache
+    for (_, w, h), after in zip(observed, seen[1:]):
+        assert w == expression_weight(after.expr)
+        assert h == after.heap.node_count
+    # and stepping on with the configuration's own cache reaches the same value
+    while (nxt := step(cfg, p)) is not None:
+        cfg = nxt[0]
+    value = final.heap.unfold(final.expr.loc)
+    assert value == cfg.heap.unfold(cfg.expr.loc) == rabbit_tree(6)
+
+
 def test_rabbits_generation_six_run(programs):
     p = programs["rabbits"]
     heap, expr = initial_call(p, "rabbits", [suc_chain(6)])
@@ -284,9 +326,13 @@ def test_simulation_on_random_programs():
         call = App(op, tuple(vals))
         heap, expr = initial_call(p, op, vals)
         cfg, stats = run(p, heap, expr)
-        memo = eval_memo(p, {}, call)
+        memo_stats = MemoStats()
+        memo = eval_memo(p, {}, call, stats=memo_stats)
         assert stats.applies == memo.cost
         assert cfg.heap.unfold(cfg.expr.loc) == memo.value
+        assert memo_stats.reads == stats.reads
+        assert memo_stats.work == stats.total
+        assert len(memo.cache) == len(cfg.cache)
 
 
 # ------------------------------------------------------------- tracing
