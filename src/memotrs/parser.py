@@ -32,6 +32,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<punct>[(),;:/^{}\[\]@=*])"
 )
 
+# most nodes the sym^N shorthands of one term may expand to (~100 MB of App)
+MAX_POWER_NODES = 10**6
+
 
 class Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -132,6 +135,7 @@ def parse_term_tokens(ts: TokenStream, sig: Optional[Signature], allow_vars: boo
 
     result: Optional[Term] = None
     frames: list[list] = []  # [sym, power, args, name token]
+    room = MAX_POWER_NODES  # nodes the powers read so far leave to expand
     while True:
         if result is None:
             tok = ts.expect("name")
@@ -139,7 +143,18 @@ def parse_term_tokens(ts: TokenStream, sig: Optional[Signature], allow_vars: boo
             power: Optional[int] = None
             if ts.at_punct("^"):
                 ts.next()
-                power = int(ts.expect("nat").text)
+                digits = ts.expect("nat").text.lstrip("0") or "0"
+                # length first: int() of a long digit string is costly itself
+                if len(digits) > len(str(room)) or int(digits) > room:
+                    shown = digits if len(digits) <= 20 else digits[:20] + "..."
+                    raise ParseError(
+                        f"{sym}^{shown} would expand the term beyond "
+                        f"{MAX_POWER_NODES} nodes",
+                        tok.line,
+                        tok.col,
+                    )
+                power = int(digits)
+                room -= power
             if ts.at_punct("("):
                 ts.next()
                 if ts.at_punct(")"):
@@ -251,45 +266,85 @@ def format_term(t: Term, max_depth: Optional[int] = None, compress: bool = False
     """Render a term; beyond max_depth subterms print as '...'.
 
     With compress=True, unary chains of length >= 3 print as sym^N(inner).
+
+    A node object met again at the same depth (at any depth when there is no
+    cap) pastes its text instead of being walked again. The first meeting
+    walks as usual, the second records the text its walk produces, and later
+    meetings paste it. Only meetings outside a recording count, so
+    recordings never nest: the recorded texts are disjoint pieces of the
+    output, and no position of the printed tree is walked twice. A shared
+    answer thus costs about two walks per distinct node and depth, plus the
+    length of its text.
     """
+    if max_depth is None:
+        cap, step = 0, 0  # every node sits at depth 0, keyed by its id alone
+    else:
+        cap, step = max_depth, 1
+    stride = cap + 1
     parts: list[str] = []
+    emit = parts.append
+    # id(node) * stride + depth -> 1 after the first meeting, then the node's
+    # text; every node is reachable from t, so no id is reused in the call
+    texts: dict[int, object] = {}
+    recording = False  # a recording walk is under way
     stack: list = [(t, 0)]
+    push, pop = stack.append, stack.pop
     while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            parts.append(item)
+        item = pop()
+        if type(item) is str:
+            emit(item)
             continue
         node, depth = item
-        if max_depth is not None and depth > max_depth:
-            parts.append("...")
+        if node is None:  # (None, (key, start)): the text of key is complete
+            key, start = depth
+            texts[key] = text = "".join(parts[start:])
+            del parts[start:]
+            emit(text)
+            recording = False
             continue
-        if isinstance(node, Var):
-            parts.append(node.name)
+        if depth > cap:
+            emit("...")
             continue
-        if compress and len(node.args) == 1:
+        if type(node) is Var:
+            emit(node.name)
+            continue
+        args = node.args
+        if not args:
+            emit(node.sym)
+            continue
+        key = id(node) * stride + depth
+        met = texts.get(key)
+        if type(met) is str:
+            emit(met)
+            continue
+        if not recording:  # inside one, a meeting is walked but not counted
+            if met is None:
+                texts[key] = 1
+            else:
+                push((None, (key, len(parts))))
+                recording = True
+        depth += step
+        if compress and len(args) == 1:
             run = 0
             inner: Term = node
             while (
-                isinstance(inner, App)
+                type(inner) is App
                 and len(inner.args) == 1
                 and inner.sym == node.sym
             ):
                 run += 1
                 inner = inner.args[0]
             if run >= 3:
-                parts.append(f"{node.sym}^{run}(")
-                stack.append(")")
-                stack.append((inner, depth + 1))
+                emit(f"{node.sym}^{run}(")
+                push(")")
+                push((inner, depth))
                 continue
-        if not node.args:
-            parts.append(node.sym)
-            continue
-        parts.append(node.sym + "(")
-        stack.append(")")
-        for i, a in enumerate(reversed(node.args)):
-            stack.append((a, depth + 1))
-            if i != len(node.args) - 1:
-                stack.append(", ")
+        emit(node.sym + "(")
+        push(")")
+        for a in args[:0:-1]:
+            push((a, depth))
+            push(", ")
+        push((args[0], depth))
     return "".join(parts)
 
 

@@ -49,8 +49,22 @@ class App(Term):
     def __init__(self, sym: str, args: tuple[Term, ...] = ()):
         self.sym = sym
         self.args = args
-        self._hash = hash((sym, *[a._hash for a in args]))
-        self.ground = all(a.ground for a in args)
+        # hash((sym, *child hashes)); arities 0-2 spelled out, being most nodes
+        n = len(args)
+        if n == 0:
+            self._hash = hash((sym,))
+            self.ground = True
+        elif n == 1:
+            a = args[0]
+            self._hash = hash((sym, a._hash))
+            self.ground = a.ground
+        elif n == 2:
+            a, b = args
+            self._hash = hash((sym, a._hash, b._hash))
+            self.ground = a.ground and b.ground
+        else:
+            self._hash = hash((sym, *[a._hash for a in args]))
+            self.ground = all(a.ground for a in args)
 
     def __repr__(self) -> str:
         if not self.args:
@@ -144,19 +158,28 @@ def subterms(t: Term) -> set[Term]:
 
 
 def minimal_shared_size(terms: Iterable[Term]) -> int:
-    """Number of distinct subterms across all given terms jointly."""
-    out: set[Term] = set()
-    seen: set[int] = set()
-    stack = list(terms)
+    """Number of distinct subterms across all given terms jointly.
+
+    Nodes are numbered bottom-up, first by object, then by symbol and the
+    numbers of their children, so equal subtrees are never compared node by
+    node."""
+    roots = list(terms)  # keeps every node alive, so no id is reused
+    number: dict[int, int] = {}  # id(node) -> number of its class
+    classes: dict[object, int] = {}  # variable name or (sym, *child numbers)
+    stack: list[tuple[Term, bool]] = [(t, False) for t in roots]
     while stack:
-        node = stack.pop()
-        if id(node) in seen:
+        node, done = stack.pop()
+        if done:
+            key = (node.sym, *[number[id(a)] for a in node.args])
+            number[id(node)] = classes.setdefault(key, len(classes))
+        elif id(node) in number:
             continue
-        seen.add(id(node))
-        out.add(node)
-        if isinstance(node, App):
-            stack.extend(node.args)
-    return len(out)
+        elif type(node) is Var:
+            number[id(node)] = classes.setdefault(node.name, len(classes))
+        else:
+            stack.append((node, True))
+            stack.extend((a, False) for a in node.args)
+    return len(classes)
 
 
 def vars_of(t: Term) -> set[str]:

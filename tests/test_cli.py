@@ -376,3 +376,11 @@ def test_budget_notation():
               "--budget", "10^999999999"])
     assert e.value.code == 2
     assert time.perf_counter() - t0 < 5
+
+
+def test_power_shorthand_is_bounded(capsys):
+    t0 = time.perf_counter()
+    code = main(["run", str(PROGRAMS / "add.trs"), "add(suc^999999999999(zero), zero)"])
+    assert code == 2
+    assert time.perf_counter() - t0 < 1
+    assert "suc^999999999999 would expand" in capsys.readouterr().err

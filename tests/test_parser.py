@@ -1,18 +1,28 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from memotrs import (
     App,
+    Heap,
     ParseError,
     Signature,
     Var,
+    eval_memo,
     format_program,
     format_term,
+    initial_expression,
+    minimal_shared_size,
+    naive_run,
     parse_program,
     parse_term,
+    run,
+    term_size,
 )
-from helpers import random_value, suc_chain
+from memotrs.parser import MAX_POWER_NODES
+from helpers import rabbit_tree, random_value, suc_chain
 
 NAT = Signature({"zero": 0, "suc": 1}, {"add": 2})
 
@@ -128,3 +138,124 @@ def test_deep_input_is_fine():
     text = "suc(" * depth + "zero" + ")" * depth
     t = parse_term(text, NAT)
     assert format_term(t, compress=True) == f"suc^{depth}(zero)"
+
+
+# -------------------------------------------- shared terms print as trees
+
+CAPS = [*range(17), None]
+
+
+def _tree_copy(t):
+    """t with a fresh object at every position of its tree."""
+    if isinstance(t, Var):
+        return Var(t.name)
+    return App(t.sym, tuple(_tree_copy(a) for a in t.args))
+
+
+def _chain(sym, n, inner):
+    for _ in range(n):
+        inner = App(sym, (inner,))
+    return inner
+
+
+def test_format_shared_answers_as_unshared_copies(programs):
+    cases = [
+        ("rabbits", App("rabbits", (suc_chain(9),))),
+        ("tree", App("tree", (suc_chain(6),))),
+        ("add", App("add", (suc_chain(5), suc_chain(4)))),
+        ("id", App("id", (suc_chain(4),))),
+        ("leafs", App("leafs", (rabbit_tree(6),))),
+    ]
+    for name, call in cases:
+        p = programs[name]
+        heap, expr = initial_expression(p, Heap.empty(), call)
+        cfg, _ = run(p, heap, expr)
+        shared = cfg.heap.unfold(cfg.expr.loc)
+        memo = eval_memo(p, {}, call).value
+        naive = naive_run(p, call, 10**6).value
+        if name in ("rabbits", "tree"):  # one object along several paths
+            assert minimal_shared_size([shared]) < term_size(shared)
+        copy = _tree_copy(shared)
+        for cap in CAPS:
+            for compress in (False, True):
+                want = format_term(copy, cap, compress)
+                assert format_term(naive, cap, compress) == want
+                assert format_term(shared, cap, compress) == want
+                assert format_term(memo, cap, compress) == want
+
+
+def test_format_one_object_at_two_depths_under_a_cap():
+    a = App("a", ())
+    x = App("p", (a, a))
+    hx = App("h", (x,))
+    t = App("g", (x, x, hx, hx))
+    assert format_term(t, max_depth=2) == (
+        "g(p(a, a), p(a, a), h(p(..., ...)), h(p(..., ...)))"
+    )
+    # rabbits-like: the same object one level apart along two paths
+    r = App("m", (App("m", (x, hx)), x))
+    copies = [_tree_copy(t), _tree_copy(r)]
+    for cap in CAPS:
+        for term, copy in zip((t, r), copies):
+            assert format_term(term, cap) == format_term(copy, cap)
+
+
+def test_format_shared_variables_and_chains():
+    x = Var("x")
+    inner = App("pair", (x, x))
+    s4 = _chain("s", 4, inner)
+    t = App("pair", (App("pair", (s4, s4)), App("pair", (s4, inner))))
+    assert format_term(t, compress=True) == (
+        "pair(pair(s^4(pair(x, x)), s^4(pair(x, x))), pair(s^4(pair(x, x)), pair(x, x)))"
+    )
+    # the tail of a chain met again on its own prints as the shorter chain
+    tail = s4.args[0]
+    u = App("pair", (App("pair", (s4, tail)), App("pair", (tail, s4))))
+    assert format_term(u, compress=True) == (
+        "pair(pair(s^4(pair(x, x)), s^3(pair(x, x))), pair(s^3(pair(x, x)), s^4(pair(x, x))))"
+    )
+    for term in (t, u):
+        copy = _tree_copy(term)
+        for cap in CAPS:
+            for compress in (False, True):
+                assert format_term(term, cap, compress) == format_term(copy, cap, compress)
+
+
+def test_power_expansion_is_bounded():
+    # refused when read, before any node of the power is built
+    with pytest.raises(ParseError) as e:
+        parse_term(f"suc^{MAX_POWER_NODES + 1}(zero)", NAT)
+    assert e.value.line == 1 and e.value.column == 1
+    # the limit holds for all powers of one term together
+    half = MAX_POWER_NODES // 2
+    with pytest.raises(ParseError):
+        parse_term(f"add(suc^{half}(zero), suc^{half + 1}(zero))", NAT)
+    # a digit string too long for int() is refused too
+    with pytest.raises(ParseError):
+        parse_term("suc^" + "9" * 5000 + "(zero)", NAT)
+    assert parse_term("suc^007(zero)", NAT) == suc_chain(7)
+
+
+def test_format_shared_list_records_only_its_own_text():
+    z = App("z", ())
+    lst = App("nil", ())
+    for _ in range(2000):
+        lst = App("cons", (z, lst))
+    one = "cons(z, " * 2000 + "nil" + ")" * 2000
+    hl = App("h", (lst,))
+    cases = [
+        (App("pair", (lst, lst)), f"pair({one}, {one})"),
+        # the list met a third time after a recording of h(L) walked it
+        (App("f", (hl, hl, lst)), f"f(h({one}), h({one}), {one})"),
+    ]
+    for t, want in cases:
+        for cap in (None, 100_000):
+            tracemalloc.start()
+            try:
+                text = format_term(t, cap)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert text == want
+            # recording every suffix of the list as well would hold ~2000 texts
+            assert peak < 50 * len(text)

@@ -27,6 +27,8 @@ from memotrs import (
     expression_weight,
     initial_call,
     initial_expression,
+    minimal_shared_size,
+    naive_run,
     program_delta,
     run,
     run_traced,
@@ -333,6 +335,29 @@ def test_simulation_on_random_programs():
         assert memo_stats.reads == stats.reads
         assert memo_stats.work == stats.total
         assert len(memo.cache) == len(cfg.cache)
+
+
+def test_naive_answer_shared_size_is_reachable_count(programs):
+    cases = [
+        (programs["rabbits"], App("rabbits", (suc_chain(9),))),
+        (programs["tree"], App("tree", (suc_chain(8),))),
+        (programs["add"], App("add", (suc_chain(6), suc_chain(5)))),
+        (programs["leafs"], App("leafs", (rabbit_tree(6),))),
+    ]
+    rng = random.Random(43)
+    for seed in range(20):
+        p = random_program(seed)
+        op = sorted(p.signature.operations)[0]
+        vals = [
+            random_value(rng, p.signature.constructors, 3)
+            for _ in range(p.signature.operations[op])
+        ]
+        cases.append((p, App(op, tuple(vals))))
+    for p, call in cases:
+        heap, expr = initial_expression(p, Heap.empty(), call)
+        cfg, _ = run(p, heap, expr)
+        naive = naive_run(p, call, 10**6).value
+        assert minimal_shared_size([naive]) == cfg.heap.reachable_count(cfg.expr.loc)
 
 
 # ------------------------------------------------------------- tracing
