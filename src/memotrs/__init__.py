@@ -45,13 +45,7 @@ from .grsr import (
 )
 from .grsr import infeasibility_reason
 from .grsr_parser import GrsrDef, GrsrFile, parse_grsr
-from .heap import (
-    Heap,
-    TermGraph,
-    canonical_tree,
-    match_graph,
-    match_pattern_at,
-)
+from .heap import Heap, match_pattern_at
 from .parser import (
     format_program,
     format_term,
@@ -64,28 +58,14 @@ from .smallstep import (
     EAnnot,
     ECall,
     ECon,
-    EHole,
     ELoc,
-    EvalContext,
     Expr,
     RefCache,
     RunStats,
-    applicable_step_kinds,
-    check_well_formed,
-    configuration_size,
-    configuration_weight,
-    decompose,
-    default_step_budget,
-    expr_equal,
-    expr_of_term,
-    expression_size,
     expression_weight,
-    initial_call,
     initial_expression,
     run,
     run_traced,
-    step,
-    unfold_expression,
 )
 from .terms import (
     App,
@@ -94,8 +74,6 @@ from .terms import (
     Signature,
     Term,
     Var,
-    app,
-    is_value,
     match_term,
     minimal_shared_size,
     patterns_overlap,

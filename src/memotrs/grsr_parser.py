@@ -34,7 +34,7 @@ from typing import Optional
 
 from .errors import ParseError
 from .grsr import Algebra, Case, Comp, ConstructorFn, FunctionExpr, Proj, SimRec
-from .parser import TokenStream, tokenize
+from .parser import TokenStream, read_nat, tokenize
 
 _KEYWORDS = frozenset(
     {"algebra", "def", "cons", "proj", "comp", "case", "rec", "over", "select"}
@@ -78,10 +78,6 @@ def _name_token(ts: TokenStream, what: str) -> str:
     return tok.text
 
 
-def _nat(ts: TokenStream) -> int:
-    return int(ts.expect("nat").text)
-
-
 class _Parser:
     def __init__(self, ts: TokenStream):
         self.ts = ts
@@ -117,7 +113,7 @@ class _Parser:
                     f"{self.con_owner[con]}"
                 )
             ts.expect("punct", "/")
-            cons.append((con, _nat(ts)))
+            cons.append((con, read_nat(ts)))
             self.con_owner[con] = name
             if ts.at_punct(","):
                 ts.next()
@@ -168,7 +164,7 @@ class _Parser:
             raise ts.error(f"unknown algebra {alg}")
         if ts.at_punct("@"):
             ts.next()
-            return _nat(ts)
+            return read_nat(ts)
         return None
 
     def algebra_ref(self) -> Algebra:
@@ -198,8 +194,8 @@ class _Parser:
             return ConstructorFn(self.algebras[self.con_owner[con]], con)
         if tok.text == "proj":
             ts.next()
-            arity = _nat(ts)
-            index = _nat(ts)
+            arity = read_nat(ts)
+            index = read_nat(ts)
             if arity < 1 or not 1 <= index <= arity:
                 raise ParseError(
                     f"projection {index} of {arity} is ill-formed", tok.line, tok.col
@@ -231,7 +227,7 @@ class _Parser:
             select = 1
             if ts.at_name("select"):
                 ts.next()
-                select = _nat(ts)
+                select = read_nat(ts)
             return self.checked(lambda: SimRec(algebra, grid, select), tok)
         name = _name_token(ts, "a function expression")
         if name not in self.by_name:

@@ -2,12 +2,11 @@
 
 A heap is a multi-rooted acyclic graph of constructor nodes addressed by
 integer locations. At most one node exists per (constructor, children) pair;
-merge either finds that node or allocates the next unused location, so
+merge either finds that node or appends it at the next location, so
 children always have smaller locations than their parents.
 
-Heaps behave as persistent values: merge returns a (possibly new) Heap and
-never changes the receiver. Internally views share one append-only store;
-extending a non-tip view copies its prefix first.
+A heap is a plain append-only store: merge extends the receiver. A caller
+that must keep a heap as it was works on a copy().
 """
 
 from __future__ import annotations
@@ -20,70 +19,57 @@ from .terms import App, Term, Var
 Node = tuple[str, tuple[int, ...]]
 
 
-class _Store:
+class Heap:
     __slots__ = ("entries", "index")
 
     def __init__(self):
-        self.entries: list[Node] = []
-        self.index: dict[Node, int] = {}
-
-
-class Heap:
-    __slots__ = ("_store", "_n")
-
-    def __init__(self, _store: Optional[_Store] = None, _n: int = 0):
-        self._store = _store if _store is not None else _Store()
-        self._n = _n
+        self.entries: list[Node] = []  # location -> node
+        self.index: dict[Node, int] = {}  # node -> location
 
     @classmethod
     def empty(cls) -> "Heap":
         return cls()
 
+    def copy(self) -> "Heap":
+        h = Heap()
+        h.entries = self.entries.copy()
+        h.index = self.index.copy()
+        return h
+
     @property
     def node_count(self) -> int:
-        return self._n
+        return len(self.entries)
 
     def locations(self) -> range:
-        return range(self._n)
+        return range(len(self.entries))
 
     def contains(self, loc: int) -> bool:
-        return 0 <= loc < self._n
+        return 0 <= loc < len(self.entries)
 
     def entry(self, loc: int) -> Node:
         if not self.contains(loc):
             raise HeapError(f"unknown location {loc}")
-        return self._store.entries[loc]
+        return self.entries[loc]
 
     def nodes(self) -> list[tuple[int, str, tuple[int, ...]]]:
-        return [(i, *self._store.entries[i]) for i in range(self._n)]
+        return [(i, *node) for i, node in enumerate(self.entries)]
 
-    def merge(self, sym: str, args: tuple[int, ...]) -> tuple["Heap", int]:
-        """Find or allocate the node (sym, args); returns (heap, location).
-
-        On a hit the receiver itself is returned unchanged.
-        """
+    def merge(self, sym: str, args: tuple[int, ...]) -> int:
+        """Find or append the node (sym, args); returns its location."""
+        key = (sym, args)
+        hit = self.index.get(key)
+        if hit is not None:
+            return hit
+        loc = len(self.entries)
         for a in args:
-            if not self.contains(a):
+            if not 0 <= a < loc:
                 raise HeapError(f"dangling argument location {a}")
-        key = (sym, tuple(args))
-        store = self._store
-        hit = store.index.get(key)
-        if hit is not None and hit < self._n:
-            return self, hit
-        if len(store.entries) != self._n:
-            # another view extended the shared store; fork our prefix
-            fork = _Store()
-            fork.entries = store.entries[: self._n]
-            fork.index = {node: i for i, node in enumerate(fork.entries)}
-            store = fork
-        loc = self._n
-        store.entries.append(key)
-        store.index[key] = loc
-        return Heap(store, loc + 1), loc
+        self.entries.append(key)
+        self.index[key] = loc
+        return loc
 
-    def store_value(self, value: Term) -> tuple["Heap", int]:
-        """Merge every subterm of a constructor value; returns (heap, root)."""
-        heap = self
+    def store_value(self, value: Term) -> int:
+        """Merge every subterm of a constructor value; returns the root's location."""
         locs: dict[int, int] = {}
         stack: list[tuple[Term, bool]] = [(value, False)]
         while stack:
@@ -93,17 +79,16 @@ class Heap:
             if isinstance(node, Var):
                 raise HeapError("cannot store a non-ground term")
             if done:
-                heap, loc = heap.merge(node.sym, tuple(locs[id(a)] for a in node.args))
-                locs[id(node)] = loc
+                locs[id(node)] = self.merge(node.sym, tuple(locs[id(a)] for a in node.args))
             else:
                 stack.append((node, True))
                 stack.extend((a, False) for a in node.args)
-        return heap, locs[id(value)]
+        return locs[id(value)]
 
     def _reachable(self, roots: Iterable[int]) -> set[int]:
         seen: set[int] = set()
         stack = list(roots)
-        entries = self._store.entries
+        entries = self.entries
         while stack:
             loc = stack.pop()
             if loc in seen:
@@ -121,7 +106,7 @@ class Heap:
     def unfold(self, loc: int) -> Term:
         """The tree the location denotes; shares subterm objects per location."""
         need = sorted(self._reachable([loc]))
-        entries = self._store.entries
+        entries = self.entries
         terms: dict[int, Term] = {}
         for l in need:  # children precede parents by construction
             sym, args = entries[l]
@@ -131,29 +116,21 @@ class Heap:
     def unfolded_size(self, loc: int) -> int:
         """Size of the unfolded tree, computed arithmetically (never materialized)."""
         need = sorted(self._reachable([loc]))
-        entries = self._store.entries
+        entries = self.entries
         sizes: dict[int, int] = {}
         for l in need:
             sym, args = entries[l]
             sizes[l] = 1 + sum(sizes[a] for a in args)
         return sizes[loc]
 
-    def is_maximally_shared(self) -> bool:
-        seen: set[Node] = set()
-        for node in self._store.entries[: self._n]:
-            if node in seen:
-                return False
-            seen.add(node)
-        return True
-
     def to_dot(self, roots: Optional[Iterable[int]] = None) -> str:
         """GraphViz rendering; restricted to roots' sub-DAG when given."""
         if roots is None:
-            locs = list(range(self._n))
+            locs = list(range(len(self.entries)))
         else:
             locs = sorted(self._reachable(list(roots)))
         lines = ["digraph heap {"]
-        entries = self._store.entries
+        entries = self.entries
         for l in locs:
             sym, args = entries[l]
             lines.append(f'  n{l} [label="l{l}: {sym}"];')
@@ -165,114 +142,18 @@ class Heap:
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
-        return f"Heap({self._n} nodes)"
-
-
-class TermGraph:
-    """A rooted term graph with one node per occurrence (a tree with names)."""
-
-    __slots__ = ("labels", "children", "root", "var_nodes")
-
-    def __init__(
-        self,
-        labels: list[Optional[str]],
-        children: list[tuple[int, ...]],
-        root: int,
-        var_nodes: dict[str, tuple[int, ...]],
-    ):
-        self.labels = labels  # None marks a variable node
-        self.children = children
-        self.root = root
-        self.var_nodes = var_nodes  # variable name -> its occurrence nodes
-
-    @property
-    def node_count(self) -> int:
-        return len(self.labels)
-
-    def var_name(self, node: int) -> Optional[str]:
-        for name, occ in self.var_nodes.items():
-            if node in occ:
-                return name
-        return None
-
-
-def canonical_tree(t: Term) -> TermGraph:
-    """The tree of t as a graph: a fresh node per subterm occurrence.
-
-    Materializes the full tree; intended for patterns and small terms.
-    Nodes are numbered in preorder, leftmost argument first.
-    """
-    labels: list[Optional[str]] = []
-    children: list[list[int]] = []
-    var_occ: dict[str, list[int]] = {}
-    stack: list[tuple[Term, int, int]] = [(t, -1, -1)]  # (term, parent id, slot)
-    while stack:
-        node, parent, slot = stack.pop()
-        nid = len(labels)
-        if parent >= 0:
-            children[parent][slot] = nid
-        if isinstance(node, Var):
-            labels.append(None)
-            children.append([])
-            var_occ.setdefault(node.name, []).append(nid)
-        else:
-            labels.append(node.sym)
-            children.append([-1] * len(node.args))
-            for i in range(len(node.args) - 1, -1, -1):
-                stack.append((node.args[i], nid, i))
-    return TermGraph(
-        labels,
-        [tuple(c) for c in children],
-        0,
-        {name: tuple(occ) for name, occ in var_occ.items()},
-    )
-
-
-def match_graph(
-    pattern: Term, heap: Heap, loc: int
-) -> Optional[tuple[dict[int, int], dict[str, int]]]:
-    """Match a pattern tree against the heap sub-DAG at loc.
-
-    Returns (morphism, binding): morphism maps every canonical-tree node of
-    the pattern to a location and is label- and child-preserving away from
-    variables; binding maps each pattern variable to the location it covers.
-    None when no such extension exists.
-    """
-    g = canonical_tree(pattern)
-    morphism: dict[int, int] = {}
-    binding: dict[str, int] = {}
-    node_var: dict[int, str] = {}
-    for name, occ in g.var_nodes.items():
-        for n in occ:
-            node_var[n] = name
-    stack = [(g.root, loc)]
-    while stack:
-        node, at = stack.pop()
-        morphism[node] = at
-        label = g.labels[node]
-        if label is None:
-            name = node_var[node]
-            bound = binding.get(name)
-            if bound is None:
-                binding[name] = at
-            elif bound != at:
-                # repeated variable: equal locations iff equal unfoldings
-                return None
-            continue
-        sym, args = heap.entry(at)
-        kids = g.children[node]
-        if sym != label or len(args) != len(kids):
-            return None
-        stack.extend(zip(kids, args))
-    return morphism, binding
+        return f"Heap({len(self.entries)} nodes)"
 
 
 def match_pattern_at(heap: Heap, pattern: Term, loc: int) -> Optional[dict[str, int]]:
-    """Binding-only fast path of match_graph (no canonical tree built)."""
+    """The binding of pattern's variables to locations if the pattern
+    matches the sub-DAG at loc, else None. On a maximally shared heap,
+    equal locations mean equal unfoldings, so a repeated variable needs
+    equal locations."""
     binding: dict[str, int] = {}
     stack = [(pattern, loc)]
-    entries = heap._store.entries
-    n = heap._n
+    entries = heap.entries
+    n = len(entries)
     while stack:
         p, at = stack.pop()
         if isinstance(p, Var):

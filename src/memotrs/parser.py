@@ -34,6 +34,8 @@ _TOKEN_RE = re.compile(
 
 # most nodes the sym^N shorthands of one term may expand to (~100 MB of App)
 MAX_POWER_NODES = 10**6
+# most digits of a number in a term, program or GRSR file
+MAX_NAT_DIGITS = 18
 
 
 class Token:
@@ -107,6 +109,19 @@ class TokenStream:
         return ParseError(message, tok.line, tok.col)
 
 
+def read_nat(ts: TokenStream) -> int:
+    """The next number. Its digits are counted before int(), which is slow
+    on long digit strings and refuses them past 4,300 digits."""
+    tok = ts.expect("nat")
+    digits = tok.text.lstrip("0") or "0"
+    if len(digits) > MAX_NAT_DIGITS:
+        shown = digits if len(digits) <= 20 else digits[:20] + "..."
+        raise ParseError(
+            f"number {shown} has more than {MAX_NAT_DIGITS} digits", tok.line, tok.col
+        )
+    return int(digits)
+
+
 def _expand_power(sym: str, count: int, inner: Term) -> Term:
     t = inner
     for _ in range(count):
@@ -143,17 +158,14 @@ def parse_term_tokens(ts: TokenStream, sig: Optional[Signature], allow_vars: boo
             power: Optional[int] = None
             if ts.at_punct("^"):
                 ts.next()
-                digits = ts.expect("nat").text.lstrip("0") or "0"
-                # length first: int() of a long digit string is costly itself
-                if len(digits) > len(str(room)) or int(digits) > room:
-                    shown = digits if len(digits) <= 20 else digits[:20] + "..."
+                power = read_nat(ts)
+                if power > room:
                     raise ParseError(
-                        f"{sym}^{shown} would expand the term beyond "
+                        f"{sym}^{power} would expand the term beyond "
                         f"{MAX_POWER_NODES} nodes",
                         tok.line,
                         tok.col,
                     )
-                power = int(digits)
                 room -= power
             if ts.at_punct("("):
                 ts.next()
@@ -216,7 +228,7 @@ def _parse_decls(ts: TokenStream) -> dict[str, int]:
     while True:
         tok = ts.expect("name")
         ts.expect("punct", "/")
-        ar = int(ts.expect("nat").text)
+        ar = read_nat(ts)
         if tok.text in decls:
             raise ParseError(f"duplicate declaration of {tok.text}", tok.line, tok.col)
         decls[tok.text] = ar

@@ -72,10 +72,6 @@ class App(Term):
         return f"App({self.sym!r}, {list(self.args)!r})"
 
 
-def app(sym: str, *args: Term) -> App:
-    return App(sym, args)
-
-
 def terms_equal(s: Term, t: Term) -> bool:
     """Structural equality, iterative and safe on deep or heavily shared terms."""
     stack = [(s, t)]
@@ -301,23 +297,6 @@ def validate_term(sig: Signature, t: Term, allow_vars: bool = True) -> None:
                 f"{node.sym} declared with arity {ar}, applied to {len(node.args)}"
             )
         stack.extend(node.args)
-
-
-def is_value(sig: Signature, t: Term) -> bool:
-    """True iff t is ground and built from constructors only."""
-    if not t.ground:
-        return False
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if not sig.is_constructor(node.sym):
-            return False
-        stack.extend(node.args)
-    return True
 
 
 class Rule:

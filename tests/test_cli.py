@@ -384,3 +384,16 @@ def test_power_shorthand_is_bounded(capsys):
     assert code == 2
     assert time.perf_counter() - t0 < 1
     assert "suc^999999999999 would expand" in capsys.readouterr().err
+
+
+def test_long_numbers_in_files_are_refused(tmp_path, capsys):
+    digits = "9" * 5000  # past the 4,300 digits int() accepts
+    trs = tmp_path / "long.trs"
+    trs.write_text(f"constructors: zero/{digits}, suc/1;\noperations: id/1;\n"
+                   "rules: id(x) -> x;\n")
+    assert main(["check", str(trs)]) == 2
+    assert "1:20: number 99999" in capsys.readouterr().err
+    grsr = tmp_path / "long.grsr"
+    grsr.write_text(f"algebra N = zero/0, suc/1 ;\ndef one = proj {digits} 1 ;\n")
+    assert main(["tier", str(grsr)]) == 2
+    assert "2:16: number 99999" in capsys.readouterr().err

