@@ -45,7 +45,7 @@ from .grsr import (
 )
 from .grsr import infeasibility_reason
 from .grsr_parser import GrsrDef, GrsrFile, parse_grsr
-from .heap import Heap, match_pattern_at
+from .heap import Heap
 from .parser import (
     format_program,
     format_term,
@@ -74,7 +74,6 @@ from .terms import (
     Signature,
     Term,
     Var,
-    match_term,
     minimal_shared_size,
     patterns_overlap,
     program_delta,

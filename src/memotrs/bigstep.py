@@ -11,12 +11,12 @@ reads are free, and its budget bounds machine steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from operator import attrgetter
 from typing import Optional
 
 from .core import compile_term, execute
-from .errors import BudgetExceededError, StuckError
-from .terms import App, Program, Rule, Term, match_term
+from .errors import BudgetExceededError
+from .terms import App, Program, Term
 
 CacheKey = tuple[str, tuple[Term, ...]]
 TermCache = dict[CacheKey, Term]
@@ -43,22 +43,6 @@ class MemoStats:
     work: int = 0
 
 
-def _find_rule(
-    program: Program, sym: str, args: tuple[Term, ...]
-) -> tuple[Rule, dict[str, Term]]:
-    """The rule whose argument patterns (jointly linear) all match args."""
-    for rule in program.rules_for(sym):
-        binding: dict[str, Term] = {}
-        for p, a in zip(rule.lhs.args, args):
-            b = match_term(p, a)
-            if b is None:
-                break
-            binding.update(b)
-        else:
-            return rule, binding
-    raise StuckError(f"no rule matches {sym}/{len(args)} call", App(sym, args))
-
-
 def _rederive(value: Term) -> tuple[Term, int]:
     """A fresh copy of a value built node by node, and its node count."""
     order: list[Term] = []
@@ -81,13 +65,15 @@ def _rederive(value: Term) -> tuple[Term, int]:
     return built[0], len(order)
 
 
+_view = attrgetter("sym", "args")
+
+
 def _run_terms(program: Program, term: Term, over: BudgetExceededError, **domain):
     """Run a term through `core.execute` with terms as values; over is
     raised when the run needs more than over.budget steps."""
-    code = compile_term(program.signature, term, values=True)
-    match = partial(_find_rule, program)
+    code = compile_term(program.signature, term)
     return execute(
-        program, code, match, App, lambda counts: over, limit=over.budget, **domain
+        program, code, _view, App, App, lambda counts: over, limit=over.budget, **domain
     )
 
 

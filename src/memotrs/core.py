@@ -1,10 +1,23 @@
-"""Compiled rule bodies and the one evaluation loop that all engines run.
+"""Compiled programs and the one evaluation loop that all engines run.
 
-Code is a postfix tuple: (VAR, name) and (VAL, value) push a value, (CON,
+Code is a postfix tuple: (VAR, slot) and (VAL, value) push a value, (CON,
 sym, k) and (CALL, sym, k) pop k arguments, (ENTER, code, key) runs code as
 the body of the call key (an annotation of a mid-run machine expression),
 and (RET,) ends a body, storing its value under the call's key. Postfix
-order is leftmost-innermost order, so no redex is ever searched for.
+order is leftmost-innermost order, so no redex is ever searched for. In a
+rule body a slot is the occurrence the matched call bound the variable to;
+in an input a slot is a variable name, and every variable there is free.
+
+Each operation's rules compile into a decision tree (Maranget, "Compiling
+Pattern Matching to Good Decision Trees", ML 2008). A call's arguments are
+its first occurrences. A switch [at, branches, default] tests the head
+symbol of occurrence at: a symbol in branches appends that value's
+arguments as the next occurrences and goes on in its subtree, any other
+symbol goes on in default. A leaf is (body code, body weight); the body is
+compiled at each leaf of its rule, and the occurrences are its binding.
+Orthogonal programs are left-linear and non-overlapping, so the tree never
+backtracks nor compares two values, and a missing subtree (None) is a
+stuck call.
 """
 
 from __future__ import annotations
@@ -13,15 +26,16 @@ import sys
 from typing import Callable, Optional
 
 from .errors import StuckError
-from .terms import Program, Rule, Signature, Term, Var
+from .terms import App, Program, Rule, Signature, Term, Var
 
 VAR, VAL, ENTER, RET, CON, CALL = range(6)
 APPLY, READ, STORE, MERGE = "apply", "read", "store", "merge"
 
 
-def compile_term(sig: Signature, t: Term, values: bool = False) -> tuple:
-    """Postfix code of t. With values set (an input term), every
-    constructor-only subterm becomes one VAL push of itself."""
+def compile_term(sig: Signature, t: Term, slots: Optional[dict] = None) -> tuple:
+    """Postfix code of t: of a rule body whose variables have the given
+    slots, or without them of an input term, whose variables push their
+    names and whose constructor-only subterms are one VAL push each."""
     code: list = []
     stack: list = [(t, False)]
     while stack:
@@ -30,12 +44,12 @@ def compile_term(sig: Signature, t: Term, values: bool = False) -> tuple:
             k = len(node.args)
             if not sig.is_constructor(node.sym):
                 code.append((CALL, node.sym, k))
-            elif values and all(ins[0] == VAL for ins in code[len(code) - k :]):
+            elif slots is None and all(ins[0] == VAL for ins in code[len(code) - k :]):
                 code[len(code) - k :] = [(VAL, node)]  # its arguments are values
             else:
                 code.append((CON, node.sym, k))
         elif type(node) is Var:
-            code.append((VAR, node.name))
+            code.append((VAR, node.name if slots is None else slots[node.name]))
         else:
             stack.append((node, True))
             stack.extend((a, False) for a in reversed(node.args))
@@ -43,15 +57,56 @@ def compile_term(sig: Signature, t: Term, values: bool = False) -> tuple:
     return tuple(code)
 
 
-def program_code(program: Program) -> dict[Rule, tuple[tuple, int]]:
-    """Each rule's compiled body and weight (its number of symbols), built
-    on first use and kept on the program."""
-    if program._code is None:
-        program._code = {}
-        for r in program.rules:
-            body = compile_term(program.signature, r.rhs)
-            program._code[r] = (body, sum(ins[0] >= CON for ins in body))
-    return program._code
+def _decision_tree(sig: Signature, op: str, rules: tuple[Rule, ...]) -> object:
+    """The tree of op's rules. A row is (patterns, rule, occurrences of the
+    variables already passed), its patterns lined up with a list of
+    occurrences; None is a wildcard. A task builds its rows' tree into[key]."""
+    n = sig.operations[op]
+    root: list = [None]
+    todo = [([(list(r.lhs.args), r, {}) for r in rules], list(range(n)), n, root, 0)]
+    while todo:
+        rows, cols, n, into, key = todo.pop()
+        if not rows:
+            continue  # no rule left: a stuck call
+        pats, rule, env = rows[0]
+        for j, p in enumerate(pats):
+            if type(p) is App:
+                break
+        else:  # the first rule matches whatever is left
+            env = {**env, **{p.name: at for p, at in zip(pats, cols) if p is not None}}
+            body = compile_term(sig, rule.rhs, slots=env)
+            into[key] = (body, sum(ins[0] >= CON for ins in body))
+            continue
+        at, rest = cols[j], cols[:j] + cols[j + 1 :]
+        node = into[key] = [at, {}, None]
+        groups = {r[0][j].sym: [] for r in rows if type(r[0][j]) is App}
+        default = []
+        for pats, rule, env in rows:
+            p, others = pats[j], pats[:j] + pats[j + 1 :]
+            if type(p) is App:
+                groups[p.sym].append((others + list(p.args), rule, env))
+                continue
+            env = env if p is None else {**env, p.name: at}
+            default.append((others, rule, env))
+            for sym, sub in groups.items():
+                sub.append((others + [None] * sig.constructors[sym], rule, env))
+        todo.append((default, rest, n, node, 2))
+        for sym, sub in groups.items():
+            k = sig.constructors[sym]
+            todo.append((sub, rest + list(range(n, n + k)), n + k, node[1], sym))
+    return root[0]
+
+
+class _Trees(dict):
+    """Each operation's decision tree (None without rules), built on its
+    first call."""
+
+    def __init__(self, program: Program):
+        self.sig, self.by_op = program.signature, program._by_op
+
+    def __missing__(self, op: str) -> object:
+        tree = self[op] = _decision_tree(self.sig, op, self.by_op.get(op, ()))
+        return tree
 
 
 class _Unbound(dict):
@@ -78,7 +133,8 @@ def _ancestors(code: tuple, j: int) -> int:
 def execute(
     program: Program,
     code: tuple,
-    match: Callable,
+    view: Callable,
+    witness: Callable,
     build: Callable,
     over: Callable,
     cache: Optional[dict] = None,
@@ -89,8 +145,9 @@ def execute(
     """Run code to one value; returns it and (applies, reads, stores,
     merges, steps). The engines differ only in the domain passed here.
 
-    match(sym, args) gives the matching rule and binding or raises
-    StuckError; build(sym, args) gives a constructor value; over(counts)
+    view(v) gives the (symbol, arguments) of a value v, which the decision
+    trees test; witness(sym, args) gives the term a stuck call reports;
+    build(sym, args) gives a constructor value; over(counts)
     gives the error for a step beyond limit. Each CON, CALL and RET is a
     step; without a cache there are no reads and a RET stores nothing. With
     load, each pushed value v is replaced by the copy load(v) = (copy,
@@ -98,11 +155,13 @@ def execute(
     the rule firing. emit(step, kind, change of weight) observes each step.
     """
     limit = sys.maxsize if limit is None else limit
-    bodies = program_code(program)
+    if program._code is None:  # kept on the program from its first run on
+        program._code = _Trees(program)
+    trees = program._code
     stack: list = []
     push = stack.append
     frames: list = []
-    binding: dict = _Unbound()
+    binding: object = _Unbound()
     key = None
     pc = 0
     applies = reads = stores = merges = steps = 0
@@ -159,11 +218,24 @@ def execute(
                     if emit is not None:
                         emit(steps, READ, -1)
                     continue
-            rule, found = match(ins[1], args)
+            node = trees[ins[1]]
+            occ = list(args)
+            while type(node) is list:
+                sym, kids = view(occ[node[0]])
+                nxt = node[1].get(sym)
+                if nxt is None:
+                    node = node[2]
+                else:
+                    occ += kids
+                    node = nxt
+            if node is None:
+                raise StuckError(
+                    f"no rule matches {ins[1]}/{len(args)} call", witness(ins[1], args)
+                )
             applies += 1
             frames.append((code, pc, binding, key))
-            code, body_weight = bodies[rule]
-            pc, binding, key = 0, found, call
+            code, body_weight = node
+            pc, binding, key = 0, occ, call
             if emit is not None:
                 emit(steps, APPLY, body_weight)
     except StuckError:

@@ -1,4 +1,4 @@
-"""Maximally shared constructor graphs: heaps, merging, unfolding, matching.
+"""Maximally shared constructor graphs: heaps, merging, unfolding.
 
 A heap is a multi-rooted acyclic graph of constructor nodes addressed by
 integer locations. At most one node exists per (constructor, children) pair;
@@ -143,30 +143,3 @@ class Heap:
 
     def __repr__(self) -> str:
         return f"Heap({len(self.entries)} nodes)"
-
-
-def match_pattern_at(heap: Heap, pattern: Term, loc: int) -> Optional[dict[str, int]]:
-    """The binding of pattern's variables to locations if the pattern
-    matches the sub-DAG at loc, else None. On a maximally shared heap,
-    equal locations mean equal unfoldings, so a repeated variable needs
-    equal locations."""
-    binding: dict[str, int] = {}
-    stack = [(pattern, loc)]
-    entries = heap.entries
-    n = len(entries)
-    while stack:
-        p, at = stack.pop()
-        if isinstance(p, Var):
-            bound = binding.get(p.name)
-            if bound is None:
-                binding[p.name] = at
-            elif bound != at:
-                return None
-            continue
-        if not 0 <= at < n:
-            raise HeapError(f"unknown location {at}")
-        sym, args = entries[at]
-        if sym != p.sym or len(args) != len(p.args):
-            return None
-        stack.extend(zip(p.args, args))
-    return binding

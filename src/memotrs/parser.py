@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Optional
 
-from .errors import ParseError
+from .errors import MemotrsError, ParseError
 from .terms import App, Program, Rule, Signature, Term, Var
 
 _TOKEN_RE = re.compile(
@@ -36,6 +36,8 @@ _TOKEN_RE = re.compile(
 MAX_POWER_NODES = 10**6
 # most digits of a number in a term, program or GRSR file
 MAX_NAT_DIGITS = 18
+# longest text format_term returns; a longer one is refused before it is built
+MAX_TEXT_CHARS = 10**7
 
 
 class Token:
@@ -287,6 +289,9 @@ def format_term(t: Term, max_depth: Optional[int] = None, compress: bool = False
     output, and no position of the printed tree is walked twice. A shared
     answer thus costs about two walks per distinct node and depth, plus the
     length of its text.
+
+    A text longer than MAX_TEXT_CHARS raises MemotrsError, counting pasted
+    texts as they are pasted, before the whole text is held in memory.
     """
     if max_depth is None:
         cap, step = 0, 0  # every node sits at depth 0, keyed by its id alone
@@ -299,6 +304,7 @@ def format_term(t: Term, max_depth: Optional[int] = None, compress: bool = False
     # text; every node is reachable from t, so no id is reused in the call
     texts: dict[int, object] = {}
     recording = False  # a recording walk is under way
+    pasted = 0  # characters pasted so far
     stack: list = [(t, 0)]
     push, pop = stack.append, stack.pop
     while stack:
@@ -327,6 +333,9 @@ def format_term(t: Term, max_depth: Optional[int] = None, compress: bool = False
         key = id(node) * stride + depth
         met = texts.get(key)
         if type(met) is str:
+            pasted += len(met)
+            if pasted > MAX_TEXT_CHARS:
+                raise _too_long()
             emit(met)
             continue
         if not recording:  # inside one, a meeting is walked but not counted
@@ -357,7 +366,14 @@ def format_term(t: Term, max_depth: Optional[int] = None, compress: bool = False
             push((a, depth))
             push(", ")
         push((args[0], depth))
-    return "".join(parts)
+    text = "".join(parts)
+    if len(text) > MAX_TEXT_CHARS:
+        raise _too_long()
+    return text
+
+
+def _too_long() -> MemotrsError:
+    return MemotrsError(f"the printed term would be longer than {MAX_TEXT_CHARS} characters")
 
 
 def _format_decls(decls: dict[str, int]) -> str:

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .core import CALL, CON, ENTER, RET, VAL, execute
-from .errors import BudgetExceededError, HeapError, StuckError
-from .heap import Heap, match_pattern_at
-from .terms import App, Program, Rule, Term, program_delta
+from .errors import BudgetExceededError, HeapError
+from .heap import Heap
+from .terms import App, Program, Term, program_delta
 
 
 class Expr:
@@ -113,34 +113,21 @@ def expression_weight(e: Expr) -> int:
     return w
 
 
-def _match_call(
-    program: Program, heap: Heap, sym: str, locs: tuple[int, ...]
-) -> tuple[Rule, dict[str, int]]:
-    for rule in program.rules_for(sym):
-        binding: dict[str, int] = {}
-        for p, l in zip(rule.lhs.args, locs):
-            b = match_pattern_at(heap, p, l)
-            if b is None:
-                break
-            binding.update(b)
-        else:
-            return rule, binding
-    witness = App(sym, tuple(heap.unfold(l) for l in locs))
-    raise StuckError(f"no rule matches {sym}/{len(locs)} call", witness)
-
-
 TraceFn = Callable[[int, str, int, int, int], None]
 
 
-def _code_of_expr(e: Expr) -> list:
-    """Postfix code of a machine expression: locations are pushed, and an
-    annotation enters its body's code like a call whose value gets stored."""
+def _code_of_expr(e: Expr, n: int) -> list:
+    """Postfix code of a machine expression over a heap of n nodes:
+    locations are pushed, and an annotation enters its body's code like a
+    call whose value gets stored."""
     code: list = []
     stack: list = [((RET,), code), (e, code)]
     while stack:
         node, out = stack.pop()
         t = type(node)
         if t is ELoc:
+            if not 0 <= node.loc < n:
+                raise HeapError(f"unknown location {node.loc}")
             out.append((VAL, node.loc))
         elif t is EAnnot:
             body: list = []
@@ -174,8 +161,8 @@ def run(
     cache: RefCache = {}
     heap = heap.copy()
 
-    def match(sym: str, locs: tuple[int, ...]) -> tuple[Rule, dict[str, int]]:
-        return _match_call(program, heap, sym, locs)
+    def witness(sym: str, locs: tuple[int, ...]) -> Term:
+        return App(sym, tuple(heap.unfold(l) for l in locs))
 
     def over(counts) -> BudgetExceededError:
         err = BudgetExceededError(
@@ -192,7 +179,8 @@ def run(
         on_step(i, kind, w, heap.node_count, len(cache))
 
     loc, counts = execute(
-        program, _code_of_expr(expr), match, heap.merge, over,
+        program, _code_of_expr(expr, heap.node_count), heap.entries.__getitem__,
+        witness, heap.merge, over,
         cache=cache, limit=step_budget, emit=None if on_step is None else emit,
     )
     return Configuration(cache, heap, ELoc(loc)), RunStats(*counts, delta, w0)
@@ -218,24 +206,31 @@ def initial_expression(program: Program, heap: Heap, term: Term) -> tuple[Heap, 
     """Turn a ground term into a machine expression: constructor-only
     subterms are merged into heap as locations, operation calls stay
     expression nodes. Returns heap, extended, with the expression."""
-    sig = program.signature
-    built: dict[int, Expr] = {}
+    constructors = program.signature.constructors
+    built: dict[int, object] = {}  # id(node) -> its location, or its Expr
     stack: list[tuple[Term, bool]] = [(term, False)]
+    push, pop = stack.append, stack.pop
     while stack:
-        node, done = stack.pop()
+        node, done = pop()
         if id(node) in built:
             continue
-        if not isinstance(node, App):
+        if type(node) is not App:
             raise HeapError(f"term is not ground: variable {node.name}")
-        if done:
-            kids = tuple(built[id(a)] for a in node.args)
-            # a constructor over locations only is itself a storable value
-            if sig.is_constructor(node.sym) and all(type(k) is ELoc for k in kids):
-                built[id(node)] = ELoc(heap.merge(node.sym, tuple(k.loc for k in kids)))
-            else:
-                cls = ECon if sig.is_constructor(node.sym) else ECall
-                built[id(node)] = cls(node.sym, kids)
-        else:
-            stack.append((node, True))
-            stack.extend((a, False) for a in node.args)
-    return heap, built[id(term)]
+        if not done:
+            push((node, True))
+            for a in node.args:
+                push((a, False))
+            continue
+        kids = tuple(map(built.__getitem__, map(id, node.args)))
+        cls = ECon if node.sym in constructors else ECall
+        if cls is ECon:
+            for k in kids:
+                if type(k) is not int:
+                    break
+            else:  # a constructor over locations only is itself a storable value
+                built[id(node)] = heap.merge(node.sym, kids)
+                continue
+        kids = tuple([ELoc(k) if type(k) is int else k for k in kids])
+        built[id(node)] = cls(node.sym, kids)
+    root = built[id(term)]
+    return heap, ELoc(root) if type(root) is int else root

@@ -221,29 +221,6 @@ def substitute(t: Term, binding: dict[str, Term]) -> Term:
     return memo[id(t)]
 
 
-def match_term(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
-    """First-order matching of a constructor pattern against a term.
-
-    Returns the binding on success, None on mismatch. Patterns in valid
-    programs are linear; repeated variables are still handled (by equality).
-    """
-    binding: dict[str, Term] = {}
-    stack = [(pattern, subject)]
-    while stack:
-        p, s = stack.pop()
-        if isinstance(p, Var):
-            bound = binding.get(p.name)
-            if bound is None:
-                binding[p.name] = s
-            elif not terms_equal(bound, s):
-                return None
-            continue
-        if not isinstance(s, App) or s.sym != p.sym or len(s.args) != len(p.args):
-            return None
-        stack.extend(zip(p.args, s.args))
-    return binding
-
-
 class Signature:
     """Disjoint constructor and operation declarations with fixed arities."""
 
@@ -388,7 +365,7 @@ class Program:
                         )
         self._by_op = {op: tuple(group) for op, group in by_op.items()}
         self._delta: Optional[int] = None
-        self._code = None  # compiled rule bodies, see core.program_code
+        self._code = None  # decision trees over compiled bodies, see core._Trees
 
     def _validate_rule(self, idx: int, rule: Rule) -> None:
         sig = self.signature

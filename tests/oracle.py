@@ -3,19 +3,32 @@
 Like `reference_eval` in helpers.py, nothing here is used by the library.
 The one-step machine re-decomposes its expression at every step and hands
 out configurations as values: `step` never changes the configuration it is
-given, and copies the heap only when a merge adds a node. Canonical-tree
-matching builds the pattern's tree as a graph and returns the morphism
-into the heap. The library's `run` and `match_pattern_at` are held to these
-by the tests.
+given, and copies the heap only when a merge adds a node. The rule-by-rule
+matchers try each rule's patterns in turn, on terms and on heap locations.
+Canonical-tree matching builds the pattern's tree as a graph and returns
+the morphism into the heap. The library's `run` and its compiled decision
+trees are held to these by the tests.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from memotrs import App, ArityError, Heap, Program, Term, Var, program_delta
+from memotrs import (
+    App,
+    ArityError,
+    Heap,
+    HeapError,
+    Program,
+    Rule,
+    StuckError,
+    Term,
+    Var,
+    program_delta,
+    terms_equal,
+)
 from memotrs.core import APPLY, MERGE, READ, STORE
-from memotrs.heap import Node, match_pattern_at
+from memotrs.heap import Node
 from memotrs.smallstep import (
     Configuration,
     EAnnot,
@@ -23,9 +36,94 @@ from memotrs.smallstep import (
     ECon,
     ELoc,
     Expr,
-    _match_call,
     expression_weight,
 )
+
+# ------------------------------------------------- rule-by-rule matching
+
+
+def match_term(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
+    """First-order matching of a constructor pattern against a term.
+
+    Returns the binding on success, None on mismatch. Patterns in valid
+    programs are linear; repeated variables are still handled (by equality).
+    """
+    binding: dict[str, Term] = {}
+    stack = [(pattern, subject)]
+    while stack:
+        p, s = stack.pop()
+        if isinstance(p, Var):
+            bound = binding.get(p.name)
+            if bound is None:
+                binding[p.name] = s
+            elif not terms_equal(bound, s):
+                return None
+            continue
+        if not isinstance(s, App) or s.sym != p.sym or len(s.args) != len(p.args):
+            return None
+        stack.extend(zip(p.args, s.args))
+    return binding
+
+
+def find_rule(
+    program: Program, sym: str, args: tuple[Term, ...]
+) -> tuple[Rule, dict[str, Term]]:
+    """The rule whose argument patterns (jointly linear) all match args."""
+    for rule in program.rules_for(sym):
+        binding: dict[str, Term] = {}
+        for p, a in zip(rule.lhs.args, args):
+            b = match_term(p, a)
+            if b is None:
+                break
+            binding.update(b)
+        else:
+            return rule, binding
+    raise StuckError(f"no rule matches {sym}/{len(args)} call", App(sym, args))
+
+
+def match_pattern_at(heap: Heap, pattern: Term, loc: int) -> Optional[dict[str, int]]:
+    """The binding of pattern's variables to locations if the pattern
+    matches the sub-DAG at loc, else None. On a maximally shared heap,
+    equal locations mean equal unfoldings, so a repeated variable needs
+    equal locations."""
+    binding: dict[str, int] = {}
+    stack = [(pattern, loc)]
+    entries = heap.entries
+    n = len(entries)
+    while stack:
+        p, at = stack.pop()
+        if isinstance(p, Var):
+            bound = binding.get(p.name)
+            if bound is None:
+                binding[p.name] = at
+            elif bound != at:
+                return None
+            continue
+        if not 0 <= at < n:
+            raise HeapError(f"unknown location {at}")
+        sym, args = entries[at]
+        if sym != p.sym or len(args) != len(p.args):
+            return None
+        stack.extend(zip(p.args, args))
+    return binding
+
+
+def match_call(
+    program: Program, heap: Heap, sym: str, locs: tuple[int, ...]
+) -> tuple[Rule, dict[str, int]]:
+    """The rule whose patterns all match the call on locations, and the binding."""
+    for rule in program.rules_for(sym):
+        binding: dict[str, int] = {}
+        for p, l in zip(rule.lhs.args, locs):
+            b = match_pattern_at(heap, p, l)
+            if b is None:
+                break
+            binding.update(b)
+        else:
+            return rule, binding
+    witness = App(sym, tuple(heap.unfold(l) for l in locs))
+    raise StuckError(f"no rule matches {sym}/{len(locs)} call", witness)
+
 
 # ------------------------------------------------------ one-step machine
 
@@ -188,7 +286,7 @@ def step(cfg: Configuration, program: Program) -> Optional[tuple[Configuration, 
         hit = cfg.cache.get(key)
         if hit is not None:
             return Configuration(cfg.cache, cfg.heap, ctx.plug(ELoc(hit))), READ
-        rule, binding = _match_call(program, cfg.heap, redex.sym, locs)
+        rule, binding = match_call(program, cfg.heap, redex.sym, locs)
         body = expr_of_term(program, rule.rhs, binding)
         wrapped = EAnnot(redex.sym, locs, body)
         return Configuration(cfg.cache, cfg.heap, ctx.plug(wrapped)), APPLY

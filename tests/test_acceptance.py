@@ -25,7 +25,6 @@ from memotrs import (
     eval_memo,
     expression_weight,
     infer_tiers,
-    match_term,
     minimal_shared_size,
     naive_run,
     program_delta,
@@ -48,6 +47,7 @@ from oracle import (
     configuration_size,
     initial_call,
     match_graph,
+    match_term,
     step,
 )
 

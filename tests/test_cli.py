@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from memotrs import parse_program
+from memotrs import parse_program, parser
 from memotrs.cli import _budget_value, main
 from helpers import rabbit_tree
 
@@ -397,3 +397,25 @@ def test_long_numbers_in_files_are_refused(tmp_path, capsys):
     grsr.write_text(f"algebra N = zero/0, suc/1 ;\ndef one = proj {digits} 1 ;\n")
     assert main(["tier", str(grsr)]) == 2
     assert "2:16: number 99999" in capsys.readouterr().err
+
+
+def test_printed_value_is_bounded(capsys, monkeypatch):
+    # a 2^41-node tree: its text is refused before it is built
+    tree = ["run", str(PROGRAMS / "tree.trs"), "tree(suc^40(zero))", "--depth-cap", "40"]
+    t0 = time.perf_counter()
+    assert main(tree) == 2
+    assert time.perf_counter() - t0 < 5
+    assert "longer than 10000000 characters" in capsys.readouterr().err
+    small = ["run", str(PROGRAMS / "tree.trs"), "tree(suc^6(zero))", "--depth-cap", "5"]
+    assert main(small + ["--check-all"]) == 0
+    out = capsys.readouterr().out
+    value = report_fields(out)["value"]
+    monkeypatch.setattr(parser, "MAX_TEXT_CHARS", len(value))
+    assert main(small + ["--check-all"]) == 0
+    untimed = lambda text: [l for l in text.splitlines() if not l.startswith("wall ms")]  # noqa: E731
+    assert untimed(capsys.readouterr().out) == untimed(out)
+    monkeypatch.setattr(parser, "MAX_TEXT_CHARS", len(value) - 1)
+    for engine in ("shared", "memo", "naive"):
+        assert main(small + ["--engine", engine]) == 2
+        err = capsys.readouterr().err
+        assert f"longer than {len(value) - 1} characters" in err

@@ -10,13 +10,18 @@ from memotrs import (
     Heap,
     HeapError,
     Var,
-    match_pattern_at,
-    match_term,
     minimal_shared_size,
     term_size,
 )
 from helpers import complete_tree, random_value, suc_chain
-from oracle import canonical_tree, is_maximally_shared, match_graph, step
+from oracle import (
+    canonical_tree,
+    is_maximally_shared,
+    match_graph,
+    match_pattern_at,
+    match_term,
+    step,
+)
 
 
 def test_merge_hit_returns_receiver():

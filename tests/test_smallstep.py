@@ -408,6 +408,14 @@ def test_initial_expression_pure_value(programs):
     assert heap.unfold(expr.loc) == suc_chain(3)
 
 
+def test_initial_expression_numbers_right_to_left(programs):
+    # constructor-only subterms are merged children first, last argument first
+    term = App("m", (App("rabbits", (App("zero"),)), App("n", (App("leafm"),))))
+    heap, expr = initial_expression(programs["rabbits"], Heap.empty(), term)
+    assert heap.nodes() == [(0, "leafm", ()), (1, "n", (0,)), (2, "zero", ())]
+    assert isinstance(expr, ECon) and expr.args[1].loc == 1
+
+
 def test_initial_expression_rejects_variables(programs):
     with pytest.raises(HeapError):
         initial_expression(programs["add"], Heap.empty(), App("suc", (Var("x"),)))

@@ -13,7 +13,6 @@ from memotrs import (
     Signature,
     SignatureError,
     Var,
-    match_term,
     minimal_shared_size,
     parse_program,
     parse_term,
@@ -28,6 +27,7 @@ from memotrs import (
     validate_term,
 )
 from helpers import enum_values, random_value, suc_chain
+from oracle import match_term
 
 NAT = Signature({"zero": 0, "suc": 1}, {})
 FOREST = Signature(

@@ -33,3 +33,21 @@ def test_traced_run_sees_the_machine(capsys):
     assert tracer.counts["heap.growth"] == tracer.counts["heap.merges"] == 10
     assert tracer.counts["smallstep.steps"] == 35
     capsys.readouterr()
+
+
+def test_traced_check_all_sees_both_term_engines(capsys):
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        root = tracer.open("cli.main")
+        code = cli.main(["run", "--check-all", str(ROOT / "programs" / "rabbits.trs"),
+                         "rabbits(suc^6(zero))"])
+        tracer.close(root)
+    finally:
+        tracer.restore()
+    assert code == 0
+    names = {span[0] for span in tracer.spans}
+    assert {"bigstep.memo", "bigstep.naive"} <= names
+    assert tracer.counts["bigstep.memo_work"] == 35
+    assert tracer.counts["bigstep.naive_inferences"] == 115
+    capsys.readouterr()
