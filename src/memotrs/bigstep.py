@@ -11,12 +11,11 @@ reads are free, and its budget bounds machine steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Optional
 
 from .core import compile_term, execute
 from .errors import BudgetExceededError
-from .terms import App, Program, Term
+from .terms import App, Program, Term, term_view
 
 CacheKey = tuple[str, tuple[Term, ...]]
 TermCache = dict[CacheKey, Term]
@@ -65,15 +64,12 @@ def _rederive(value: Term) -> tuple[Term, int]:
     return built[0], len(order)
 
 
-_view = attrgetter("sym", "args")
-
-
 def _run_terms(program: Program, term: Term, over: BudgetExceededError, **domain):
     """Run a term through `core.execute` with terms as values; over is
     raised when the run needs more than over.budget steps."""
     code = compile_term(program.signature, term)
     return execute(
-        program, code, _view, App, App, lambda counts: over, limit=over.budget, **domain
+        program, code, term_view, App, App, lambda counts: over, limit=over.budget, **domain
     )
 
 

@@ -36,11 +36,15 @@ from .grsr import (
 from .grsr_parser import GrsrDef, parse_grsr
 from .heap import Heap
 from .parser import (
+    MAX_POWER_NODES,
+    TokenStream,
     format_program,
     format_term,
     parse_program,
     parse_program_loose,
     parse_term,
+    read_nat,
+    tokenize,
 )
 from .smallstep import initial_expression, run, run_traced
 from .terms import (
@@ -82,8 +86,11 @@ def _run(
     depth_cap: int,
     dot_path: Optional[str] = None,
     trace_path: Optional[str] = None,
-) -> tuple[RunReport, Term]:
-    """Evaluate term under one engine; --dot and --trace apply to shared only."""
+) -> tuple[RunReport, Union[Term, int], Optional[Heap]]:
+    """Evaluate term under one engine; --dot and --trace apply to shared only.
+
+    Returns the report and the answer as the engine holds it: a term, or
+    for the shared engine a location in the returned heap."""
     if engine == "naive" and budget is None:
         budget = DEFAULT_NAIVE_BUDGET
     heap = None
@@ -92,32 +99,34 @@ def _run(
     t0 = time.perf_counter_ns()
     if engine == "naive":
         res = naive_run(program, term, budget)
-        value, m, total = res.value, res.rewrite_steps, res.total_steps
+        answer, m, total = res.value, res.rewrite_steps, res.total_steps
         cache_size = None
     elif engine == "memo":
         stats = MemoStats()
         out = eval_memo(program, {}, term, budget=budget, stats=stats)
-        value, m, total, cache_size = out.value, out.cost, stats.work, len(out.cache)
+        answer, m, total, cache_size = out.value, out.cost, stats.work, len(out.cache)
     elif trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
             cfg, rs = run_traced(program, heap, expr, fh, step_budget=budget)
     else:
         cfg, rs = run(program, heap, expr, step_budget=budget)
     wall = time.perf_counter_ns() - t0
+    # sizes saturate at OVERFLOW_LIMIT, which prints as a marker anyway
     if heap is None:
-        dag_nodes, size = minimal_shared_size([value]), term_size(value)
+        dag_nodes = minimal_shared_size([answer])
+        size = term_size(answer, OVERFLOW_LIMIT)
     else:
-        heap, loc = cfg.heap, cfg.expr.loc
+        heap, answer = cfg.heap, cfg.expr.loc
         m, total, cache_size = rs.applies, rs.total, len(cfg.cache)
-        value = heap.unfold(loc)
         if dot_path is not None:
             with open(dot_path, "w", newline="") as fh:
-                fh.write(heap.to_dot([loc]))
-        dag_nodes, size = heap.reachable_count(loc), heap.unfolded_size(loc)
+                fh.write(heap.to_dot([answer]))
+        dag_nodes = heap.reachable_count(answer)
+        size = heap.unfolded_size(answer, OVERFLOW_LIMIT)
     report = RunReport(
         engine=engine,
         input_text=text,
-        value_text=format_term(value, max_depth=depth_cap, compress=True),
+        value_text=format_term(answer, max_depth=depth_cap, compress=True, heap=heap),
         dag_nodes=dag_nodes,
         unfolded_size=size if size < OVERFLOW_LIMIT else "overflow",
         cost_m=m,
@@ -126,7 +135,7 @@ def _run(
         cache_size=cache_size,
         wall_ns=wall,
     )
-    return report, value
+    return report, answer, heap
 
 
 ENGINES = ("memo", "naive", "shared")
@@ -162,17 +171,18 @@ def cmd_run(args) -> int:
     if (args.trace or args.dot) and args.engine != "shared" and not args.check_all:
         raise ParseError("--trace and --dot need the shared engine")
     if args.check_all:
-        shared_rep, shared_val = _run(
+        shared_rep, loc, heap = _run(
             "shared", program, term, args.term, args.budget, args.depth_cap,
             dot_path=args.dot, trace_path=args.trace,
         )
-        memo_rep, memo_val = _run(
+        shared_val = heap.unfold(loc)
+        memo_rep, memo_val, _ = _run(
             "memo", program, term, args.term, args.budget, args.depth_cap
         )
         naive_note = None
         naive_val = None
         try:
-            naive_rep, naive_val = _run(
+            naive_rep, naive_val, _ = _run(
                 "naive", program, term, args.term,
                 args.budget or DEFAULT_NAIVE_BUDGET, args.depth_cap,
             )
@@ -200,7 +210,7 @@ def cmd_run(args) -> int:
             return 1
         out.write("agreement: ok\n")
         return 0
-    report, _ = _run(
+    report, _, _ = _run(
         args.engine, program, term, args.term, args.budget, args.depth_cap,
         dot_path=args.dot, trace_path=args.trace,
     )
@@ -298,19 +308,30 @@ def _family_term(args, program: Program, n: int) -> Term:
     return App(args.entry, (t,))
 
 
+def _range_bounds(text: str) -> tuple[int, int]:
+    """The bounds of A..B, each read as a number in a term is read."""
+    lo_text, dots, hi_text = text.partition("..")
+    bounds = (lo_text, hi_text)
+    if not dots or not all(t.isascii() and t.isdigit() for t in bounds):
+        raise ParseError(f"bad range {text!r}, expected A..B")
+    lo, hi = (read_nat(TokenStream(tokenize(t))) for t in bounds)
+    return lo, hi
+
+
 def cmd_bench(args) -> int:
     program = parse_program(_read(args.file))
     engines = args.engine.split(",")
     for e in engines:
         if e not in ENGINES:
             raise ParseError(f"unknown engine {e}")
-    try:
-        lo_text, hi_text = args.range.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    except ValueError:
-        raise ParseError(f"bad range {args.range!r}, expected A..B")
+    lo, hi = _range_bounds(args.range)
     if args.template is None and args.entry is None:
         raise ParseError("give an entry operation or --template")
+    if args.template is None and hi > MAX_POWER_NODES:
+        # the limit run puts on suc^N, checked before any term is built
+        raise ParseError(
+            f"suc^{hi} would expand the term beyond {MAX_POWER_NODES} nodes"
+        )
     out = open(args.csv, "w", newline="") if args.csv else sys.stdout
     try:
         out.write("engine,n,m,total_steps,heap_nodes,unfolded_size_or_overflow,wall_ns\n")
@@ -320,7 +341,7 @@ def cmd_bench(args) -> int:
             for eng in engines:
                 t0 = time.perf_counter_ns()
                 try:
-                    report, _ = _run(eng, program, term, text, args.budget, 1)
+                    report, _, _ = _run(eng, program, term, text, args.budget, 1)
                 except BudgetExceededError:
                     wall = time.perf_counter_ns() - t0
                     out.write(f"{eng},{n},,,,overflow,{wall}\n")

@@ -85,19 +85,30 @@ class Heap:
                 stack.extend((a, False) for a in node.args)
         return locs[id(value)]
 
-    def _reachable(self, roots: Iterable[int]) -> set[int]:
-        seen: set[int] = set()
-        stack = list(roots)
-        entries = self.entries
-        while stack:
-            loc = stack.pop()
-            if loc in seen:
-                continue
+    def _reachable(self, roots: Iterable[int]) -> list[int]:
+        """Locations reachable from roots, in ascending order.
+
+        One downward sweep from the highest root: children sit below their
+        parents, so every location is marked before the sweep reaches it."""
+        roots = list(roots)
+        for loc in roots:
             if not self.contains(loc):
                 raise HeapError(f"unknown location {loc}")
-            seen.add(loc)
-            stack.extend(entries[loc][1])
-        return seen
+        if not roots:
+            return []
+        top = max(roots)
+        marked = bytearray(top + 1)
+        for loc in roots:
+            marked[loc] = 1
+        entries = self.entries
+        found: list[int] = []
+        for loc in range(top, -1, -1):
+            if marked[loc]:
+                found.append(loc)
+                for a in entries[loc][1]:
+                    marked[a] = 1
+        found.reverse()
+        return found
 
     def reachable_count(self, loc: int) -> int:
         """Number of nodes in the sub-DAG rooted at loc."""
@@ -105,30 +116,40 @@ class Heap:
 
     def unfold(self, loc: int) -> Term:
         """The tree the location denotes; shares subterm objects per location."""
-        need = sorted(self._reachable([loc]))
+        need = self._reachable([loc])  # ascending: children precede parents
         entries = self.entries
-        terms: dict[int, Term] = {}
-        for l in need:  # children precede parents by construction
-            sym, args = entries[l]
-            terms[l] = App(sym, tuple(terms[a] for a in args))
-        return terms[loc]
-
-    def unfolded_size(self, loc: int) -> int:
-        """Size of the unfolded tree, computed arithmetically (never materialized)."""
-        need = sorted(self._reachable([loc]))
-        entries = self.entries
-        sizes: dict[int, int] = {}
+        terms: list = [None] * (loc + 1)
         for l in need:
             sym, args = entries[l]
-            sizes[l] = 1 + sum(sizes[a] for a in args)
+            n = len(args)
+            if n == 1:
+                terms[l] = App(sym, (terms[args[0]],))
+            elif n == 2:
+                terms[l] = App(sym, (terms[args[0]], terms[args[1]]))
+            else:
+                terms[l] = App(sym, tuple([terms[a] for a in args]))
+        return terms[loc]
+
+    def unfolded_size(self, loc: int, limit: Optional[int] = None) -> int:
+        """Size of the unfolded tree, computed arithmetically (never
+        materialized). With limit, sizes saturate there: the result is
+        min(size, limit), and every sum stays a small integer."""
+        need = self._reachable([loc])
+        entries = self.entries
+        sizes = [0] * (loc + 1)
+        for l in need:
+            size = 1
+            for a in entries[l][1]:
+                size += sizes[a]
+            sizes[l] = size if limit is None or size < limit else limit
         return sizes[loc]
 
     def to_dot(self, roots: Optional[Iterable[int]] = None) -> str:
         """GraphViz rendering; restricted to roots' sub-DAG when given."""
         if roots is None:
-            locs = list(range(len(self.entries)))
+            locs = range(len(self.entries))
         else:
-            locs = sorted(self._reachable(list(roots)))
+            locs = self._reachable(roots)
         lines = ["digraph heap {"]
         entries = self.entries
         for l in locs:

@@ -19,7 +19,8 @@ import re
 from typing import Iterable, Optional
 
 from .errors import MemotrsError, ParseError
-from .terms import App, Program, Rule, Signature, Term, Var
+from .heap import Heap
+from .terms import App, Program, Rule, Signature, Term, Var, term_view
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>[ \t\r]+)"
@@ -276,13 +277,20 @@ def parse_program(text: str) -> Program:
     return Program(sig, rules)
 
 
-def format_term(t: Term, max_depth: Optional[int] = None, compress: bool = False) -> str:
-    """Render a term; beyond max_depth subterms print as '...'.
+def format_term(
+    t: Term | int,
+    max_depth: Optional[int] = None,
+    compress: bool = False,
+    heap: Optional[Heap] = None,
+) -> str:
+    """Render a term, or with heap given the tree that heap location t
+    denotes, without unfolding it; beyond max_depth subterms print as '...'.
 
     With compress=True, unary chains of length >= 3 print as sym^N(inner).
 
-    A node object met again at the same depth (at any depth when there is no
-    cap) pastes its text instead of being walked again. The first meeting
+    A node met again at the same depth (at any depth when there is no cap)
+    pastes its text instead of being walked again; a node is a term object,
+    keyed by its id, or a heap location, keyed by itself. The first meeting
     walks as usual, the second records the text its walk produces, and later
     meetings paste it. Only meetings outside a recording count, so
     recordings never nest: the recorded texts are disjoint pieces of the
@@ -293,15 +301,21 @@ def format_term(t: Term, max_depth: Optional[int] = None, compress: bool = False
     A text longer than MAX_TEXT_CHARS raises MemotrsError, counting pasted
     texts as they are pasted, before the whole text is held in memory.
     """
+    if heap is None:
+        view, ident = term_view, id
+    else:
+        heap.entry(t)  # children of a known location are known
+        view, ident = heap.entries.__getitem__, int
     if max_depth is None:
-        cap, step = 0, 0  # every node sits at depth 0, keyed by its id alone
+        cap, step = 0, 0  # every node sits at depth 0, keyed by its ident alone
     else:
         cap, step = max_depth, 1
     stride = cap + 1
     parts: list[str] = []
     emit = parts.append
-    # id(node) * stride + depth -> 1 after the first meeting, then the node's
-    # text; every node is reachable from t, so no id is reused in the call
+    # ident(node) * stride + depth -> 1 after the first meeting, then the
+    # node's text; every term object is reachable from t, so no id is reused
+    # in the call
     texts: dict[int, object] = {}
     recording = False  # a recording walk is under way
     pasted = 0  # characters pasted so far
@@ -326,11 +340,11 @@ def format_term(t: Term, max_depth: Optional[int] = None, compress: bool = False
         if type(node) is Var:
             emit(node.name)
             continue
-        args = node.args
+        sym, args = view(node)
         if not args:
-            emit(node.sym)
+            emit(sym)
             continue
-        key = id(node) * stride + depth
+        key = ident(node) * stride + depth
         met = texts.get(key)
         if type(met) is str:
             pasted += len(met)
@@ -346,21 +360,20 @@ def format_term(t: Term, max_depth: Optional[int] = None, compress: bool = False
                 recording = True
         depth += step
         if compress and len(args) == 1:
-            run = 0
-            inner: Term = node
-            while (
-                type(inner) is App
-                and len(inner.args) == 1
-                and inner.sym == node.sym
-            ):
+            run = 1
+            inner = args[0]
+            while type(inner) is not Var:
+                inner_sym, inner_args = view(inner)
+                if inner_sym != sym or len(inner_args) != 1:
+                    break
                 run += 1
-                inner = inner.args[0]
+                inner = inner_args[0]
             if run >= 3:
-                emit(f"{node.sym}^{run}(")
+                emit(f"{sym}^{run}(")
                 push(")")
                 push((inner, depth))
                 continue
-        emit(node.sym + "(")
+        emit(sym + "(")
         push(")")
         for a in args[:0:-1]:
             push((a, depth))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable, Optional
 
 from .errors import (
@@ -72,6 +73,10 @@ class App(Term):
         return f"App({self.sym!r}, {list(self.args)!r})"
 
 
+# an App's (symbol, arguments): how the engines and the printer read a term
+term_view = attrgetter("sym", "args")
+
+
 def terms_equal(s: Term, t: Term) -> bool:
     """Structural equality, iterative and safe on deep or heavily shared terms."""
     stack = [(s, t)]
@@ -115,12 +120,14 @@ def _postorder(t: Term):
                     stack.append((a, False))
 
 
-def term_size(t: Term) -> int:
-    """Number of nodes of the term seen as a tree (variables count 1)."""
+def term_size(t: Term, limit: Optional[int] = None) -> int:
+    """Number of nodes of the term seen as a tree (variables count 1). With
+    limit, sizes saturate there: the result is min(size, limit)."""
     sizes: dict[int, int] = {}
     for node in _postorder(t):
         if isinstance(node, App):
-            sizes[id(node)] = 1 + sum(sizes[id(a)] for a in node.args)
+            size = 1 + sum(sizes[id(a)] for a in node.args)
+            sizes[id(node)] = size if limit is None or size < limit else limit
         else:
             sizes[id(node)] = 1
     return sizes[id(t)]

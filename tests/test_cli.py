@@ -1,11 +1,12 @@
 import argparse
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from memotrs import parse_program, parser
-from memotrs.cli import _budget_value, main
+from memotrs import App, Heap, parse_program, parser, term_size
+from memotrs.cli import OVERFLOW_LIMIT, _budget_value, main
 from helpers import rabbit_tree
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -78,6 +79,40 @@ def test_run_shared_handles_huge_output(capsys):
     assert rep["value dag nodes"] == "21"
     assert rep["unfolded size"] == str(2**21 - 1)
     assert "..." in rep["value"]  # depth cap elides the output tree
+
+
+def test_unfolded_size_overflows_at_the_limit(capsys):
+    # the unfolding of tree(n) has 2^(n+1) - 1 nodes; 2^63 and more print
+    # as overflow under both the heap and the term size computation
+    for engine in ("shared", "memo"):
+        for n, want in ((62, str(2**63 - 1)), (63, "overflow"), (70, "overflow")):
+            argv = ["run", str(PROGRAMS / "tree.trs"), f"tree(suc^{n}(zero))"]
+            assert main(argv + ["--engine", engine]) == 0
+            assert report_fields(capsys.readouterr().out)["unfolded size"] == want
+
+
+def test_answer_sizes_stay_small_on_huge_answers():
+    # a complete tree of depth 40,000 as a heap and as a shared term. Exact
+    # sizes would hold about depth^2 / 16 bytes of integers and take time
+    # quadratic in the depth; saturated at the limit, the peak is 2 MB for
+    # the heap and 9 MB for the term (its walk's own tables), against 110 MB
+    # exact: the 30 MB bound leaves over 3x on either side
+    depth = 40_000
+    heap = Heap.empty()
+    loc = heap.merge("leaf", ())
+    term = App("leaf", ())
+    for _ in range(depth):
+        loc = heap.merge("branch", (loc, loc))
+        term = App("branch", (term, term))
+    for size_of in (lambda: heap.unfolded_size(loc, OVERFLOW_LIMIT),
+                    lambda: term_size(term, OVERFLOW_LIMIT)):
+        tracemalloc.start()
+        try:
+            assert size_of() == OVERFLOW_LIMIT
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 * 2**20
 
 
 def test_run_depth_cap_flag(capsys):
@@ -347,6 +382,21 @@ def test_bench_template_family(tmp_path):
     for r in rows:
         n = int(r[1])
         assert int(r[2]) == n + 1  # one update per recursion level plus base
+
+
+def test_bench_refuses_oversized_families(capsys):
+    rabbits = ["bench", str(PROGRAMS / "rabbits.trs"), "rabbits", "--budget", "1"]
+    # suc^2000000(zero) alone would hold 2 million term nodes; run refuses
+    # it, and bench does too, before building it or writing a row
+    assert main(rabbits + ["--range", "2000000..2000000"]) == 2
+    captured = capsys.readouterr()
+    assert "beyond 1000000 nodes" in captured.err and captured.out == ""
+    assert main(rabbits + ["--range", "1..1234567890123456789"]) == 2
+    assert "more than 18 digits" in capsys.readouterr().err
+    for bad in ("1..x", "1", "a..3", " 1..2", "1..2.5", "+1..2", "-1..2", "1_0..20",
+                "\u0661..\u0663"):
+        assert main(rabbits + [f"--range={bad}"]) == 2
+        assert "bad range" in capsys.readouterr().err
 
 
 def test_bench_needs_entry_or_template(capsys):

@@ -291,3 +291,42 @@ def test_unfold_size_versus_term_size():
     h = Heap.empty()
     loc = h.store_value(v)
     assert h.unfolded_size(loc) == term_size(v) == 2**11 - 1
+
+
+def test_to_dot_roots_in_ascending_order():
+    h = Heap.empty()
+    chain = h.store_value(suc_chain(2))  # locations 0-2
+    leaf = h.merge("leaf", ())
+    pair = h.merge("pair", (leaf, 1))
+    h.merge("other", ())
+
+    def node_locs(dot):
+        return [int(l.split()[0][1:]) for l in dot.splitlines() if '[label="l' in l]
+
+    # roots in either order, one below the other's sub-DAG
+    assert node_locs(h.to_dot([pair, chain])) == [0, 1, 2, 3, 4]
+    assert node_locs(h.to_dot([chain, pair])) == [0, 1, 2, 3, 4]
+    assert node_locs(h.to_dot([pair, 1])) == [0, 1, 3, 4]
+    assert node_locs(h.to_dot([])) == []
+    assert node_locs(h.to_dot()) == [0, 1, 2, 3, 4, 5]
+    # a low location ignores the nodes above it that point to it
+    assert h.reachable_count(1) == 2
+    assert h.unfold(1) == suc_chain(1)
+    assert h.unfolded_size(1) == 2
+    for unknown in (-1, h.node_count):
+        with pytest.raises(HeapError):
+            h.to_dot([pair, unknown])
+        for method in (h.reachable_count, h.unfold, h.unfolded_size):
+            with pytest.raises(HeapError):
+                method(unknown)
+
+
+def test_sizes_saturate_at_a_limit():
+    h = Heap.empty()
+    loc = h.store_value(complete_tree(80))
+    assert h.unfolded_size(loc, 2**81) == 2**81 - 1
+    assert h.unfolded_size(loc, 2**81 - 1) == 2**81 - 1
+    assert h.unfolded_size(loc, 2**81 - 2) == 2**81 - 2
+    assert h.unfolded_size(loc, 2**63) == 2**63
+    assert term_size(complete_tree(80), 2**63) == 2**63
+    assert term_size(complete_tree(10), 2**11) == 2**11 - 1

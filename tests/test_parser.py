@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from memotrs import (
     App,
     Heap,
+    HeapError,
     ParseError,
     Signature,
     Var,
@@ -182,6 +183,37 @@ def test_format_shared_answers_as_unshared_copies(programs):
                 assert format_term(naive, cap, compress) == want
                 assert format_term(shared, cap, compress) == want
                 assert format_term(memo, cap, compress) == want
+                # the heap view prints the location as its unfolding prints
+                assert format_term(cfg.expr.loc, cap, compress, heap=cfg.heap) == want
+    # chains that stop at a variable, at another symbol, and run into a
+    # shorter chain; ground values are also printed from a heap holding them
+    x = Var("x")
+    s3x = _chain("s", 3, x)
+    s2 = _chain("s", 2, App("z", ()))
+    h = Heap.empty()
+    cases = [(App("p", (s3x, _chain("s", 2, x))), None)] + [
+        (v, h.store_value(v))
+        for v in (
+            App("p", (_chain("t", 4, s2), _chain("s", 5, App("q", (s2, s2))))),
+            App("p", (s2, _chain("s", 3, App("z", ())))),
+        )
+    ]
+    for term, loc in cases:
+        copy = _tree_copy(term)
+        for cap in CAPS:
+            for compress in (False, True):
+                want = format_term(copy, cap, compress)
+                assert format_term(term, cap, compress) == want
+                if loc is not None:
+                    assert format_term(loc, cap, compress, heap=h) == want
+    assert [format_term(t, compress=True) for t, _ in cases] == [
+        "p(s^3(x), s(s(x)))",
+        "p(t^4(s(s(z))), s^5(q(s(s(z)), s(s(z)))))",
+        "p(s(s(z)), s^3(z))",
+    ]
+    for unknown in (-1, h.node_count):
+        with pytest.raises(HeapError):
+            format_term(unknown, heap=h)
 
 
 def test_format_one_object_at_two_depths_under_a_cap():

@@ -16,16 +16,22 @@ def load_tracing():
     return module
 
 
-def test_traced_run_sees_the_machine(capsys):
+def traced_run(argv):
+    """Run the CLI under a tracer, as the benchmark's traced rounds do."""
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
         root = tracer.open("cli.main")
-        code = cli.main(["run", str(ROOT / "programs" / "rabbits.trs"), "rabbits(suc^6(zero))"])
+        code = cli.main(argv)
         tracer.close(root)
     finally:
         tracer.restore()
     assert code == 0
+    return tracer
+
+
+def test_traced_run_sees_the_machine(capsys):
+    tracer = traced_run(["run", str(ROOT / "programs" / "rabbits.trs"), "rabbits(suc^6(zero))"])
     assert cli.run is smallstep.run  # restored
     names = {span[0] for span in tracer.spans}
     assert {"cli.main", "smallstep.load", "smallstep.run"} <= names
@@ -36,18 +42,30 @@ def test_traced_run_sees_the_machine(capsys):
 
 
 def test_traced_check_all_sees_both_term_engines(capsys):
-    tracer = load_tracing().Tracer()
-    tracer.install()
-    try:
-        root = tracer.open("cli.main")
-        code = cli.main(["run", "--check-all", str(ROOT / "programs" / "rabbits.trs"),
+    tracer = traced_run(["run", "--check-all", str(ROOT / "programs" / "rabbits.trs"),
                          "rabbits(suc^6(zero))"])
-        tracer.close(root)
-    finally:
-        tracer.restore()
-    assert code == 0
     names = {span[0] for span in tracer.spans}
     assert {"bigstep.memo", "bigstep.naive"} <= names
     assert tracer.counts["bigstep.memo_work"] == 35
     assert tracer.counts["bigstep.naive_inferences"] == 115
+    capsys.readouterr()
+
+
+def test_shared_answer_is_read_without_unfolding(capsys, tmp_path):
+    rabbits = ["run", str(ROOT / "programs" / "rabbits.trs"), "rabbits(suc^6(zero))"]
+
+    def span_names(argv):
+        return [span[0] for span in traced_run(argv).spans]
+
+    # the answer is counted, sized, drawn and printed where it lies
+    for flags, drawn in (([], 0), (["--dot", str(tmp_path / "a.dot")], 1)):
+        names = span_names(rabbits + flags)
+        for name in ("heap.reachable_count", "heap.unfolded_size", "parser.format_term"):
+            assert names.count(name) == 1
+        assert names.count("heap.to_dot") == drawn
+        assert "heap.unfold" not in names
+    # --check-all unfolds it once, to compare it with the term engines' values
+    names = span_names(rabbits + ["--check-all"])
+    assert names.count("heap.unfold") == 1
+    assert names.count("parser.format_term") == 3
     capsys.readouterr()
