@@ -1,21 +1,25 @@
 """Big-step evaluation: plain call-by-value and the cost-annotated memoizing form.
 
 Both run the compiled program in `core.execute` over terms. The plain
-evaluator re-derives every value it touches node by node (that exponential
-behavior on duplication-heavy programs is the point of having it), and its
-budget bounds the total number of inferences. The memoizing evaluator caches
-operation calls on evaluated arguments; its cost counts cache writes only,
-reads are free, and its budget bounds machine steps.
+evaluator counts one inference per node of every value it touches, as a
+derivation that re-derives each value node by node would (that exponential
+count on duplication-heavy programs is the point of having it), and its
+budget bounds the total number of inferences. It does not rebuild the
+values it counts: they share nodes, and each term carries its tree size.
+The memoizing evaluator caches operation calls on evaluated arguments; its
+cost counts cache writes only, reads are free, and its budget bounds
+machine steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Optional
 
 from .core import compile_term, execute
 from .errors import BudgetExceededError
-from .terms import App, Program, Term, term_view
+from .terms import SIZE_CAP, App, Program, Term, term_size, term_view
 
 CacheKey = tuple[str, tuple[Term, ...]]
 TermCache = dict[CacheKey, Term]
@@ -42,28 +46,6 @@ class MemoStats:
     work: int = 0
 
 
-def _rederive(value: Term) -> tuple[Term, int]:
-    """A fresh copy of a value built node by node, and its node count."""
-    order: list[Term] = []
-    stack = [value]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.args)
-    built: list[Term] = []
-    for node in reversed(order):  # every node comes after its subtrees
-        k = len(node.args)
-        if k == 1:
-            built[-1] = App(node.sym, (built[-1],))
-        elif k:
-            args = tuple(built[-k:])
-            del built[-k:]
-            built.append(App(node.sym, args))
-        else:
-            built.append(App(node.sym, ()))
-    return built[0], len(order)
-
-
 def _run_terms(program: Program, term: Term, over: BudgetExceededError, **domain):
     """Run a term through `core.execute` with terms as values; over is
     raised when the run needs more than over.budget steps."""
@@ -78,12 +60,17 @@ def naive_run(program: Program, term: Term, budget: Optional[int] = None) -> Nai
 
     Every inference counts toward the budget: one per constructor node
     derived (values included, every time they are derived), one per
-    operation split, one per rule firing.
+    operation split, one per rule firing. A value is not rebuilt to be
+    counted: its tree size is the count. A saturated size (SIZE_CAP) can
+    only exceed a budget below the cap, as the exact size would; with a
+    budget at or above the cap, term_size sums the exact size.
     """
     over = BudgetExceededError(
         f"naive evaluation exceeded {budget} inferences", "naive", budget
     )
-    value, (applies, _, _, _, steps) = _run_terms(program, term, over, load=_rederive)
+    exact = budget is not None and budget >= SIZE_CAP
+    cost = term_size if exact else attrgetter("size")
+    value, (applies, _, _, _, steps) = _run_terms(program, term, over, push_cost=cost)
     return NaiveResult(value, applies, steps)
 
 

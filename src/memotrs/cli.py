@@ -11,6 +11,7 @@ input (parse or validation), 3 stuck term, 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -371,6 +372,7 @@ def _budget_value(text: str) -> int:
     return int(text)
 
 
+@functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="memotrs",

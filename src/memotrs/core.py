@@ -138,7 +138,7 @@ def execute(
     build: Callable,
     over: Callable,
     cache: Optional[dict] = None,
-    load: Optional[Callable] = None,
+    push_cost: Optional[Callable] = None,
     limit: Optional[int] = None,
     emit: Optional[Callable] = None,
 ) -> tuple[object, tuple[int, int, int, int, int]]:
@@ -150,9 +150,9 @@ def execute(
     build(sym, args) gives a constructor value; over(counts)
     gives the error for a step beyond limit. Each CON, CALL and RET is a
     step; without a cache there are no reads and a RET stores nothing. With
-    load, each pushed value v is replaced by the copy load(v) = (copy,
-    nodes) at nodes steps: the naive engine's inferences, a RET standing for
-    the rule firing. emit(step, kind, change of weight) observes each step.
+    push_cost, each pushed value v costs push_cost(v) steps: the naive
+    engine's inferences, one per node re-derived, a RET standing for the
+    rule firing. emit(step, kind, change of weight) observes each step.
     """
     limit = sys.maxsize if limit is None else limit
     if program._code is None:  # kept on the program from its first run on
@@ -172,8 +172,8 @@ def execute(
             op = ins[0]
             if op == VAR or op == VAL:
                 v = binding[ins[1]] if op == VAR else ins[1]
-                if load is not None:
-                    v, nodes = load(v)
+                if push_cost is not None:
+                    nodes = push_cost(v)
                     if steps + nodes > limit:
                         raise over((applies, reads, stores, merges, steps))
                     steps += nodes
@@ -239,7 +239,7 @@ def execute(
             if emit is not None:
                 emit(steps, APPLY, body_weight)
     except StuckError:
-        if load is not None:
+        if push_cost is not None:
             # a naive inference counts a symbol when evaluation reaches it
             # and a firing when it happens, the loop when each completes:
             # add the symbols reached and the bodies entered but not left

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     AmbiguityError,
@@ -14,10 +14,16 @@ from .errors import (
 )
 
 
-class Term:
-    """Immutable first-order term; concrete nodes are Var and App."""
+# tree sizes saturate here, above every budget the CLI accepts (2^64), so
+# a size is never a sum of big integers
+SIZE_CAP = 2**65
 
-    __slots__ = ("_hash", "ground")
+
+class Term:
+    """Immutable first-order term; concrete nodes are Var and App. size is
+    the term's node count seen as a tree, saturated at SIZE_CAP."""
+
+    __slots__ = ("_hash", "ground", "size")
 
     def __hash__(self) -> int:
         return self._hash
@@ -37,6 +43,7 @@ class Var(Term):
         self.name = name
         self._hash = hash(("var", name))
         self.ground = False
+        self.size = 1
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
@@ -55,17 +62,23 @@ class App(Term):
         if n == 0:
             self._hash = hash((sym,))
             self.ground = True
-        elif n == 1:
+            self.size = 1
+            return
+        if n == 1:
             a = args[0]
             self._hash = hash((sym, a._hash))
             self.ground = a.ground
+            size = a.size + 1
         elif n == 2:
             a, b = args
             self._hash = hash((sym, a._hash, b._hash))
             self.ground = a.ground and b.ground
+            size = a.size + b.size + 1
         else:
             self._hash = hash((sym, *[a._hash for a in args]))
             self.ground = all(a.ground for a in args)
+            size = sum(a.size for a in args) + 1
+        self.size = size if size < SIZE_CAP else SIZE_CAP
 
     def __repr__(self) -> str:
         if not self.args:
@@ -101,8 +114,9 @@ def terms_equal(s: Term, t: Term) -> bool:
     return True
 
 
-def _postorder(t: Term):
-    """Yield each physically distinct node after its children."""
+def _postorder(t: Term, within: Callable[[Term], bool] = lambda node: True):
+    """Yield each physically distinct node after its children, entering
+    only the children for which within holds."""
     seen: set[int] = set()
     stack: list[tuple[Term, bool]] = [(t, False)]
     while stack:
@@ -116,21 +130,25 @@ def _postorder(t: Term):
         stack.append((node, True))
         if isinstance(node, App):
             for a in node.args:
-                if id(a) not in seen:
+                if id(a) not in seen and within(a):
                     stack.append((a, False))
 
 
 def term_size(t: Term, limit: Optional[int] = None) -> int:
     """Number of nodes of the term seen as a tree (variables count 1). With
-    limit, sizes saturate there: the result is min(size, limit)."""
-    sizes: dict[int, int] = {}
-    for node in _postorder(t):
-        if isinstance(node, App):
-            size = 1 + sum(sizes[id(a)] for a in node.args)
-            sizes[id(node)] = size if limit is None or size < limit else limit
-        else:
-            sizes[id(node)] = 1
-    return sizes[id(t)]
+    limit, sizes saturate there: the result is min(size, limit).
+
+    This is t.size unless that is saturated and limit is above SIZE_CAP;
+    then the nodes at the cap are summed once each, below them the slot."""
+    size = t.size
+    if size == SIZE_CAP and (limit is None or limit > SIZE_CAP):
+        sizes: dict[int, int] = {}
+        for node in _postorder(t, lambda a: a.size == SIZE_CAP):
+            sizes[id(node)] = 1 + sum(
+                sizes[id(a)] if a.size == SIZE_CAP else a.size for a in node.args
+            )
+        size = sizes[id(t)]
+    return size if limit is None or size < limit else limit
 
 
 def term_depth(t: Term) -> int:

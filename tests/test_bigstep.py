@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -15,7 +17,10 @@ from memotrs import (
     eval_cbv,
     eval_memo,
     naive_run,
+    parse_program,
 )
+from memotrs.cli import main
+from memotrs.terms import SIZE_CAP
 from helpers import (
     complete_tree,
     enum_values,
@@ -298,7 +303,75 @@ def test_deep_recursion_does_not_overflow(programs):
     n = 10_000
     out = eval_memo(programs["add"], {}, App("add", (suc_chain(n), suc_chain(1))))
     assert out.cost == n + 1
-    # the plain engine re-derives argument values, so its inference count is
-    # quadratic here; keep the chain shorter to stay quick
-    res = naive_run(programs["add"], App("add", (suc_chain(1500), App("zero", ()))))
-    assert res.rewrite_steps == 1501
+
+    # the plain engine counts the argument values it re-derives, so its
+    # inference count is quadratic: the input's n + 2 nodes, 3 for
+    # add(zero, zero), and per call on suc^k(zero) the call, the k + 1
+    # nodes of its arguments, the suc and the firing
+    def total(n):
+        return n * (n + 1) // 2 + 5 * n + 5
+
+    for k in range(6):
+        assert count_inferences(programs["add"], add_call(k, 0)) == (total(k), k + 1)
+    res = naive_run(programs["add"], add_call(n, 0))
+    assert res.rewrite_steps == n + 1
+    assert res.total_steps == total(n)
+
+
+DUPLICATING = """
+constructors: zero/0, suc/1, pair/2 ;
+operations: f/1, d/1 ;
+rules:
+  f(zero) -> zero ;
+  f(suc(x)) -> d(f(x)) ;
+  d(y) -> pair(y, y) ;
+"""
+
+
+def duplicating_total(n: int) -> int:
+    """Naive inferences of f(suc^n(zero)) under DUPLICATING: the input's
+    n + 1 nodes and 3 for f(zero), then per level k the f call, the k nodes
+    of x, the d call, two copies of f(x)'s 2^k - 1 nodes, the pair and two
+    firings."""
+    return 2 ** (n + 2) + n * (n + 1) // 2 + 4 * n
+
+
+def test_naive_overrun_on_duplicated_values_is_cheap(tmp_path, capsys):
+    path = tmp_path / "dup.trs"
+    path.write_text(DUPLICATING)
+    p = parse_program(DUPLICATING)
+    for n in range(8):
+        call = App("f", (suc_chain(n),))
+        assert count_inferences(p, call) == (duplicating_total(n), 2 * n + 1)
+        assert naive_run(p, call).total_steps == duplicating_total(n)
+
+    # f(suc^60(zero)) is a 2^61 - 1 node value: the default budget is
+    # exceeded without building it, as is 2^64 at suc^70
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        rc = main(["run", "--engine", "naive", str(path), "f(suc^60(zero))"])
+        seconds = time.perf_counter() - t0
+        rc_70 = main(["run", "--engine", "naive", "--budget", "2^64", str(path),
+                      "f(suc^70(zero))"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == rc_70 == 4
+    assert seconds < 2 and peak < 10 * 2**20
+    assert "exceeded 10000000 inferences" in capsys.readouterr().err
+    assert main(["run", "--engine", "naive", "--budget", "2^64", "--depth-cap", "2",
+                 str(path), "f(suc^60(zero))"]) == 0
+    assert f"total steps: {duplicating_total(60)}\n" in capsys.readouterr().out
+
+    # above the size cap the count is summed exactly, boundary included;
+    # only numbers are compared, as the value is too big to print
+    call = App("f", (suc_chain(70),))
+    big = naive_run(p, call, budget=2**80)
+    steps, firings = big.total_steps, big.rewrite_steps
+    assert steps == duplicating_total(70) > SIZE_CAP
+    assert firings == 141
+    at_boundary = naive_run(p, call, budget=steps).total_steps
+    assert at_boundary == steps
+    with pytest.raises(BudgetExceededError):
+        naive_run(p, call, budget=steps - 1)

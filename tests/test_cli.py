@@ -1,4 +1,7 @@
 import argparse
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -6,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from memotrs import App, Heap, parse_program, parser, term_size
-from memotrs.cli import OVERFLOW_LIMIT, _budget_value, main
+from memotrs.cli import OVERFLOW_LIMIT, _budget_value, _build_parser, main
 from helpers import rabbit_tree
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -426,6 +429,25 @@ def test_budget_notation():
               "--budget", "10^999999999"])
     assert e.value.code == 2
     assert time.perf_counter() - t0 < 5
+
+
+def test_parser_is_built_once_on_first_use(capsys):
+    # not at import, so importing the CLI costs no more than before
+    probe = ("import memotrs.cli as c; n = c._build_parser.cache_info().currsize; "
+             "c.main(['check', sys.argv[1]]); "
+             "print(n, c._build_parser.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", "import sys; " + probe,
+                          str(PROGRAMS / "add.trs")], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PROGRAMS.parent / "src")})
+    assert out.stdout.splitlines() == ["orthogonal", "0 1"], out.stderr
+    assert _build_parser() is _build_parser()
+    # one parser, yet no option carries over from one call to the next
+    add = str(PROGRAMS / "add.trs")
+    assert main(["run", add, "add(suc^2(zero), zero)", "--engine", "naive",
+                 "--budget", "5", "--depth-cap", "1"]) == 4
+    assert main(["run", add, "add(suc^2(zero), zero)"]) == 0
+    rep = report_fields(capsys.readouterr().out)
+    assert rep["engine"] == "shared" and rep["value"] == "suc(suc(zero))"
 
 
 def test_power_shorthand_is_bounded(capsys):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,8 @@ from memotrs import (
     terms_equal,
     validate_term,
 )
+from memotrs.cli import MAX_BUDGET_BITS
+from memotrs.terms import SIZE_CAP
 from helpers import enum_values, random_value, suc_chain
 from oracle import match_term
 
@@ -104,6 +108,100 @@ def test_sizes_and_depths():
     assert term_size(App("m", (App("leafm", ()), App("leafn", ())))) == 3
     assert term_depth(App("zero", ())) == 0
     assert term_depth(suc_chain(4)) == 4
+
+
+def _tree_size(t):
+    """Node count of t walked as a tree: a shared node counts per use."""
+    count, stack = 0, [t]
+    while stack:
+        node = stack.pop()
+        count += 1
+        if isinstance(node, App):
+            stack.extend(node.args)
+    return count
+
+
+def _random_term(rng, shared):
+    """A term of arities 0-3 over variables and one constant. Shared, its
+    arguments are picked among the nodes built before it; unshared, they
+    are fresh."""
+    leaves = [lambda: Var("x"), lambda: Var("y"), lambda: App("c", ())]
+    if not shared:
+        def build(depth):
+            if depth == 0 or rng.random() < 0.3:
+                return rng.choice(leaves)()
+            k = rng.randrange(1, 4)
+            return App(f"f{k}", tuple(build(depth - 1) for _ in range(k)))
+
+        return build(5)
+    pool = [make() for make in leaves]
+    for _ in range(rng.randrange(1, 9)):
+        k = rng.randrange(4)
+        pool.append(App(f"f{k}", tuple(rng.choice(pool) for _ in range(k))))
+    return pool[-1]
+
+
+def test_size_slot_is_the_tree_size():
+    rng = random.Random(8)
+    for i in range(300):
+        t = _random_term(rng, shared=i % 2 == 0)
+        assert t.size == _tree_size(t) == term_size(t)
+    assert Var("x").size == 1
+
+
+def _tower_size(k):
+    return 2 ** (k + 1) - 1
+
+
+def _towers(n):
+    """towers[k] is a complete binary tree of _tower_size(k) nodes, k + 1
+    distinct ones."""
+    towers = [App("c", ())]
+    for _ in range(n):
+        towers.append(App("p", (towers[-1], towers[-1])))
+    return towers
+
+
+# the terms below are too big to print: the tests compare only numbers, so
+# that a failure report never shows a term
+
+
+def test_size_saturates_exactly_at_the_cap():
+    assert 2**MAX_BUDGET_BITS < SIZE_CAP  # a saturated size exceeds any CLI budget
+    k = SIZE_CAP.bit_length() - 2
+    towers = _towers(k + 3)
+    below = towers[k]
+    x, y = Var("x"), Var("y")
+    sizes = [
+        below.size,  # one below the cap
+        App("s", (below,)).size,  # exactly the cap
+        App("s", (App("s", (below,)),)).size,
+        App("q", (below, App("c", ()))).size,
+        App("t", (below, x, y)).size,
+        App("t", (towers[k - 1], x, y)).size,
+        towers[k + 1].size,
+        towers[k + 3].size,
+    ]
+    assert _tower_size(k) == SIZE_CAP - 1
+    assert sizes == [SIZE_CAP - 1] + [SIZE_CAP] * 4 + [SIZE_CAP // 2 + 2] + [SIZE_CAP] * 2
+
+
+def test_term_size_is_exact_past_the_cap():
+    towers = _towers(80)
+    t, exact = towers[80], _tower_size(80)
+    sizes = [
+        t.size,
+        term_size(t),
+        term_size(App("s", (t, towers[3]))),
+        term_size(App("s", (t, Var("x"), t))),
+    ]
+    assert sizes == [SIZE_CAP, exact, exact + 16, 2 * exact + 2]
+    above = [2**90, exact + 1, exact]
+    assert [term_size(t, limit) for limit in above] == [exact] * 3
+    below = [exact - 1, 2**70, SIZE_CAP, 2**63, 5]
+    assert [term_size(t, limit) for limit in below] == below
+    small = towers[10]
+    assert [term_size(small, 5000), term_size(small, 100)] == [_tower_size(10), 100]
 
 
 def test_minimal_shared_size():
