@@ -6,8 +6,6 @@ from .bigstep import (
     CostedOutcome,
     MemoStats,
     NaiveResult,
-    equivalence_check,
-    eval_cbv,
     eval_memo,
     naive_run,
 )
@@ -34,14 +32,11 @@ from .grsr import (
     SimRec,
     TierDerivation,
     TierSignature,
-    check_tiers,
     check_tiers_explained,
     compile_function,
     default_tier_bound,
-    eval_grsr,
     infer_tiers,
     rename_operations,
-    validate_derivation,
 )
 from .grsr import infeasibility_reason
 from .grsr_parser import GrsrDef, GrsrFile, parse_grsr
@@ -78,9 +73,6 @@ from .terms import (
     patterns_overlap,
     program_delta,
     program_diagnostics,
-    substitute,
-    subterms,
-    term_depth,
     term_size,
     terms_equal,
     validate_term,

@@ -13,6 +13,7 @@ machine steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Optional
@@ -46,12 +47,14 @@ class MemoStats:
     work: int = 0
 
 
-def _run_terms(program: Program, term: Term, over: BudgetExceededError, **domain):
+def _run_terms(
+    program: Program, term: Term, over: BudgetExceededError, limit: Optional[float], **domain
+):
     """Run a term through `core.execute` with terms as values; over is
-    raised when the run needs more than over.budget steps."""
+    raised when the run needs more than limit steps."""
     code = compile_term(program.signature, term)
     return execute(
-        program, code, term_view, App, App, lambda counts: over, limit=over.budget, **domain
+        program, code, term_view, App, App, lambda counts: over, limit=limit, **domain
     )
 
 
@@ -62,21 +65,17 @@ def naive_run(program: Program, term: Term, budget: Optional[int] = None) -> Nai
     derived (values included, every time they are derived), one per
     operation split, one per rule firing. A value is not rebuilt to be
     counted: its tree size is the count. A saturated size (SIZE_CAP) can
-    only exceed a budget below the cap, as the exact size would; with a
-    budget at or above the cap, term_size sums the exact size.
+    only exceed a budget below the cap, as the exact size would; without a
+    budget, or with one at or above the cap, term_size sums the exact size.
     """
     over = BudgetExceededError(
         f"naive evaluation exceeded {budget} inferences", "naive", budget
     )
-    exact = budget is not None and budget >= SIZE_CAP
+    exact = budget is None or budget >= SIZE_CAP
     cost = term_size if exact else attrgetter("size")
-    value, (applies, _, _, _, steps) = _run_terms(program, term, over, push_cost=cost)
+    limit = math.inf if budget is None else budget
+    value, (applies, _, _, _, steps) = _run_terms(program, term, over, limit, push_cost=cost)
     return NaiveResult(value, applies, steps)
-
-
-def eval_cbv(program: Program, term: Term, budget: Optional[int] = None) -> Term:
-    """The value of a ground term under plain call-by-value evaluation."""
-    return naive_run(program, term, budget).value
 
 
 def eval_memo(
@@ -99,16 +98,9 @@ def eval_memo(
         f"memoized evaluation exceeded {budget} steps", "memo", budget
     )
     out: TermCache = dict(cache)
-    value, (applies, reads, _, _, steps) = _run_terms(program, term, over, cache=out)
+    value, (applies, reads, _, _, steps) = _run_terms(program, term, over, budget, cache=out)
     if stats is not None:
         stats.updates += applies
         stats.reads += reads
         stats.work = steps
     return CostedOutcome(out, value, applies)
-
-
-def equivalence_check(program: Program, term: Term, budget: Optional[int] = None) -> bool:
-    """Whether plain and memoized evaluation agree on term's value."""
-    plain = eval_cbv(program, term, budget)
-    memo = eval_memo(program, {}, term)
-    return plain == memo.value

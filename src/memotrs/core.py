@@ -37,6 +37,7 @@ def compile_term(sig: Signature, t: Term, slots: Optional[dict] = None) -> tuple
     slots, or without them of an input term, whose variables push their
     names and whose constructor-only subterms are one VAL push each."""
     code: list = []
+    vals: dict[int, tuple] = {}  # id -> VAL push of a node met before
     stack: list = [(t, False)]
     while stack:
         node, done = stack.pop()
@@ -45,14 +46,18 @@ def compile_term(sig: Signature, t: Term, slots: Optional[dict] = None) -> tuple
             if not sig.is_constructor(node.sym):
                 code.append((CALL, node.sym, k))
             elif slots is None and all(ins[0] == VAL for ins in code[len(code) - k :]):
-                code[len(code) - k :] = [(VAL, node)]  # its arguments are values
+                # its arguments are values
+                code[len(code) - k :] = [vals.setdefault(id(node), (VAL, node))]
             else:
                 code.append((CON, node.sym, k))
+        elif id(node) in vals:  # a shared value is pushed, not walked again
+            code.append(vals[id(node)])
         elif type(node) is Var:
             code.append((VAR, node.name if slots is None else slots[node.name]))
         else:
             stack.append((node, True))
-            stack.extend((a, False) for a in reversed(node.args))
+            for a in reversed(node.args):
+                stack.append((a, False))
     code.append((RET,))
     return tuple(code)
 

@@ -197,46 +197,6 @@ class SimRec(FunctionExpr):
         self.key = f"{self.grid_key}@{select}"
 
 
-def eval_grsr(f: FunctionExpr, args: Iterable[Term]) -> Term:
-    """Denotational evaluation; the reference oracle for the compiler."""
-    args = tuple(args)
-    if len(args) != f.arity:
-        raise GrsrError(f"{f.key} takes {f.arity} arguments, got {len(args)}")
-    t = type(f)
-    if t is ConstructorFn:
-        return App(f.con, args)
-    if t is Proj:
-        return args[f.index - 1]
-    if t is Comp:
-        return eval_grsr(f.outer, tuple(eval_grsr(g, args) for g in f.inners))
-    if t is Case:
-        scrut = _scrutinee(f.algebra, args[0])
-        branch = f.branches[f.algebra.index(scrut.sym)]
-        return eval_grsr(branch, scrut.args + args[1:])
-    if t is SimRec:
-        return _eval_simrec(f, f.select - 1, args)
-    raise GrsrError(f"unknown function form {f!r}")
-
-
-def _scrutinee(algebra: Algebra, v: Term) -> App:
-    if not isinstance(v, App) or v.sym not in algebra._index:
-        raise GrsrError(f"expected a value of algebra {algebra.name}")
-    if len(v.args) != algebra.arity(v.sym):
-        raise GrsrError(f"malformed value: {v.sym} applied at the wrong arity")
-    return v
-
-
-def _eval_simrec(f: SimRec, j: int, args: tuple[Term, ...]) -> Term:
-    scrut = _scrutinee(f.algebra, args[0])
-    params = args[1:]
-    row = f.grid[f.algebra.index(scrut.sym)]
-    rec: list[Term] = []
-    for jj in range(f.components):
-        for x in scrut.args:
-            rec.append(_eval_simrec(f, jj, (x,) + params))
-    return eval_grsr(row[j], scrut.args + tuple(rec) + params)
-
-
 # ---------------------------------------------------------------- tiering
 
 
@@ -436,11 +396,6 @@ def check_tiers_explained(
     return _derivation(root, val), None
 
 
-def check_tiers(f: FunctionExpr, sig: TierSignature) -> Optional[TierDerivation]:
-    derivation, _ = check_tiers_explained(f, sig)
-    return derivation
-
-
 def infeasibility_reason(f: FunctionExpr) -> Optional[str]:
     """Why no tier signature can exist at all, or None if some might.
 
@@ -491,64 +446,6 @@ def infer_tiers(f: FunctionExpr, t_max: Optional[int] = None) -> list[TierSignat
         if val is not None:
             found.append(TierSignature(tuple(combo[:-1]), combo[-1]))
     return found
-
-
-def validate_derivation(d: TierDerivation) -> None:
-    """Re-check a derivation rule by rule; raises GrsrError on a bad node."""
-    f = d.expr
-    sig = d.signature
-    t = type(f)
-    if len(sig.inputs) != f.arity:
-        raise GrsrError(f"derivation arity mismatch at {f.key}")
-    if t is ConstructorFn:
-        if any(i != sig.output for i in sig.inputs):
-            raise GrsrError(f"constructor function must be uniform: {f.key}")
-        if d.premises:
-            raise GrsrError("constructor function has no premises")
-    elif t is Proj:
-        if sig.output != sig.inputs[f.index - 1]:
-            raise GrsrError(f"projection must return its argument's tier: {f.key}")
-        if d.premises:
-            raise GrsrError("projection has no premises")
-    elif t is Comp:
-        outer, *inners = d.premises
-        if outer.signature.output != sig.output:
-            raise GrsrError("composition output tier mismatch")
-        if len(inners) != len(f.inners):
-            raise GrsrError("composition premise count mismatch")
-        for g, ov in zip(inners, outer.signature.inputs):
-            if g.signature.output != ov:
-                raise GrsrError("composition intermediate tier mismatch")
-            if g.signature.inputs != sig.inputs:
-                raise GrsrError("composition input tier mismatch")
-        for p in d.premises:
-            validate_derivation(p)
-    elif t is Case:
-        p = sig.inputs[0]
-        qs = sig.inputs[1:]
-        for (con, ar), br in zip(f.algebra.constructors, d.premises):
-            want = (p,) * ar + qs
-            if br.signature.inputs != want or br.signature.output != sig.output:
-                raise GrsrError(f"case branch for {con} typed wrongly")
-            validate_derivation(br)
-    elif t is SimRec:
-        p = sig.inputs[0]
-        qs = sig.inputs[1:]
-        m = sig.output
-        if not p > m:
-            raise GrsrError("recursion argument tier must exceed the result tier")
-        n = f.components
-        idx = 0
-        for (con, ar), row in zip(f.algebra.constructors, f.grid):
-            for _ in row:
-                entry = d.premises[idx]
-                idx += 1
-                want = (p,) * ar + (m,) * (n * ar) + qs
-                if entry.signature.inputs != want or entry.signature.output != m:
-                    raise GrsrError(f"recursion entry for {con} typed wrongly")
-                validate_derivation(entry)
-    else:
-        raise GrsrError(f"unknown function form {f!r}")
 
 
 # ---------------------------------------------------------------- compiler

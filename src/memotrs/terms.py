@@ -114,7 +114,7 @@ def terms_equal(s: Term, t: Term) -> bool:
     return True
 
 
-def _postorder(t: Term, within: Callable[[Term], bool] = lambda node: True):
+def _postorder(t: Term, within: Callable[[Term], bool]):
     """Yield each physically distinct node after its children, entering
     only the children for which within holds."""
     seen: set[int] = set()
@@ -149,33 +149,6 @@ def term_size(t: Term, limit: Optional[int] = None) -> int:
             )
         size = sizes[id(t)]
     return size if limit is None or size < limit else limit
-
-
-def term_depth(t: Term) -> int:
-    """Length of the longest root-to-leaf path, counted in edges."""
-    depths: dict[int, int] = {}
-    for node in _postorder(t):
-        if isinstance(node, App) and node.args:
-            depths[id(node)] = 1 + max(depths[id(a)] for a in node.args)
-        else:
-            depths[id(node)] = 0
-    return depths[id(t)]
-
-
-def subterms(t: Term) -> set[Term]:
-    """All distinct subterms of t, including t itself."""
-    out: set[Term] = set()
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        out.add(node)
-        if isinstance(node, App):
-            stack.extend(node.args)
-    return out
 
 
 def minimal_shared_size(terms: Iterable[Term]) -> int:
@@ -217,33 +190,6 @@ def vars_of(t: Term) -> set[str]:
         else:
             stack.extend(node.args)
     return names
-
-
-def substitute(t: Term, binding: dict[str, Term]) -> Term:
-    """Replace variables by their bindings; unbound variables are kept."""
-    if t.ground:
-        return t
-    memo: dict[int, Term] = {}
-    stack: list[tuple[Term, bool]] = [(t, False)]
-    while stack:
-        node, done = stack.pop()
-        if id(node) in memo:
-            continue
-        if done:
-            new_args = tuple(memo[id(a)] for a in node.args)
-            if all(n is a for n, a in zip(new_args, node.args)):
-                memo[id(node)] = node
-            else:
-                memo[id(node)] = App(node.sym, new_args)
-            continue
-        if node.ground:
-            memo[id(node)] = node
-        elif isinstance(node, Var):
-            memo[id(node)] = binding.get(node.name, node)
-        else:
-            stack.append((node, True))
-            stack.extend((a, False) for a in node.args)
-    return memo[id(t)]
 
 
 class Signature:
@@ -366,9 +312,8 @@ def patterns_overlap(a: Term, b: Term) -> bool:
 class Program:
     """A validated orthogonal constructor rewrite program.
 
-    Construction checks: rule shape (operation head, constructor patterns),
-    left-linearity, right-hand variables bound on the left, arity-correctness,
-    and pairwise non-ambiguity of left-hand sides per operation.
+    Construction raises the first problem `program_diagnostics` reports,
+    as that problem's exception class with its message.
     """
 
     __slots__ = ("signature", "rules", "_by_op", "_delta", "_code")
@@ -377,47 +322,11 @@ class Program:
         self.signature = signature
         self.rules = tuple(rules)
         by_op: dict[str, list[Rule]] = {}
-        for idx, rule in enumerate(self.rules):
-            self._validate_rule(idx, rule)
-            by_op.setdefault(rule.operation, []).append(rule)
-        for op, group in by_op.items():
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    if patterns_overlap(group[i].lhs, group[j].lhs):
-                        raise AmbiguityError(
-                            f"rules for {op} overlap: "
-                            f"{_plain(group[i].lhs)} and {_plain(group[j].lhs)}"
-                        )
+        for error, message in _problems(signature, self.rules, by_op):
+            raise error(message)
         self._by_op = {op: tuple(group) for op, group in by_op.items()}
         self._delta: Optional[int] = None
         self._code = None  # decision trees over compiled bodies, see core._Trees
-
-    def _validate_rule(self, idx: int, rule: Rule) -> None:
-        sig = self.signature
-        lhs, rhs = rule.lhs, rule.rhs
-        if not isinstance(lhs, App) or not sig.is_operation(lhs.sym):
-            raise RuleError(f"rule {idx}: left-hand head must be an operation")
-        if sig.operations[lhs.sym] != len(lhs.args):
-            raise ArityError(
-                f"rule {idx}: {lhs.sym} declared with arity "
-                f"{sig.operations[lhs.sym]}, applied to {len(lhs.args)}"
-            )
-        counts: dict[str, int] = {}
-        for p in lhs.args:
-            _check_pattern(sig, p)
-            _count_var_uses(p, counts)
-        repeated = sorted(v for v, n in counts.items() if n > 1)
-        if repeated:
-            raise LinearityError(
-                f"rule {idx}: variable(s) repeated on the left: {repeated}"
-            )
-        validate_term(sig, rhs)
-        free = vars_of(rhs) - set(counts)
-        if free:
-            raise RuleError(
-                f"rule {idx}: right-hand variable(s) not bound on the left: "
-                f"{sorted(free)}"
-            )
 
     def rules_for(self, op: str) -> tuple[Rule, ...]:
         return self._by_op.get(op, ())
@@ -436,24 +345,30 @@ def program_delta(p: Program) -> int:
 
 
 def program_diagnostics(signature: Signature, rules: Iterable[Rule]) -> list[str]:
-    """All orthogonality violations, as printable messages.
+    """All orthogonality violations, as printable messages; an empty list
+    means the rules form a valid orthogonal program."""
+    return [message for _, message in _problems(signature, rules, {})]
 
-    Unlike Program construction, which raises on the first problem, this
-    collects every problem; an empty list means the rules form a valid
-    orthogonal program."""
-    problems: list[str] = []
-    by_op: dict[str, list[Rule]] = {}
+
+def _problems(signature: Signature, rules: Iterable[Rule], by_op: dict):
+    """Yield (exception class, message) for each orthogonality violation.
+
+    Each rule is checked for shape, lhs arity, patterns, linearity,
+    right-hand symbols and scope, in that order; a rule without problems
+    joins by_op under its operation. Then the rules in by_op are checked
+    pairwise for overlap. A left-hand side is rendered only when a problem
+    is reported."""
     for rule in rules:
         lhs, rhs = rule.lhs, rule.rhs
-        where = _plain(lhs) if isinstance(lhs, App) else repr(lhs)
         if not isinstance(lhs, App) or not signature.is_operation(lhs.sym):
-            problems.append(f"shape: left-hand head of {where} is not an operation")
+            where = _plain(lhs) if isinstance(lhs, App) else repr(lhs)
+            yield RuleError, f"shape: left-hand head of {where} is not an operation"
             continue
-        if signature.operations[lhs.sym] != len(lhs.args):
-            problems.append(
-                f"arity: {lhs.sym} declared with arity "
-                f"{signature.operations[lhs.sym]} but {where} applies it to "
-                f"{len(lhs.args)}"
+        arity = signature.operations[lhs.sym]
+        if arity != len(lhs.args):
+            yield ArityError, (
+                f"arity: {lhs.sym} declared with arity {arity} but "
+                f"{_plain(lhs)} applies it to {len(lhs.args)}"
             )
             continue
         ok = True
@@ -462,35 +377,34 @@ def program_diagnostics(signature: Signature, rules: Iterable[Rule]) -> list[str
             try:
                 _check_pattern(signature, p)
             except (RuleError, ArityError) as e:
-                problems.append(f"pattern: in {where}: {e}")
+                yield type(e), f"pattern: in {_plain(lhs)}: {e}"
                 ok = False
             _count_var_uses(p, counts)
         for v in sorted(v for v, k in counts.items() if k > 1):
-            problems.append(f"linearity: variable {v} repeated in {where}")
+            yield LinearityError, f"linearity: variable {v} repeated in {_plain(lhs)}"
             ok = False
         try:
             validate_term(signature, rhs)
-        except (RuleError, ArityError, SignatureError) as e:
-            problems.append(f"right-hand side of {where}: {e}")
+        except (ArityError, SignatureError) as e:
+            yield type(e), f"right-hand side of {_plain(lhs)}: {e}"
             ok = False
         free = vars_of(rhs) - set(counts)
         if free:
-            problems.append(
-                f"scope: right-hand variable(s) {sorted(free)} of {where} "
+            yield RuleError, (
+                f"scope: right-hand variable(s) {sorted(free)} of {_plain(lhs)} "
                 "not bound on the left"
             )
             ok = False
         if ok:
             by_op.setdefault(lhs.sym, []).append(rule)
-    for op, group in by_op.items():
+    for group in by_op.values():
         for i in range(len(group)):
             for j in range(i + 1, len(group)):
                 if patterns_overlap(group[i].lhs, group[j].lhs):
-                    problems.append(
+                    yield AmbiguityError, (
                         f"ambiguity: rules {_plain(group[i].lhs)} and "
                         f"{_plain(group[j].lhs)} overlap"
                     )
-    return problems
 
 
 def _plain(t: Term) -> str:

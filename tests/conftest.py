@@ -1,14 +1,17 @@
+from pathlib import Path
+
 import pytest
 
 from memotrs import parse_grsr, parse_program
-from memotrs.corpus import FUNCTIONS, PROGRAMS
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 
 @pytest.fixture(scope="session")
 def programs():
-    return {name: parse_program(text) for name, text in PROGRAMS.items()}
+    return {p.stem: parse_program(p.read_text()) for p in sorted(PROGRAMS.glob("*.trs"))}
 
 
 @pytest.fixture(scope="session")
 def functions():
-    return {name: parse_grsr(text) for name, text in FUNCTIONS.items()}
+    return {p.stem: parse_grsr(p.read_text()) for p in sorted(PROGRAMS.glob("*.grsr"))}

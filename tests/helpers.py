@@ -31,10 +31,10 @@ def _match(pattern: Term, subject: Term, binding: dict[str, Term]) -> bool:
     return all(_match(p, s, binding) for p, s in zip(pattern.args, subject.args))
 
 
-def _subst(t: Term, binding: dict[str, Term]) -> Term:
+def subst(t: Term, binding: dict[str, Term]) -> Term:
     if isinstance(t, Var):
         return binding[t.name]
-    return App(t.sym, tuple(_subst(a, binding) for a in t.args))
+    return App(t.sym, tuple(subst(a, binding) for a in t.args))
 
 
 def reference_eval(program: Program, t: Term) -> Term:
@@ -49,7 +49,7 @@ def reference_eval(program: Program, t: Term) -> Term:
         if all(
             _match(p, a, binding) for p, a in zip(rule.lhs.args, args)
         ) and len(rule.lhs.args) == len(args):
-            return reference_eval(program, _subst(rule.rhs, binding))
+            return reference_eval(program, subst(rule.rhs, binding))
     raise ValueError(f"no rule for {t.sym}")
 
 

@@ -8,21 +8,35 @@ matchers try each rule's patterns in turn, on terms and on heap locations.
 Canonical-tree matching builds the pattern's tree as a graph and returns
 the morphism into the heap. The library's `run` and its compiled decision
 trees are held to these by the tests.
+
+For the function algebra, `eval_grsr` evaluates a function by its
+denotation (with `_scrutinee` and `_eval_simrec`), the oracle for
+`compile_function`, and `validate_derivation` re-checks a tier derivation
+rule by rule, the oracle for `check_tiers_explained`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from memotrs import (
+    Algebra,
     App,
     ArityError,
+    Case,
+    Comp,
+    ConstructorFn,
+    FunctionExpr,
+    GrsrError,
     Heap,
     HeapError,
     Program,
+    Proj,
     Rule,
+    SimRec,
     StuckError,
     Term,
+    TierDerivation,
     Var,
     program_delta,
     terms_equal,
@@ -523,3 +537,103 @@ def match_graph(
         stack.extend(zip(kids, args))
     return morphism, binding
 
+
+# ------------------------------------------------- function algebra
+
+
+def eval_grsr(f: FunctionExpr, args: Iterable[Term]) -> Term:
+    """Denotational evaluation; the reference oracle for the compiler."""
+    args = tuple(args)
+    if len(args) != f.arity:
+        raise GrsrError(f"{f.key} takes {f.arity} arguments, got {len(args)}")
+    t = type(f)
+    if t is ConstructorFn:
+        return App(f.con, args)
+    if t is Proj:
+        return args[f.index - 1]
+    if t is Comp:
+        return eval_grsr(f.outer, tuple(eval_grsr(g, args) for g in f.inners))
+    if t is Case:
+        scrut = _scrutinee(f.algebra, args[0])
+        branch = f.branches[f.algebra.index(scrut.sym)]
+        return eval_grsr(branch, scrut.args + args[1:])
+    if t is SimRec:
+        return _eval_simrec(f, f.select - 1, args)
+    raise GrsrError(f"unknown function form {f!r}")
+
+
+def _scrutinee(algebra: Algebra, v: Term) -> App:
+    if not isinstance(v, App) or v.sym not in algebra._index:
+        raise GrsrError(f"expected a value of algebra {algebra.name}")
+    if len(v.args) != algebra.arity(v.sym):
+        raise GrsrError(f"malformed value: {v.sym} applied at the wrong arity")
+    return v
+
+
+def _eval_simrec(f: SimRec, j: int, args: tuple[Term, ...]) -> Term:
+    scrut = _scrutinee(f.algebra, args[0])
+    params = args[1:]
+    row = f.grid[f.algebra.index(scrut.sym)]
+    rec: list[Term] = []
+    for jj in range(f.components):
+        for x in scrut.args:
+            rec.append(_eval_simrec(f, jj, (x,) + params))
+    return eval_grsr(row[j], scrut.args + tuple(rec) + params)
+
+
+def validate_derivation(d: TierDerivation) -> None:
+    """Re-check a derivation rule by rule; raises GrsrError on a bad node."""
+    f = d.expr
+    sig = d.signature
+    t = type(f)
+    if len(sig.inputs) != f.arity:
+        raise GrsrError(f"derivation arity mismatch at {f.key}")
+    if t is ConstructorFn:
+        if any(i != sig.output for i in sig.inputs):
+            raise GrsrError(f"constructor function must be uniform: {f.key}")
+        if d.premises:
+            raise GrsrError("constructor function has no premises")
+    elif t is Proj:
+        if sig.output != sig.inputs[f.index - 1]:
+            raise GrsrError(f"projection must return its argument's tier: {f.key}")
+        if d.premises:
+            raise GrsrError("projection has no premises")
+    elif t is Comp:
+        outer, *inners = d.premises
+        if outer.signature.output != sig.output:
+            raise GrsrError("composition output tier mismatch")
+        if len(inners) != len(f.inners):
+            raise GrsrError("composition premise count mismatch")
+        for g, ov in zip(inners, outer.signature.inputs):
+            if g.signature.output != ov:
+                raise GrsrError("composition intermediate tier mismatch")
+            if g.signature.inputs != sig.inputs:
+                raise GrsrError("composition input tier mismatch")
+        for p in d.premises:
+            validate_derivation(p)
+    elif t is Case:
+        p = sig.inputs[0]
+        qs = sig.inputs[1:]
+        for (con, ar), br in zip(f.algebra.constructors, d.premises):
+            want = (p,) * ar + qs
+            if br.signature.inputs != want or br.signature.output != sig.output:
+                raise GrsrError(f"case branch for {con} typed wrongly")
+            validate_derivation(br)
+    elif t is SimRec:
+        p = sig.inputs[0]
+        qs = sig.inputs[1:]
+        m = sig.output
+        if not p > m:
+            raise GrsrError("recursion argument tier must exceed the result tier")
+        n = f.components
+        idx = 0
+        for (con, ar), row in zip(f.algebra.constructors, f.grid):
+            for _ in row:
+                entry = d.premises[idx]
+                idx += 1
+                want = (p,) * ar + (m,) * (n * ar) + qs
+                if entry.signature.inputs != want or entry.signature.output != m:
+                    raise GrsrError(f"recursion entry for {con} typed wrongly")
+                validate_derivation(entry)
+    else:
+        raise GrsrError(f"unknown function form {f!r}")

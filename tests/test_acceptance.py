@@ -19,9 +19,8 @@ from memotrs import (
     Configuration,
     Heap,
     TierSignature,
-    check_tiers,
+    check_tiers_explained,
     compile_function,
-    eval_grsr,
     eval_memo,
     expression_weight,
     infer_tiers,
@@ -30,7 +29,6 @@ from memotrs import (
     program_delta,
     run,
     run_traced,
-    validate_derivation,
 )
 from helpers import (
     complete_tree,
@@ -39,16 +37,19 @@ from helpers import (
     rabbit_tree,
     random_program,
     random_value,
+    subst,
     suc_chain,
 )
 from oracle import (
     applicable_step_kinds,
     canonical_tree,
     configuration_size,
+    eval_grsr,
     initial_call,
     match_graph,
     match_term,
     step,
+    validate_derivation,
 )
 
 R_CONS = {"leafn": 0, "leafm": 0, "n": 1, "m": 2}
@@ -242,11 +243,11 @@ def test_criterion_07_tiering(functions):
     """add and rabbits carry their declared stratified signatures; the
     leaf counter admits none with tiers up to five."""
     add = functions["add"].lookup("add").expr
-    d = check_tiers(add, TierSignature((2, 1), 1))
+    d = check_tiers_explained(add, TierSignature((2, 1), 1))[0]
     assert d is not None
     validate_derivation(d)
     rabbits = functions["rabbits"].lookup("rabbits").expr
-    d = check_tiers(rabbits, TierSignature((1,), 0))
+    d = check_tiers_explained(rabbits, TierSignature((1,), 0))[0]
     assert d is not None
     validate_derivation(d)
     leafs = functions["leafs"].lookup("leafs").expr
@@ -349,11 +350,11 @@ def test_criterion_09_matching_proposition():
     rng = random.Random(11)
     fillers = enum_values(cons, 3)
     for pat in patterns(3):
-        from memotrs import substitute, vars_of
+        from memotrs import vars_of
 
         for _ in range(3):
             binding = {x: rng.choice(fillers) for x in vars_of(pat)}
-            check_pair(pat, substitute(pat, binding))
+            check_pair(pat, subst(pat, binding))
     # sampled negatives and mixtures at the stated depths
     pats3 = patterns(3)
     for _ in range(1000):

@@ -13,8 +13,6 @@ from memotrs import (
     Signature,
     StuckError,
     Var,
-    equivalence_check,
-    eval_cbv,
     eval_memo,
     naive_run,
     parse_program,
@@ -31,7 +29,7 @@ from helpers import (
     reference_eval,
     suc_chain,
     _match,
-    _subst,
+    subst,
 )
 
 
@@ -57,7 +55,7 @@ def count_inferences(program: Program, t: App) -> tuple[int, int]:
             binding = {}
             if all(_match(p, a, binding) for p, a in zip(rule.lhs.args, args)):
                 firings[0] += 1
-                return ev(_subst(rule.rhs, binding))
+                return ev(subst(rule.rhs, binding))
         raise StuckInference(judgements[0] + firings[0])
 
     ev(t)
@@ -74,7 +72,7 @@ def rabbits_call(n: int) -> App:
 
 def test_add_small(programs):
     p = programs["add"]
-    assert eval_cbv(p, add_call(1, 1)) == suc_chain(2)
+    assert naive_run(p, add_call(1, 1)).value == suc_chain(2)
     res = naive_run(p, add_call(2, 1))
     assert res.value == suc_chain(3)
     assert res.rewrite_steps == 3  # two suc steps, one zero step
@@ -85,7 +83,7 @@ def test_add_small(programs):
 
 def test_rabbits_base_cases(programs):
     p = programs["rabbits"]
-    assert eval_cbv(p, rabbits_call(0)) == App("leafn", ())
+    assert naive_run(p, rabbits_call(0)).value == App("leafn", ())
     out = eval_memo(p, {}, rabbits_call(1))
     assert out.value == App("leafn", ()) and out.cost == 2
 
@@ -124,7 +122,7 @@ def test_memo_cost_linear_for_rabbits(programs):
 def test_tree_and_its_costs(programs):
     p = programs["tree"]
     call = App("tree", (suc_chain(4),))
-    assert eval_cbv(p, call) == complete_tree(4)
+    assert naive_run(p, call).value == complete_tree(4)
     assert eval_memo(p, {}, call).cost == 9  # five tree calls, four doublings
     assert eval_memo(p, {}, App("tree", (suc_chain(20),))).cost == 41
 
@@ -269,9 +267,9 @@ def test_stuck_call_raises_with_witness():
             ),
         ],
     )
-    assert eval_cbv(p, App("half", (suc_chain(4),))) == suc_chain(2)
+    assert naive_run(p, App("half", (suc_chain(4),))).value == suc_chain(2)
     with pytest.raises(StuckError) as e:
-        eval_cbv(p, App("half", (suc_chain(3),)))
+        naive_run(p, App("half", (suc_chain(3),)))
     assert e.value.witness == App("half", (suc_chain(1),))
     # memoized evaluation gets stuck at the same call
     with pytest.raises(StuckError):
@@ -294,9 +292,14 @@ def test_stuck_and_budget_are_distinct(programs):
 
 
 def test_equivalence_check(programs):
-    assert equivalence_check(programs["rabbits"], rabbits_call(7))
-    assert equivalence_check(programs["add"], add_call(4, 2))
-    assert equivalence_check(programs["tree"], App("tree", (suc_chain(6),)))
+    cases = [
+        ("rabbits", rabbits_call(7)),
+        ("add", add_call(4, 2)),
+        ("tree", App("tree", (suc_chain(6),))),
+    ]
+    for name, call in cases:
+        p = programs[name]
+        assert naive_run(p, call).value == eval_memo(p, {}, call).value, name
 
 
 def test_deep_recursion_does_not_overflow(programs):
@@ -367,11 +370,47 @@ def test_naive_overrun_on_duplicated_values_is_cheap(tmp_path, capsys):
     # above the size cap the count is summed exactly, boundary included;
     # only numbers are compared, as the value is too big to print
     call = App("f", (suc_chain(70),))
-    big = naive_run(p, call, budget=2**80)
-    steps, firings = big.total_steps, big.rewrite_steps
-    assert steps == duplicating_total(70) > SIZE_CAP
-    assert firings == 141
+    for budget in (2**80, None):  # None: no bound, not the machine word
+        big = naive_run(p, call, budget=budget)
+        steps, firings = big.total_steps, big.rewrite_steps
+        assert steps == duplicating_total(70) > SIZE_CAP
+        assert firings == 141
     at_boundary = naive_run(p, call, budget=steps).total_steps
     assert at_boundary == steps
     with pytest.raises(BudgetExceededError):
         naive_run(p, call, budget=steps - 1)
+
+
+class _CountingSignature(Signature):
+    """A signature that counts the symbols it is asked about."""
+
+    __slots__ = ("asked",)
+
+    def is_constructor(self, sym: str) -> bool:
+        self.asked += 1
+        return super().is_constructor(sym)
+
+
+def test_shared_input_is_compiled_once_per_node():
+    """An input whose value nodes are shared compiles to one push of the
+    value, each distinct node looked at once however large its tree, and
+    evaluates to that same value."""
+    from memotrs.core import CALL, RET, VAL, compile_term
+
+    p = parse_program("constructors: zero/0, pair/2 ; operations: f/1 ; rules: f(x) -> x ;")
+    sig = _CountingSignature(p.signature.constructors, p.signature.operations)
+    t = App("zero", ())
+    for depth in range(1, 41):
+        t = App("pair", (t, t))  # 2^(depth + 1) - 1 tree nodes, depth + 1 distinct
+        if depth not in (10, 40):
+            continue
+        call = App("f", (t,))
+        sig.asked = 0
+        t0 = time.perf_counter()
+        code = compile_term(sig, call)
+        seconds = time.perf_counter() - t0
+        # compared without showing a term, as a failure report would print t
+        same_code = code == ((VAL, t), (CALL, "f", 1), (RET,))
+        assert same_code and sig.asked == depth + 2 and seconds < 1, depth
+    same_value = eval_memo(p, {}, call).value == t
+    assert same_value

@@ -203,7 +203,10 @@ def test_check_reports(tmp_path, capsys):
         "constructors: zero/0;\noperations: g/2;\nrules: g(x, x) -> x;\n"
     )
     assert main(["check", str(bad)]) == 1
-    assert "linearity" in capsys.readouterr().out
+    assert capsys.readouterr().out == "linearity: variable x repeated in g(x, x)\n"
+    # loading the program for a run fails on the same problem, worded alike
+    assert main(["run", str(bad), "g(zero, zero)"]) == 2
+    assert capsys.readouterr().err == "error: linearity: variable x repeated in g(x, x)\n"
 
     dup = tmp_path / "dup.trs"
     dup.write_text(
@@ -213,6 +216,20 @@ def test_check_reports(tmp_path, capsys):
     assert main(["check", str(dup)]) == 1
     out = capsys.readouterr().out
     assert "ambiguity" in out and "f(x)" in out and "f(zero)" in out
+
+
+@pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.trs")), ids=lambda p: p.name)
+def test_shipped_program_is_orthogonal(path, capsys):
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out == "orthogonal\n"
+
+
+@pytest.mark.parametrize("path", sorted(PROGRAMS.glob("*.grsr")), ids=lambda p: p.name)
+def test_shipped_functions_tier_and_compile(path, capsys):
+    assert main(["tier", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["compile", str(path)]) == 0
+    parse_program(capsys.readouterr().out)  # an orthogonal program
 
 
 def test_parse_failures_exit_2(tmp_path, capsys):

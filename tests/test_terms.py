@@ -9,6 +9,7 @@ from memotrs import (
     App,
     ArityError,
     LinearityError,
+    MemotrsError,
     Program,
     Rule,
     RuleError,
@@ -21,16 +22,13 @@ from memotrs import (
     patterns_overlap,
     program_delta,
     program_diagnostics,
-    subterms,
-    substitute,
-    term_depth,
     term_size,
     terms_equal,
     validate_term,
 )
 from memotrs.cli import MAX_BUDGET_BITS
 from memotrs.terms import SIZE_CAP
-from helpers import enum_values, random_value, suc_chain
+from helpers import enum_values, random_value, subst, suc_chain
 from oracle import match_term
 
 NAT = Signature({"zero": 0, "suc": 1}, {})
@@ -106,8 +104,6 @@ def test_sizes_and_depths():
     assert term_size(App("zero", ())) == 1
     assert term_size(suc_chain(2)) == 3
     assert term_size(App("m", (App("leafm", ()), App("leafn", ())))) == 3
-    assert term_depth(App("zero", ())) == 0
-    assert term_depth(suc_chain(4)) == 4
 
 
 def _tree_size(t):
@@ -227,13 +223,6 @@ def test_program_delta(programs):
     assert program_delta(programs["tree"]) == 3
 
 
-def test_substitute_keeps_unbound_and_is_capture_free():
-    t = App("m", (Var("x"), Var("y")))
-    out = substitute(t, {"x": App("leafm", ())})
-    assert out == App("m", (App("leafm", ()), Var("y")))
-    assert substitute(App("zero", ()), {"x": Var("y")}) == App("zero", ())
-
-
 def test_validate_term_and_is_value():
     validate_term(FOREST, App("adults", (Var("x"),)))
     with pytest.raises(ArityError):
@@ -266,8 +255,82 @@ def test_diagnostics_reports_ambiguity():
     assert len(problems) == 1 and problems[0].startswith("ambiguity:")
 
 
-def test_subterms_of_chain():
-    assert len(subterms(suc_chain(3))) == 4
+def _problem_class(message: str) -> type:
+    """The exception class a diagnostic's kind stands for."""
+    kind, _, detail = message.partition(": ")
+    if kind.startswith("right-hand side of"):
+        return SignatureError if "undeclared symbol" in detail else ArityError
+    if kind == "pattern":
+        return ArityError if "declared with arity" in detail else RuleError
+    return {
+        "shape": RuleError,
+        "arity": ArityError,
+        "linearity": LinearityError,
+        "scope": RuleError,
+        "ambiguity": AmbiguityError,
+    }[kind]
+
+
+DEFECTS_SIG = Signature({"zero": 0, "suc": 1, "pair": 2}, {"f": 1, "g": 2})
+
+
+def _random_rules(rng: random.Random) -> list[Rule]:
+    """One to four rules over DEFECTS_SIG, most of them sound, some with a
+    wrong head, arity, pattern symbol, repeated or unbound variable, or an
+    undeclared symbol on the right."""
+    arities = {**DEFECTS_SIG.constructors, **DEFECTS_SIG.operations, "h": 1}
+
+    def term(depth: int, symbols: list[str]):
+        if depth == 0 or rng.random() < 0.3:
+            if rng.random() < 0.6:
+                return Var(rng.choice("xyz"))
+            return App("zero", ())
+        sym = rng.choice(symbols)
+        k = arities[sym] + (rng.choice((-1, 1)) if rng.random() < 0.05 else 0)
+        return App(sym, tuple(term(depth - 1, symbols) for _ in range(max(k, 0))))
+
+    rules = []
+    for _ in range(rng.randint(1, 4)):
+        roll = rng.random()
+        if roll < 0.05:
+            lhs = rng.choice((Var("x"), App("suc", (Var("x"),))))
+        else:
+            op = rng.choice(("f", "g"))
+            k = arities[op] + (rng.choice((-1, 1)) if roll < 0.1 else 0)
+            cons = ["suc", "pair"] + (["f"] if rng.random() < 0.1 else [])
+            lhs = App(op, tuple(term(2, cons) for _ in range(k)))
+        rhs_symbols = ["suc", "pair", "f", "g"] + (["h"] if rng.random() < 0.1 else [])
+        rules.append(Rule(lhs, term(2, rhs_symbols)))
+    return rules
+
+
+def test_program_raises_its_first_diagnostic():
+    """Program accepts exactly the rule lists without diagnostics, and
+    otherwise raises the first one, as its kind's class with its text."""
+    rng = random.Random(20260)
+    seen: set[tuple[str, type]] = set()
+    for _ in range(3000):
+        rules = _random_rules(rng)
+        problems = program_diagnostics(DEFECTS_SIG, rules)
+        if not problems:
+            assert Program(DEFECTS_SIG, rules).rules == tuple(rules)
+            continue
+        with pytest.raises(MemotrsError) as e:
+            Program(DEFECTS_SIG, rules)
+        assert type(e.value) is _problem_class(problems[0])
+        assert str(e.value) == problems[0]
+        seen.add((problems[0].split(":")[0].split(" of ")[0], type(e.value)))
+    assert seen == {
+        ("shape", RuleError),
+        ("arity", ArityError),
+        ("pattern", RuleError),
+        ("pattern", ArityError),
+        ("linearity", LinearityError),
+        ("right-hand side", ArityError),
+        ("right-hand side", SignatureError),
+        ("scope", RuleError),
+        ("ambiguity", AmbiguityError),
+    }
 
 
 # ------------------------------------------------------------ properties
@@ -290,7 +353,7 @@ def test_match_substitute_roundtrip(subject):
     pat = App(subject.sym, tuple(Var(f"v{i}") for i in range(len(subject.args))))
     binding = match_term(pat, subject)
     assert binding is not None
-    assert substitute(pat, binding) == subject
+    assert subst(pat, binding) == subject
 
 
 @given(nat_terms(max_depth=4))
