@@ -25,6 +25,11 @@ Each case or rec block must cover every constructor of its algebra exactly
 once; branch order in the file is free. The tier annotation on a def is
 optional, as is each @level inside one. Constructor names are global: two
 algebras cannot both declare the same name. # starts a line comment.
+
+Function expressions nest at most MAX_NESTING deep, counting grouping
+parentheses and the depth of each referenced def where it is used; deeper
+input is refused with a ParseError before anything is built, which bounds
+the recursion of every pass over a parsed function.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from typing import Optional
 from .errors import ParseError
 from .grsr import Algebra, Case, Comp, ConstructorFn, FunctionExpr, Proj, SimRec
 from .parser import TokenStream, read_nat, tokenize
+
+MAX_NESTING = 256
 
 _KEYWORDS = frozenset(
     {"algebra", "def", "cons", "proj", "comp", "case", "rec", "over", "select"}
@@ -85,6 +92,9 @@ class _Parser:
         self.con_owner: dict[str, str] = {}  # constructor -> algebra name
         self.defs: list[GrsrDef] = []
         self.by_name: dict[str, FunctionExpr] = {}
+        self.depth = 0  # nesting of the function expression being parsed
+        self.deepest = 0  # deepest nesting in the current def's body
+        self.heights: dict[str, int] = {}  # def name -> its body's nesting
 
     def file(self) -> GrsrFile:
         ts = self.ts
@@ -135,6 +145,7 @@ class _Parser:
             ts.next()
             tier_ins, tier_out = self.tier_annotation()
         ts.expect("punct", "=")
+        self.deepest = 0
         expr = self.fexpr()
         ts.expect("punct", ";")
         if tier_ins is not None and len(tier_ins) != expr.arity:
@@ -146,6 +157,7 @@ class _Parser:
             )
         self.defs.append(GrsrDef(name, expr, tier_ins, tier_out, start))
         self.by_name[name] = expr
+        self.heights[name] = self.deepest
 
     def tier_annotation(self) -> tuple[tuple[Optional[int], ...], Optional[int]]:
         ts = self.ts
@@ -175,6 +187,24 @@ class _Parser:
         return self.algebras[name]
 
     def fexpr(self) -> FunctionExpr:
+        self.depth += 1
+        self.nest(1, self.ts.peek())
+        expr = self._fexpr()
+        self.depth -= 1
+        return expr
+
+    def nest(self, height: int, tok) -> None:
+        """Account for an expression of the given height at the current depth."""
+        reach = self.depth - 1 + height
+        if reach > MAX_NESTING:
+            raise ParseError(
+                f"function expression nested deeper than {MAX_NESTING}",
+                tok.line,
+                tok.col,
+            )
+        self.deepest = max(self.deepest, reach)
+
+    def _fexpr(self) -> FunctionExpr:
         ts = self.ts
         tok = ts.peek()
         if tok.kind == "punct" and tok.text == "(":
@@ -232,6 +262,7 @@ class _Parser:
         name = _name_token(ts, "a function expression")
         if name not in self.by_name:
             raise ParseError(f"unknown function name {name}", tok.line, tok.col)
+        self.nest(self.heights[name], tok)
         return self.by_name[name]
 
     def checked(self, build, tok) -> FunctionExpr:

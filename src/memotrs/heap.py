@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import HeapError
-from .terms import App, Term, Var
+from .terms import App, Term
 
 Node = tuple[str, tuple[int, ...]]
 
@@ -68,22 +68,23 @@ class Heap:
         self.index[key] = loc
         return loc
 
-    def store_value(self, value: Term) -> int:
-        """Merge every subterm of a constructor value; returns the root's location."""
-        locs: dict[int, int] = {}
-        stack: list[tuple[Term, bool]] = [(value, False)]
-        while stack:
-            node, done = stack.pop()
-            if id(node) in locs:
-                continue
-            if isinstance(node, Var):
-                raise HeapError("cannot store a non-ground term")
-            if done:
-                locs[id(node)] = self.merge(node.sym, tuple(locs[id(a)] for a in node.args))
-            else:
-                stack.append((node, True))
-                stack.extend((a, False) for a in node.args)
-        return locs[id(value)]
+    def merge_run(self, syms: list[str], loc: int) -> list[int]:
+        """Merge the unary chain syms[0](loc), syms[1](that), ... bottom-up,
+        as merge would node by node; returns each node's location."""
+        entries = self.entries
+        n = len(entries)
+        if not 0 <= loc < n:
+            raise HeapError(f"dangling argument location {loc}")
+        find = self.index.setdefault
+        locs: list[int] = []
+        for sym in syms:
+            key = (sym, (loc,))
+            loc = find(key, n)
+            if loc == n:  # a new node
+                entries.append(key)
+                n += 1
+            locs.append(loc)
+        return locs
 
     def _reachable(self, roots: Iterable[int]) -> list[int]:
         """Locations reachable from roots, in ascending order.

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 from .core import CALL, CON, ENTER, RET, VAL, execute
 from .errors import BudgetExceededError, HeapError
 from .heap import Heap
-from .terms import App, Program, Term, program_delta
+from .terms import App, Program, Term, bounded_repr, call_repr_parts, program_delta
 
 
 class Expr:
@@ -48,8 +48,10 @@ class ECall(Expr):
         self.sym = sym
         self.args = args
 
-    def __repr__(self) -> str:
-        return f"ECall({self.sym!r}, {list(self.args)!r})"
+    def _repr_parts(self) -> list:
+        return call_repr_parts("ECall", self.sym, self.args)
+
+    __repr__ = bounded_repr
 
 
 class ECon(Expr):
@@ -59,8 +61,10 @@ class ECon(Expr):
         self.sym = sym
         self.args = args
 
-    def __repr__(self) -> str:
-        return f"ECon({self.sym!r}, {list(self.args)!r})"
+    def _repr_parts(self) -> list:
+        return call_repr_parts("ECon", self.sym, self.args)
+
+    __repr__ = bounded_repr
 
 
 class EAnnot(Expr):
@@ -71,8 +75,10 @@ class EAnnot(Expr):
         self.locs = locs
         self.body = body
 
-    def __repr__(self) -> str:
-        return f"EAnnot({self.sym!r}, {self.locs!r}, {self.body!r})"
+    def _repr_parts(self) -> list:
+        return [f"EAnnot({self.sym!r}, {self.locs!r}, ", self.body, ")"]
+
+    __repr__ = bounded_repr
 
 
 RefCache = dict[tuple[str, tuple[int, ...]], int]
@@ -205,32 +211,65 @@ def run_traced(
 def initial_expression(program: Program, heap: Heap, term: Term) -> tuple[Heap, Expr]:
     """Turn a ground term into a machine expression: constructor-only
     subterms are merged into heap as locations, operation calls stay
-    expression nodes. Returns heap, extended, with the expression."""
+    expression nodes. Returns heap, extended, with the expression.
+
+    New nodes are numbered children first, last argument first, and a node
+    object met again keeps the location or expression it got the first
+    time. Loading is one pass, linear in the term's distinct nodes: each
+    maximal run of unary nodes is walked down once, and the constructors
+    at its bottom are merged by one Heap.merge_run."""
     constructors = program.signature.constructors
     built: dict[int, object] = {}  # id(node) -> its location, or its Expr
-    stack: list[tuple[Term, bool]] = [(term, False)]
-    push, pop = stack.append, stack.pop
+    stack: list = [term]  # nodes to load; a list is a run waiting for its bottom
     while stack:
-        node, done = pop()
-        if id(node) in built:
+        node = stack.pop()
+        if type(node) is list:
+            run = node
+            below = built[id(run[-1].args[0])]
+        elif id(node) in built:
             continue
-        if type(node) is not App:
-            raise HeapError(f"term is not ground: variable {node.name}")
-        if not done:
-            push((node, True))
-            for a in node.args:
-                push((a, False))
-            continue
-        kids = tuple(map(built.__getitem__, map(id, node.args)))
-        cls = ECon if node.sym in constructors else ECall
-        if cls is ECon:
-            for k in kids:
-                if type(k) is not int:
+        else:
+            run = []  # the unary nodes above the first one built or not unary
+            while type(node) is App:
+                args = node.args
+                if len(args) != 1 or id(node) in built:
                     break
-            else:  # a constructor over locations only is itself a storable value
-                built[id(node)] = heap.merge(node.sym, kids)
-                continue
-        kids = tuple([ELoc(k) if type(k) is int else k for k in kids])
-        built[id(node)] = cls(node.sym, kids)
+                run.append(node)
+                node = args[0]
+            if id(node) in built:
+                below = built[id(node)]
+            elif type(node) is not App:
+                raise HeapError(f"term is not ground: variable {node.name}")
+            else:
+                todo = [a for a in node.args if id(a) not in built]
+                if todo:  # load the arguments, then come back to node and run
+                    if run:
+                        stack.append(run)
+                    stack.append(node)
+                    stack += todo
+                    continue
+                sym = node.sym
+                kids = tuple([built[id(a)] for a in node.args])
+                if sym in constructors and all(type(k) is int for k in kids):
+                    below = heap.merge(sym, kids)
+                else:
+                    cls = ECon if sym in constructors else ECall
+                    below = cls(sym, tuple([ELoc(k) if type(k) is int else k for k in kids]))
+                built[id(node)] = below
+        k = len(run)
+        if k and type(below) is int:  # merge the run's constructor bottom at once
+            syms = [n.sym for n in run]
+            while k and syms[k - 1] in constructors:
+                k -= 1
+            if k < len(run):
+                locs = heap.merge_run(syms[k:][::-1], below)
+                built.update(zip(map(id, reversed(run[k:])), locs))
+                below = locs[-1]
+        while k:  # the rest, from the lowest operation call up, stays symbolic
+            k -= 1
+            n = run[k]
+            kid = ELoc(below) if type(below) is int else below
+            below = (ECon if n.sym in constructors else ECall)(n.sym, (kid,))
+            built[id(n)] = below
     root = built[id(term)]
     return heap, ELoc(root) if type(root) is int else root

@@ -18,6 +18,44 @@ from .errors import (
 # a size is never a sum of big integers
 SIZE_CAP = 2**65
 
+# reprs of terms and machine expressions stop after this many characters
+REPR_CHARS = 10_000
+
+
+def bounded_repr(node) -> str:
+    """repr of a term or expression node, built on an explicit stack so
+    depth is no limit, and cut after REPR_CHARS characters with "..." so a
+    shared node whose tree is huge costs no more than that. A node lays
+    out its text with _repr_parts(): strings and child nodes, in order;
+    nodes without it give their own repr."""
+    out: list[str] = []
+    chars = 0
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if type(item) is not str:
+            parts = getattr(item, "_repr_parts", None)
+            if parts is not None:
+                stack += reversed(parts())
+                continue
+            item = repr(item)
+        out.append(item)
+        chars += len(item)
+        if chars > REPR_CHARS:
+            return "".join(out)[:REPR_CHARS] + "..."
+    return "".join(out)
+
+
+def call_repr_parts(cls: str, sym: str, args: tuple) -> list:
+    """The parts of the repr Cls('sym', [arg, ...])."""
+    parts: list = [f"{cls}({sym!r}, ["]
+    for i, a in enumerate(args):
+        if i:
+            parts.append(", ")
+        parts.append(a)
+    parts.append("])")
+    return parts
+
 
 class Term:
     """Immutable first-order term; concrete nodes are Var and App. size is
@@ -80,10 +118,12 @@ class App(Term):
             size = sum(a.size for a in args) + 1
         self.size = size if size < SIZE_CAP else SIZE_CAP
 
-    def __repr__(self) -> str:
+    def _repr_parts(self) -> list:
         if not self.args:
-            return f"App({self.sym!r})"
-        return f"App({self.sym!r}, {list(self.args)!r})"
+            return [f"App({self.sym!r})"]
+        return call_repr_parts("App", self.sym, self.args)
+
+    __repr__ = bounded_repr
 
 
 # an App's (symbol, arguments): how the engines and the printer read a term

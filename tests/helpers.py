@@ -12,7 +12,7 @@ import random
 from itertools import product
 from typing import Optional
 
-from memotrs import App, Program, Rule, Signature, Term, Var
+from memotrs import App, Heap, HeapError, Program, Rule, Signature, Term, Var
 
 
 # --------------------------------------------------------------- oracle
@@ -61,6 +61,25 @@ def suc_chain(n: int) -> Term:
     for _ in range(n):
         t = App("suc", (t,))
     return t
+
+
+def store_value(heap: Heap, value: Term) -> int:
+    """Merge every subterm of a constructor value into heap, children first,
+    last argument first; returns the root's location."""
+    locs: dict[int, int] = {}
+    stack: list[tuple[Term, bool]] = [(value, False)]
+    while stack:
+        node, done = stack.pop()
+        if id(node) in locs:
+            continue
+        if isinstance(node, Var):
+            raise HeapError("cannot store a non-ground term")
+        if done:
+            locs[id(node)] = heap.merge(node.sym, tuple(locs[id(a)] for a in node.args))
+        else:
+            stack.append((node, True))
+            stack.extend((a, False) for a in node.args)
+    return locs[id(value)]
 
 
 def nat_of(t: Term) -> int:

@@ -9,6 +9,9 @@ Canonical-tree matching builds the pattern's tree as a graph and returns
 the morphism into the heap. The library's `run` and its compiled decision
 trees are held to these by the tests.
 
+`initial_expression_by_node` loads a term one node at a time, the oracle
+for `smallstep.initial_expression`, which walks unary runs at once.
+
 For the function algebra, `eval_grsr` evaluates a function by its
 denotation (with `_scrutinee` and `_eval_simrec`), the oracle for
 `compile_function`, and `validate_derivation` re-checks a tier derivation
@@ -52,6 +55,8 @@ from memotrs.smallstep import (
     Expr,
     expression_weight,
 )
+
+from helpers import store_value
 
 # ------------------------------------------------- rule-by-rule matching
 
@@ -349,8 +354,37 @@ def initial_call(program: Program, op: str, values: list[Term]) -> tuple[Heap, E
             f"{op} declared with arity {sig.operations[op]}, given {len(values)}"
         )
     heap = Heap.empty()
-    arg_locs = [heap.store_value(v) for v in values]
+    arg_locs = [store_value(heap, v) for v in values]
     return heap, ECall(op, tuple(ELoc(l) for l in arg_locs))
+
+
+def initial_expression_by_node(
+    program: Program, heap: Heap, term: Term
+) -> tuple[Heap, Expr]:
+    """The loader one node at a time, the reference for
+    `smallstep.initial_expression`: one stack entry and one `Heap.merge`
+    per node, children first, last argument first."""
+    constructors = program.signature.constructors
+    built: dict[int, object] = {}  # id(node) -> its location, or its Expr
+    stack: list[tuple[Term, bool]] = [(term, False)]
+    while stack:
+        node, done = stack.pop()
+        if id(node) in built:
+            continue
+        if type(node) is not App:
+            raise HeapError(f"term is not ground: variable {node.name}")
+        if not done:
+            stack.append((node, True))
+            stack.extend((a, False) for a in node.args)
+            continue
+        kids = tuple(built[id(a)] for a in node.args)
+        if node.sym in constructors and all(type(k) is int for k in kids):
+            built[id(node)] = heap.merge(node.sym, kids)
+            continue
+        cls = ECon if node.sym in constructors else ECall
+        built[id(node)] = cls(node.sym, tuple(ELoc(k) if type(k) is int else k for k in kids))
+    root = built[id(term)]
+    return heap, ELoc(root) if type(root) is int else root
 
 
 def unfold_expression(heap: Heap, e: Expr) -> Term:

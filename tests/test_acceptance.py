@@ -37,6 +37,7 @@ from helpers import (
     rabbit_tree,
     random_program,
     random_value,
+    store_value,
     subst,
     suc_chain,
 )
@@ -322,7 +323,7 @@ def test_criterion_09_matching_proposition():
 
     def check_pair(pat, val):
         heap = Heap.empty()
-        loc = heap.store_value(val)
+        loc = store_value(heap, val)
         tree_binding = match_term(pat, val)
         got = match_graph(pat, heap, loc)
         if tree_binding is None:

@@ -10,6 +10,7 @@ import pytest
 
 from memotrs import App, Heap, parse_program, parser, term_size
 from memotrs.cli import OVERFLOW_LIMIT, _budget_value, _build_parser, main
+from memotrs.grsr_parser import MAX_NESTING
 from helpers import rabbit_tree
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -508,3 +509,50 @@ def test_printed_value_is_bounded(capsys, monkeypatch):
         assert main(small + ["--engine", engine]) == 2
         err = capsys.readouterr().err
         assert f"longer than {len(value) - 1} characters" in err
+
+
+def comp_chain(levels: int, inner: str = "proj 1 1") -> str:
+    """inner under levels nested compositions with cons[suc]."""
+    return "comp cons[suc] (" * levels + inner + ")" * levels
+
+
+def test_grsr_nesting_is_bounded(tmp_path, capsys):
+    head = "algebra N = zero/0, suc/1 ;\n"
+    at_limit = tmp_path / "limit.grsr"
+    at_limit.write_text(head + f"def f = {comp_chain(MAX_NESTING - 1)} ;\n")
+    assert main(["tier", str(at_limit)]) == 0
+    assert main(["compile", str(at_limit)]) == 0
+    rec = "proj 1 1"  # each level nests three deep: comp, the group, rec
+    for _ in range((MAX_NESTING - 1) // 3):
+        rec = f"comp (rec over N {{ zero => {rec}; suc => proj 3 1; }}) (proj 1 1, proj 1 1)"
+    at_limit.write_text(head + f"def r = {rec} ;\n")
+    assert main(["tier", str(at_limit)]) == 0
+    assert main(["compile", str(at_limit)]) == 0
+    capsys.readouterr()
+    over = tmp_path / "over.grsr"
+    over.write_text(head + f"def f = {comp_chain(MAX_NESTING)} ;\n")
+    col = len("def f = ") + len("comp cons[suc] (") * (MAX_NESTING - 1) + len("comp ") + 1
+    for command in ("tier", "compile"):
+        assert main([command, str(over)]) == 2
+        err = capsys.readouterr().err
+        assert f"2:{col}: function expression nested deeper than {MAX_NESTING}" in err
+        assert "Traceback" not in err
+
+
+def test_grsr_nesting_counts_referenced_defs(tmp_path, capsys):
+    # each def adds its nesting where it is used: g is 201 deep, so 55
+    # compositions around it reach the limit and 56 go past it
+    head = f"algebra N = zero/0, suc/1 ;\ndef g = {comp_chain(200)} ;\n"
+    ok = tmp_path / "ok.grsr"
+    ok.write_text(head + f"def h = {comp_chain(MAX_NESTING - 201, 'g')} ;\n")
+    assert main(["compile", str(ok)]) == 0
+    over = tmp_path / "over.grsr"
+    over.write_text(head + f"def h = {comp_chain(MAX_NESTING - 200, 'g')} ;\n")
+    assert main(["tier", str(over)]) == 2
+    col = len("def h = ") + len("comp cons[suc] (") * (MAX_NESTING - 200) + 1
+    assert f"3:{col}: function expression nested deeper" in capsys.readouterr().err
+    grouped = tmp_path / "grouped.grsr"
+    grouped.write_text(head.split("\n")[0] + "\ndef p = " + "(" * MAX_NESTING + "proj 1 1"
+                       + ")" * MAX_NESTING + " ;\n")
+    assert main(["tier", str(grouped)]) == 2
+    assert "2:265: function expression nested deeper" in capsys.readouterr().err

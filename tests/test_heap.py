@@ -13,7 +13,7 @@ from memotrs import (
     minimal_shared_size,
     term_size,
 )
-from helpers import complete_tree, random_value, suc_chain
+from helpers import complete_tree, random_value, store_value, suc_chain
 from oracle import (
     canonical_tree,
     is_maximally_shared,
@@ -31,8 +31,8 @@ def test_merge_hit_returns_receiver():
     assert a == b == 0
     assert h.node_count == 1
     # on a larger heap too, a hit returns the node's location and adds nothing
-    h.store_value(complete_tree(4))
-    h.store_value(suc_chain(3))
+    store_value(h, complete_tree(4))
+    store_value(h, suc_chain(3))
     before = h.nodes()
     for loc, sym, args in before:
         assert h.merge(sym, args) == loc
@@ -57,71 +57,92 @@ def test_merge_rejects_dangling_argument():
         h.unfold(3)
 
 
+def test_merge_run_is_merge_node_by_node():
+    rng = random.Random(7)
+    for _ in range(200):
+        one, many = Heap.empty(), Heap.empty()
+        for h in (one, many):
+            store_value(h, suc_chain(3))
+            h.merge("s", (h.merge("zero", ()),))
+        bottom = rng.randrange(one.node_count)
+        syms = [rng.choice(("suc", "s")) for _ in range(rng.randint(0, 8))]
+        locs, loc = [], bottom
+        for sym in syms:
+            loc = one.merge(sym, (loc,))
+            locs.append(loc)
+        assert many.merge_run(syms, bottom) == locs
+        assert many.nodes() == one.nodes() and many.index == one.index
+    with pytest.raises(HeapError):
+        Heap.empty().merge_run(["suc"], 0)
+    with pytest.raises(HeapError):
+        many.merge_run([], -1)
+
+
 def test_store_value_shares_equal_subtrees():
     leaf = App("leaf", ())
     h = Heap.empty()
-    root = h.store_value(App("branch", (leaf, App("leaf", ()))))
+    root = store_value(h, App("branch", (leaf, App("leaf", ()))))
     assert h.node_count == 2  # one leaf node, one branch node
     assert h.entry(root)[1] == (0, 0)
 
 
 def test_store_value_counts():
     h = Heap.empty()
-    h.store_value(suc_chain(2))
+    store_value(h, suc_chain(2))
     assert h.node_count == 3
     for n in (1, 5, 9):
         h2 = Heap.empty()
-        h2.store_value(complete_tree(n))
+        store_value(h2, complete_tree(n))
         assert h2.node_count == n + 1
 
 
 def test_store_value_idempotent_same_location():
     h = Heap.empty()
-    a = h.store_value(suc_chain(4))
+    a = store_value(h, suc_chain(4))
     before = h.nodes()
-    b = h.store_value(suc_chain(4))
+    b = store_value(h, suc_chain(4))
     assert h.nodes() == before and a == b
-    c = h.store_value(suc_chain(2))
+    c = store_value(h, suc_chain(2))
     assert h.nodes() == before and c == 2  # the chain prefix is already present
 
 
 def test_store_value_rejects_variables():
     with pytest.raises(HeapError):
-        Heap.empty().store_value(App("suc", (Var("x"),)))
+        store_value(Heap.empty(), App("suc", (Var("x"),)))
 
 
 def test_unfold_round_trips():
     for value in (App("zero", ()), complete_tree(4), suc_chain(7)):
         h = Heap.empty()
-        loc = h.store_value(value)
+        loc = store_value(h, value)
         assert h.unfold(loc) == value
 
 
 def test_unfold_shares_term_objects():
     h = Heap.empty()
-    loc = h.store_value(complete_tree(3))
+    loc = store_value(h, complete_tree(3))
     t = h.unfold(loc)
     assert t.args[0] is t.args[1]
 
 
 def test_unfolded_size_is_arithmetic():
     h = Heap.empty()
-    loc = h.store_value(complete_tree(80))
+    loc = store_value(h, complete_tree(80))
     assert h.node_count == 81
     assert h.unfolded_size(loc) == 2**81 - 1
 
 
 def test_reachable_count_ignores_unrelated_nodes():
     h = Heap.empty()
-    a = h.store_value(suc_chain(3))
-    b = h.store_value(App("leaf", ()))
+    a = store_value(h, suc_chain(3))
+    b = store_value(h, App("leaf", ()))
     assert h.reachable_count(a) == 4
     assert h.reachable_count(b) == 1
 
 
 def test_heap_extension_preserves_entries():
     h = Heap.empty()
-    h.store_value(suc_chain(3))
+    store_value(h, suc_chain(3))
     before = h.nodes()
     n = h.node_count
     h.merge("leaf", ())
@@ -163,7 +184,7 @@ def test_oracle_step_leaves_input_heap(programs):
 def test_maximal_sharing_flag():
     assert is_maximally_shared(Heap.empty())
     h = Heap.empty()
-    h.store_value(complete_tree(5))
+    store_value(h, complete_tree(5))
     assert is_maximally_shared(h)
     dup = Heap.empty()
     dup.entries = [("zero", ()), ("zero", ())]
@@ -173,8 +194,8 @@ def test_maximal_sharing_flag():
 
 def test_unfold_injective_on_shared_heap():
     h = Heap.empty()
-    h.store_value(complete_tree(4))
-    h.store_value(suc_chain(5))
+    store_value(h, complete_tree(4))
+    store_value(h, suc_chain(5))
     trees = [h.unfold(l) for l in h.locations()]
     for i in range(len(trees)):
         for j in range(i + 1, len(trees)):
@@ -187,7 +208,7 @@ def test_node_count_matches_minimal_shared_size():
     for _ in range(60):
         v = random_value(rng, cons, 5)
         h = Heap.empty()
-        h.store_value(v)
+        store_value(h, v)
         assert h.node_count == minimal_shared_size([v])
 
 
@@ -210,7 +231,7 @@ def test_canonical_tree_preorder():
 
 def test_match_graph_binds_locations():
     h = Heap.empty()
-    loc = h.store_value(suc_chain(1))
+    loc = store_value(h, suc_chain(1))
     got = match_graph(App("suc", (Var("x"),)), h, loc)
     assert got is not None
     morphism, binding = got
@@ -221,7 +242,7 @@ def test_match_graph_binds_locations():
 
 def test_match_graph_morphism_preserves_labels():
     h = Heap.empty()
-    loc = h.store_value(App("m", (App("leafm", ()), App("leafn", ()))))
+    loc = store_value(h, App("m", (App("leafm", ()), App("leafn", ()))))
     pat = App("m", (Var("a"), Var("b")))
     morphism, binding = match_graph(pat, h, loc)
     g = canonical_tree(pat)
@@ -234,12 +255,12 @@ def test_match_graph_morphism_preserves_labels():
 def test_repeated_variable_needs_equal_locations():
     eq = App("branch", (App("leaf", ()), App("leaf", ())))
     h = Heap.empty()
-    loc = h.store_value(eq)
+    loc = store_value(h, eq)
     pat = App("branch", (Var("x"), Var("x")))
     assert match_pattern_at(h, pat, loc) == {"x": 0}
     ne = App("branch", (App("leaf", ()), App("zero", ())))
     h2 = Heap.empty()
-    loc2 = h2.store_value(ne)
+    loc2 = store_value(h2, ne)
     assert match_pattern_at(h2, pat, loc2) is None
 
 
@@ -259,7 +280,7 @@ def test_match_agrees_with_tree_matching():
         pat = pattern(3)
         val = random_value(rng, cons, 4)
         h = Heap.empty()
-        loc = h.store_value(val)
+        loc = store_value(h, val)
         by_loc = match_pattern_at(h, pat, loc)
         by_tree = match_term(pat, val)
         if by_tree is None:
@@ -273,7 +294,7 @@ def test_match_agrees_with_tree_matching():
 
 def test_to_dot_lists_nodes_and_positional_edges():
     h = Heap.empty()
-    loc = h.store_value(App("m", (App("leafm", ()), App("leafn", ()))))
+    loc = store_value(h, App("m", (App("leafm", ()), App("leafn", ()))))
     dot = h.to_dot([loc])
     assert dot.startswith("digraph heap {")
     assert 'n2 [label="l2: m"];' in dot
@@ -289,13 +310,13 @@ def test_to_dot_lists_nodes_and_positional_edges():
 def test_unfold_size_versus_term_size():
     v = complete_tree(10)
     h = Heap.empty()
-    loc = h.store_value(v)
+    loc = store_value(h, v)
     assert h.unfolded_size(loc) == term_size(v) == 2**11 - 1
 
 
 def test_to_dot_roots_in_ascending_order():
     h = Heap.empty()
-    chain = h.store_value(suc_chain(2))  # locations 0-2
+    chain = store_value(h, suc_chain(2))  # locations 0-2
     leaf = h.merge("leaf", ())
     pair = h.merge("pair", (leaf, 1))
     h.merge("other", ())
@@ -323,7 +344,7 @@ def test_to_dot_roots_in_ascending_order():
 
 def test_sizes_saturate_at_a_limit():
     h = Heap.empty()
-    loc = h.store_value(complete_tree(80))
+    loc = store_value(h, complete_tree(80))
     assert h.unfolded_size(loc, 2**81) == 2**81 - 1
     assert h.unfolded_size(loc, 2**81 - 1) == 2**81 - 1
     assert h.unfolded_size(loc, 2**81 - 2) == 2**81 - 2

@@ -28,7 +28,7 @@ from memotrs import (
     run,
     vars_of,
 )
-from helpers import enum_values, random_program
+from helpers import enum_values, random_program, store_value
 from oracle import find_rule, match_call
 
 HAND_WRITTEN = """
@@ -70,7 +70,7 @@ def check_calls(program: Program, pool: list) -> tuple[set, int]:
     for op, arity in program.signature.operations.items():
         for values in product(pool, repeat=arity):
             heap = Heap()
-            locs = tuple(heap.store_value(v) for v in values)
+            locs = tuple(store_value(heap, v) for v in values)
             call = App(op, values)
             try:
                 rule, by_loc = match_call(program, heap, op, locs)
@@ -131,7 +131,7 @@ def test_tree_on_hand_written_patterns():
     assert matched == set(program.rules) and stuck
     rep = reporting(program)
     heap = Heap()
-    two = heap.store_value(App("suc", (App("suc", (App("zero"),)),)))
+    two = store_value(heap, App("suc", (App("suc", (App("zero"),)),)))
     cfg, _ = run(rep, heap, ECall("half", (ELoc(two),)))
     assert cfg.heap.entries[cfg.expr.loc] == ("rule1", (0,))  # half's x is zero
     with pytest.raises(StuckError, match="no rule matches none/1 call"):
@@ -145,7 +145,7 @@ def test_run_refuses_unknown_locations():
         "constructors: zero/0 ; operations: id/1 ; rules: id(x) -> x ;"
     )
     heap = Heap()
-    heap.store_value(App("zero"))
+    store_value(heap, App("zero"))
     for loc in (-1, heap.node_count):
         with pytest.raises(HeapError, match=f"unknown location {loc}"):
             run(program, heap, ECall("id", (ELoc(loc),)))

@@ -23,7 +23,7 @@ from memotrs import (
     term_size,
 )
 from memotrs.parser import MAX_POWER_NODES
-from helpers import rabbit_tree, random_value, suc_chain
+from helpers import rabbit_tree, random_value, store_value, suc_chain
 
 NAT = Signature({"zero": 0, "suc": 1}, {"add": 2})
 
@@ -192,7 +192,7 @@ def test_format_shared_answers_as_unshared_copies(programs):
     s2 = _chain("s", 2, App("z", ()))
     h = Heap.empty()
     cases = [(App("p", (s3x, _chain("s", 2, x))), None)] + [
-        (v, h.store_value(v))
+        (v, store_value(h, v))
         for v in (
             App("p", (_chain("t", 4, s2), _chain("s", 5, App("q", (s2, s2))))),
             App("p", (s2, _chain("s", 3, App("z", ())))),

@@ -1,5 +1,6 @@
 import io
 import random
+import time
 
 import pytest
 
@@ -14,6 +15,8 @@ from memotrs import (
     Heap,
     HeapError,
     MemoStats,
+    Program,
+    Signature,
     Var,
     eval_memo,
     expression_weight,
@@ -24,11 +27,13 @@ from memotrs import (
     run,
     run_traced,
 )
+from memotrs.terms import REPR_CHARS
 from helpers import (
     complete_tree,
     rabbit_tree,
     random_program,
     random_value,
+    store_value,
     suc_chain,
 )
 from oracle import (
@@ -42,6 +47,7 @@ from oracle import (
     expr_equal,
     expression_size,
     initial_call,
+    initial_expression_by_node,
     step,
     unfold_expression,
 )
@@ -419,6 +425,174 @@ def test_initial_expression_numbers_right_to_left(programs):
 def test_initial_expression_rejects_variables(programs):
     with pytest.raises(HeapError):
         initial_expression(programs["add"], Heap.empty(), App("suc", (Var("x"),)))
+
+
+def same_shape(a, b) -> bool:
+    """Equal expressions with the same sharing: every ECon or ECall object
+    of a pairs with exactly one of b. Walks each shared node once."""
+    pair: dict[int, int] = {}
+    back: dict[int, int] = {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if type(x) is not type(y):
+            return False
+        if type(x) is ELoc:
+            if x.loc != y.loc:
+                return False
+            continue
+        if id(x) in pair or id(y) in back:
+            if pair.get(id(x)) != id(y) or back.get(id(y)) != id(x):
+                return False
+            continue
+        pair[id(x)], back[id(y)] = id(y), id(x)
+        if x.sym != y.sym or len(x.args) != len(y.args):
+            return False
+        stack.extend(zip(x.args, y.args))
+    return True
+
+
+def assert_loads_like_reference(program, heap, term):
+    """initial_expression and the node-by-node loader agree on the heap
+    they leave, the expression's shape and sharing, and HeapError."""
+    mine, ref = heap.copy(), heap.copy()
+    try:
+        _, want = initial_expression_by_node(program, ref, term)
+    except HeapError as e:
+        with pytest.raises(HeapError) as got:
+            initial_expression(program, mine, term)
+        assert str(got.value) == str(e)
+    else:
+        got_heap, got = initial_expression(program, mine, term)
+        assert got_heap is mine
+        assert same_shape(got, want)
+    assert mine.nodes() == ref.nodes()
+    assert mine.index == ref.index
+
+
+LOAD_PROGRAM = Program(
+    Signature({"zero": 0, "suc": 1, "pair": 2}, {"f": 1, "h": 2, "k": 0}), []
+)
+
+
+def shared_input(rng, signature, steps):
+    """A random term over signature whose nodes take their arguments from
+    earlier nodes, so one object sits at several argument positions, and
+    whose unary runs (broken by calls when a unary operation exists) keep
+    every node for reuse, at the top of a run or inside it."""
+    cons = signature.constructors
+    symbols = sorted({**cons, **signature.operations}.items())
+    unary = [sym for sym, k in symbols if k == 1]
+    pool = [random_value(rng, cons, rng.randint(0, 3)) for _ in range(3)]
+    if rng.random() < 0.1:
+        pool.append(Var("x"))
+
+    def pick():  # mostly recent nodes, so the last one reaches far back
+        return pool[-1 - min(int(rng.expovariate(0.4)), len(pool) - 1)]
+
+    for _ in range(steps):
+        if unary and rng.random() < 0.5:
+            t = pick()
+            for _ in range(rng.randint(1, 8)):
+                t = App(rng.choice(unary), (t,))
+                pool.append(t)
+        else:
+            sym, k = rng.choice(symbols)
+            pool.append(App(sym, tuple(pick() for _ in range(k))))
+    return pool[-1]
+
+
+def test_loader_matches_node_by_node_reference():
+    loaded = errors = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        program = random_program(seed) if seed % 3 else LOAD_PROGRAM
+        sig = program.signature
+        heap = Heap.empty()
+        if seed % 2:  # into a heap that already holds values
+            for _ in range(3):
+                store_value(heap, random_value(rng, sig.constructors, rng.randint(0, 4)))
+        term = shared_input(rng, sig, rng.randint(1, 25))
+        assert_loads_like_reference(program, heap, term)
+        if term.ground:
+            loaded += 1
+        else:
+            errors += 1
+    assert loaded > 200 and errors > 5
+
+
+def test_loader_sharing_cases():
+    zero = App("zero")
+
+    def suc(t, n=1):
+        for _ in range(n):
+            t = App("suc", (t,))
+        return t
+
+    run = suc(zero, 5)
+    inside = run.args[0].args[0]  # suc^3(zero), a node inside the run
+    f = lambda t: App("f", (t,))
+    pair = lambda a, b: App("pair", (a, b))
+    cases = [
+        pair(run, run),
+        App("h", (run, run)),
+        pair(suc(run), run),  # sharing at the top of a run
+        pair(run, pair(inside, suc(inside, 2))),  # and inside it
+        suc(f(suc(zero))),  # a run broken by a call
+        f(suc(f(suc(pair(zero, suc(zero)))), 3)),
+        suc(App("k"), 4),
+        pair(f(run), suc(f(run))),
+        suc(pair(suc(zero, 2), suc(zero, 2)), 3),
+        suc(suc(Var("x"))),  # a variable at the bottom of a run
+        pair(suc(zero, 4), suc(Var("x"), 2)),
+    ]
+    warm = Heap.empty()
+    store_value(warm, suc(zero, 3))
+    store_value(warm, pair(zero, zero))
+    for term in cases:
+        for heap in (Heap.empty(), warm):
+            assert_loads_like_reference(LOAD_PROGRAM, heap, term)
+    _, expr = initial_expression(LOAD_PROGRAM, Heap.empty(), suc(f(suc(zero))))
+    assert isinstance(expr, ECon) and isinstance(expr.args[0], ECall)
+
+
+def test_loader_takes_deep_runs():
+    n = 200_000
+    chain = suc_chain(n)
+    heap, expr = initial_expression(LOAD_PROGRAM, Heap.empty(), chain)
+    assert isinstance(expr, ELoc) and expr.loc == n and heap.node_count == n + 1
+    heap, expr = initial_expression(LOAD_PROGRAM, heap, App("f", (chain,)))
+    assert isinstance(expr, ECall) and expr.args[0].loc == n
+    assert heap.node_count == n + 1
+
+
+def test_loader_is_linear_in_distinct_nodes():
+    t = suc_chain(50)
+    for _ in range(40):  # 2^40 tree nodes, 91 distinct
+        t = App("pair", (t, t))
+    start = time.perf_counter()
+    heap, expr = initial_expression(LOAD_PROGRAM, Heap.empty(), App("f", (t,)))
+    assert time.perf_counter() - start < 1.0
+    assert heap.node_count == 91 and expr.args[0].loc == 90
+
+
+def test_expression_reprs_are_bounded():
+    e = ECon("pair", (ELoc(0), ECall("f", ())))
+    assert repr(e) == "ECon('pair', [ELoc(0), ECall('f', [])])"
+    assert repr(EAnnot("g", (1,), e)) == f"EAnnot('g', (1,), {e!r})"
+    deep = ELoc(0)
+    for i in range(5000):
+        deep = (ECon if i % 2 else ECall)("s", (deep,))
+    deep = EAnnot("f", (0, 1), deep)
+    text = repr(deep)
+    assert len(text) == REPR_CHARS + 3
+    assert text.startswith("EAnnot('f', (0, 1), ECon('s', [ECall('s', [")
+    shared = ECall("f", ())
+    for _ in range(30):
+        shared = ECon("pair", (shared, shared))
+    start = time.perf_counter()
+    assert len(repr(shared)) == REPR_CHARS + 3
+    assert time.perf_counter() - start < 0.5
 
 
 def test_unfold_expression_drops_annotations(programs):

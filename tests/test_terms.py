@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +28,8 @@ from memotrs import (
     validate_term,
 )
 from memotrs.cli import MAX_BUDGET_BITS
-from memotrs.terms import SIZE_CAP
-from helpers import enum_values, random_value, subst, suc_chain
+from memotrs.terms import REPR_CHARS, SIZE_CAP
+from helpers import complete_tree, enum_values, random_value, subst, suc_chain
 from oracle import match_term
 
 NAT = Signature({"zero": 0, "suc": 1}, {})
@@ -414,3 +415,38 @@ def test_format_parse_identity_on_programs(programs):
         ], name
         assert again.signature.constructors == p.signature.constructors
         assert again.signature.operations == p.signature.operations
+
+
+def recursive_repr(t) -> str:
+    """The repr layout written as plain recursion, for small terms."""
+    if isinstance(t, Var):
+        return f"Var({t.name!r})"
+    if not t.args:
+        return f"App({t.sym!r})"
+    return f"App({t.sym!r}, [{', '.join(recursive_repr(a) for a in t.args)}])"
+
+
+def test_repr_of_small_terms_is_the_recursive_layout():
+    rng = random.Random(5)
+    cons = {"zero": 0, "suc": 1, "pair": 2, "tri": 3}
+    for _ in range(200):
+        t = random_value(rng, cons, rng.randint(0, 5))
+        t = App("f", (t, Var("x"), App("g")))
+        assert repr(t) == recursive_repr(t)
+    assert repr(App("zero")) == "App('zero')"
+    assert repr(suc_chain(1)) == "App('suc', [App('zero')])"
+    exact = App("s" * (REPR_CHARS - 7))
+    assert repr(exact) == recursive_repr(exact) and len(repr(exact)) == REPR_CHARS
+    over = App("s" * (REPR_CHARS - 6))
+    assert repr(over) == recursive_repr(over)[:REPR_CHARS] + "..."
+
+
+def test_repr_is_bounded_on_deep_and_shared_terms():
+    deep = repr(suc_chain(5000))
+    assert len(deep) == REPR_CHARS + 3 and deep.endswith("...")
+    assert deep.startswith("App('suc', [App('suc', [")
+    start = time.perf_counter()
+    shared = repr(complete_tree(20))  # 21 nodes, 2^21 - 1 as a tree
+    assert time.perf_counter() - start < 0.5
+    assert len(shared) == REPR_CHARS + 3
+    assert shared.startswith("App('branch', [App('branch', [")
