@@ -35,10 +35,11 @@ from .grsr import (
     check_tiers_explained,
     compile_function,
     default_tier_bound,
+    infeasibility_reason,
     infer_tiers,
+    operation_name,
     rename_operations,
 )
-from .grsr import infeasibility_reason
 from .grsr_parser import GrsrDef, GrsrFile, parse_grsr
 from .heap import Heap
 from .parser import (

@@ -32,6 +32,7 @@ from .grsr import (
     default_tier_bound,
     infeasibility_reason,
     infer_tiers,
+    operation_name,
     rename_operations,
 )
 from .grsr_parser import GrsrDef, parse_grsr
@@ -184,8 +185,7 @@ def cmd_run(args) -> int:
         naive_val = None
         try:
             naive_rep, naive_val, _ = _run(
-                "naive", program, term, args.term,
-                args.budget or DEFAULT_NAIVE_BUDGET, args.depth_cap,
+                "naive", program, term, args.term, args.budget, args.depth_cap
             )
         except BudgetExceededError as e:
             naive_rep = None
@@ -278,7 +278,7 @@ def cmd_compile(args) -> int:
     program, entry = compile_function(target.expr)
     mapping: dict[str, str] = {}
     for d in gf.defs:
-        _, name = compile_function(d.expr)
+        name = operation_name(d.expr)
         if name in program.signature.operations and name not in mapping:
             mapping[name] = d.name
     mapping = {k: v for k, v in mapping.items() if k != v}
@@ -360,16 +360,19 @@ def cmd_bench(args) -> int:
 
 
 def _budget_value(text: str) -> int:
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        b, e = int(base), int(exp)
-        # checked before exponentiating: 10^999999999 alone needs ~415 MB
-        if abs(b) > 1 and e * math.log2(abs(b)) > MAX_BUDGET_BITS:
-            raise argparse.ArgumentTypeError(
-                f"budget {text} is larger than 2^{MAX_BUDGET_BITS}"
-            )
-        return b**e
-    return int(text)
+    """A budget: a natural number N, or B^E for natural numbers B and E."""
+    base, hat, exp = text.partition("^")
+    b, e = int(base), int(exp) if hat else 1
+    if b < 0 or e < 0:
+        raise argparse.ArgumentTypeError(
+            f"budget {text} is negative or has a negative exponent"
+        )
+    # checked before exponentiating: 10^999999999 alone needs ~415 MB
+    if b > 1 and e * math.log2(b) > MAX_BUDGET_BITS:
+        raise argparse.ArgumentTypeError(
+            f"budget {text} is larger than 2^{MAX_BUDGET_BITS}"
+        )
+    return b**e
 
 
 @functools.cache  # built on the first call, not at import
@@ -435,9 +438,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 4
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except MemotrsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -6,7 +6,7 @@ the body of the call key (an annotation of a mid-run machine expression),
 and (RET,) ends a body, storing its value under the call's key. Postfix
 order is leftmost-innermost order, so no redex is ever searched for. In a
 rule body a slot is the occurrence the matched call bound the variable to;
-in an input a slot is a variable name, and every variable there is free.
+an input holds no variables.
 
 Each operation's rules compile into a decision tree (Maranget, "Compiling
 Pattern Matching to Good Decision Trees", ML 2008). A call's arguments are
@@ -34,8 +34,9 @@ APPLY, READ, STORE, MERGE = "apply", "read", "store", "merge"
 
 def compile_term(sig: Signature, t: Term, slots: Optional[dict] = None) -> tuple:
     """Postfix code of t: of a rule body whose variables have the given
-    slots, or without them of an input term, whose variables push their
-    names and whose constructor-only subterms are one VAL push each."""
+    slots, or without them of an input term, whose constructor-only
+    subterms are one VAL push each. A variable in an input is free, and
+    raises StuckError before any code runs."""
     code: list = []
     vals: dict[int, tuple] = {}  # id -> VAL push of a node met before
     stack: list = [(t, False)]
@@ -53,7 +54,9 @@ def compile_term(sig: Signature, t: Term, slots: Optional[dict] = None) -> tuple
         elif id(node) in vals:  # a shared value is pushed, not walked again
             code.append(vals[id(node)])
         elif type(node) is Var:
-            code.append((VAR, node.name if slots is None else slots[node.name]))
+            if slots is None:
+                raise StuckError(f"free variable {node.name} in evaluated term", node)
+            code.append((VAR, slots[node.name]))
         else:
             stack.append((node, True))
             for a in reversed(node.args):
@@ -114,13 +117,6 @@ class _Trees(dict):
         return tree
 
 
-class _Unbound(dict):
-    """The binding of an input's code: every variable in it is free."""
-
-    def __missing__(self, name: str):
-        raise StuckError(f"free variable {name} in evaluated term", Var(name))
-
-
 def _ancestors(code: tuple, j: int) -> int:
     """Symbols of code whose subtree holds instruction j: the later CON and
     CALL instructions that pop the value j leaves behind."""
@@ -166,7 +162,7 @@ def execute(
     stack: list = []
     push = stack.append
     frames: list = []
-    binding: object = _Unbound()
+    binding: object = None  # the occurrences of the body being run
     key = None
     pc = 0
     applies = reads = stores = merges = steps = 0

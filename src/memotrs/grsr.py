@@ -91,7 +91,7 @@ class Proj(FunctionExpr):
 
     def __init__(self, arity: int, index: int):
         if arity < 1 or not 1 <= index <= arity:
-            raise GrsrError(f"projection {index} of {arity} arguments is ill-formed")
+            raise GrsrError(f"projection {index} of {arity} is ill-formed")
         self.arity = arity
         self.index = index
         self.key = f"proj[{arity},{index}]"
@@ -118,9 +118,11 @@ class Comp(FunctionExpr):
 
 
 class Case(FunctionExpr):
-    """Case split on the head constructor of the first argument."""
+    """Case split on the head constructor of the first argument. Tiering
+    and compiling treat it as a SimRec whose one component receives no
+    recursive values: grid has one row per branch."""
 
-    __slots__ = ("algebra", "branches", "params")
+    __slots__ = ("algebra", "branches", "params", "grid", "components", "select")
 
     def __init__(self, algebra: Algebra, branches: Iterable[FunctionExpr]):
         self.algebra = algebra
@@ -143,6 +145,8 @@ class Case(FunctionExpr):
         self.params = params if params is not None else 0
         self.arity = 1 + self.params
         self.key = f"case[{algebra.key}]({','.join(f.key for f in self.branches)})"
+        self.grid = tuple((f,) for f in self.branches)
+        self.components = self.select = 1
 
 
 class SimRec(FunctionExpr):
@@ -282,26 +286,15 @@ def _collect(f: FunctionExpr, prob: _TierProblem) -> _Node:
             for a, b in zip(node.ins, ins):
                 prob.eq(a, b)
         return _Node(f, ins, out, [outer, *inners])
-    if t is Case:
+    if t is Case or t is SimRec:
         p = prob.var()
         qs = [prob.var() for _ in range(f.params)]
         m = prob.var()
-        kids = []
-        for (con, ar), g in zip(f.algebra.constructors, f.branches):
-            node = _collect(g, prob)
-            for k in range(ar):
-                prob.eq(node.ins[k], p)
-            for k, q in enumerate(qs):
-                prob.eq(node.ins[ar + k], q)
-            prob.eq(node.out, m)
-            kids.append(node)
-        return _Node(f, [p, *qs], m, kids)
-    if t is SimRec:
-        p = prob.var()
-        qs = [prob.var() for _ in range(f.params)]
-        m = prob.var()
-        prob.gt(p, m, f"recursion argument must sit strictly above the result in {f.key}")
-        n = f.components
+        n = 0  # component values each subterm passes, none in a case
+        if t is SimRec:
+            n = f.components
+            note = f"recursion argument must sit strictly above the result in {f.key}"
+            prob.gt(p, m, note)
         kids = []
         for (con, ar), row in zip(f.algebra.constructors, f.grid):
             for g in row:
@@ -407,30 +400,28 @@ def infeasibility_reason(f: FunctionExpr) -> Optional[str]:
     return reason
 
 
-def _count_simrecs(f: FunctionExpr) -> int:
-    seen: set[str] = set()
-
-    def walk(g: FunctionExpr) -> None:
-        t = type(g)
-        if t is SimRec:
-            seen.add(g.grid_key)
-            for row in g.grid:
-                for h in row:
-                    walk(h)
-        elif t is Comp:
-            walk(g.outer)
-            for h in g.inners:
-                walk(h)
-        elif t is Case:
-            for h in g.branches:
-                walk(h)
-
-    walk(f)
-    return len(seen)
-
-
 def default_tier_bound(f: FunctionExpr) -> int:
-    return _count_simrecs(f) + 1
+    """One more than the number of distinct recursion grids in f, found by
+    visiting each subexpression object once."""
+    seen = {id(f)}  # f keeps every object alive, so no id is reused
+    grids: set[str] = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        t = type(g)
+        if t is Comp:
+            kids = (g.outer, *g.inners)
+        elif t is Case or t is SimRec:
+            if t is SimRec:
+                grids.add(g.grid_key)
+            kids = [h for row in g.grid for h in row]
+        else:
+            continue
+        for h in kids:
+            if id(h) not in seen:
+                seen.add(id(h))
+                stack.append(h)
+    return len(grids) + 1
 
 
 def infer_tiers(f: FunctionExpr, t_max: Optional[int] = None) -> list[TierSignature]:
@@ -459,6 +450,30 @@ def _vars(prefix: str, n: int, start: int = 1) -> list[Var]:
     return [Var(f"{prefix}{i}") for i in range(start, start + n)]
 
 
+def _components(g: FunctionExpr) -> list[tuple[str, str]]:
+    """The (structural key, operation name) of each component a Case or
+    SimRec compiles to."""
+    if type(g) is Case:
+        return [(g.key, f"cs_{_h8(g.key)}")]
+    h = _h8(g.grid_key)
+    return [(f"{g.grid_key}@{j}", f"rc{j}_{h}") for j in range(1, g.components + 1)]
+
+
+def operation_name(g: FunctionExpr) -> str:
+    """The name of the operation g compiles to, as compile_function names it
+    in every program that contains g."""
+    t = type(g)
+    if t is ConstructorFn:
+        return f"mk_{g.con}"
+    if t is Proj:
+        return f"pr{g.arity}_{g.index}"
+    if t is Comp:
+        return f"cp_{_h8(g.key)}"
+    if t is Case or t is SimRec:
+        return _components(g)[g.select - 1][1]
+    raise GrsrError(f"unknown function form {g!r}")
+
+
 def compile_function(f: FunctionExpr) -> tuple[Program, str]:
     """Compile to an orthogonal rewrite program; returns it with the entry
     operation's name. Structurally equal subexpressions share one operation."""
@@ -466,7 +481,6 @@ def compile_function(f: FunctionExpr) -> tuple[Program, str]:
     ops: dict[str, int] = {}
     rules: list[Rule] = []
     named: dict[str, str] = {}  # structural key -> operation name
-    grids: dict[str, list[str]] = {}  # grid key -> per-component names
 
     def add_algebra(a: Algebra) -> None:
         for con, ar in a.constructors:
@@ -478,68 +492,39 @@ def compile_function(f: FunctionExpr) -> tuple[Program, str]:
         if g.key in named:
             return named[g.key]
         t = type(g)
-        if t is ConstructorFn:
+        if t is Case or t is SimRec:
             add_algebra(g.algebra)
-            name = f"mk_{g.con}"
-            named[g.key] = name
-            ops[name] = g.arity
-            xs = _vars("x", g.arity)
-            rules.append(Rule(App(name, tuple(xs)), App(g.con, tuple(xs))))
-            return name
-        if t is Proj:
-            name = f"pr{g.arity}_{g.index}"
-            named[g.key] = name
-            ops[name] = g.arity
-            xs = _vars("x", g.arity)
-            rules.append(Rule(App(name, tuple(xs)), xs[g.index - 1]))
-            return name
+            entry_ops = [[visit(h) for h in row] for row in g.grid]
+            comps = _components(g)
+            for key, cname in comps:
+                named[key] = cname
+                ops[cname] = g.arity
+            calls = comps if t is SimRec else ()  # a case passes no component values
+            zs = _vars("z", g.params)
+            for (con, ar), row_ops in zip(g.algebra.constructors, entry_ops):
+                ys = _vars("y", ar)
+                rec_calls = tuple(App(cname, (y, *zs)) for _, cname in calls for y in ys)
+                pat = App(con, tuple(ys))
+                for (_, cname), op in zip(comps, row_ops):
+                    lhs = App(cname, (pat, *zs))
+                    rules.append(Rule(lhs, App(op, (*ys, *rec_calls, *zs))))
+            return named[g.key]
         if t is Comp:
             outer = visit(g.outer)
             inner = [visit(h) for h in g.inners]
-            name = f"cp_{_h8(g.key)}"
-            named[g.key] = name
-            ops[name] = g.arity
-            xs = tuple(_vars("x", g.arity))
-            calls = tuple(App(h, xs) for h in inner)
-            rules.append(Rule(App(name, xs), App(outer, calls)))
-            return name
-        if t is Case:
+        elif t is ConstructorFn:
             add_algebra(g.algebra)
-            branches = [visit(h) for h in g.branches]
-            name = f"cs_{_h8(g.key)}"
-            named[g.key] = name
-            ops[name] = g.arity
-            zs = _vars("z", g.params)
-            for (con, ar), br in zip(g.algebra.constructors, branches):
-                ys = _vars("y", ar)
-                lhs = App(name, (App(con, tuple(ys)), *zs))
-                rules.append(Rule(lhs, App(br, (*ys, *zs))))
-            return name
-        if t is SimRec:
-            add_algebra(g.algebra)
-            if g.grid_key not in grids:
-                n = g.components
-                entry_ops = [[visit(h) for h in row] for row in g.grid]
-                comp_names = [f"rc{j + 1}_{_h8(g.grid_key)}" for j in range(n)]
-                grids[g.grid_key] = comp_names
-                for j, cname in enumerate(comp_names):
-                    named[f"{g.grid_key}@{j + 1}"] = cname
-                    ops[cname] = g.arity
-                zs = _vars("z", g.params)
-                for (con, ar), row_ops in zip(g.algebra.constructors, entry_ops):
-                    ys = _vars("y", ar)
-                    rec_calls = tuple(
-                        App(comp_names[jj], (y, *zs))
-                        for jj in range(n)
-                        for y in ys
-                    )
-                    pat = App(con, tuple(ys))
-                    for j, cname in enumerate(comp_names):
-                        lhs = App(cname, (pat, *zs))
-                        rhs = App(row_ops[j], (*ys, *rec_calls, *zs))
-                        rules.append(Rule(lhs, rhs))
-            return grids[g.grid_key][g.select - 1]
-        raise GrsrError(f"unknown function form {g!r}")
+        name = named[g.key] = operation_name(g)
+        ops[name] = g.arity
+        xs = tuple(_vars("x", g.arity))
+        if t is Comp:
+            rhs = App(outer, tuple(App(h, xs) for h in inner))
+        elif t is Proj:
+            rhs = xs[g.index - 1]
+        else:
+            rhs = App(g.con, xs)
+        rules.append(Rule(App(name, xs), rhs))
+        return name
 
     entry = visit(f)
     program = Program(Signature(cons, ops), rules)

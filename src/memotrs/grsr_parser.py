@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ParseError
+from .errors import GrsrError, ParseError
 from .grsr import Algebra, Case, Comp, ConstructorFn, FunctionExpr, Proj, SimRec
 from .parser import TokenStream, read_nat, tokenize
 
@@ -171,9 +171,7 @@ class _Parser:
 
     def tier_atom(self) -> Optional[int]:
         ts = self.ts
-        alg = _name_token(ts, "an algebra name")
-        if alg not in self.algebras:
-            raise ts.error(f"unknown algebra {alg}")
+        self.algebra_ref()
         if ts.at_punct("@"):
             ts.next()
             return read_nat(ts)
@@ -226,11 +224,7 @@ class _Parser:
             ts.next()
             arity = read_nat(ts)
             index = read_nat(ts)
-            if arity < 1 or not 1 <= index <= arity:
-                raise ParseError(
-                    f"projection {index} of {arity} is ill-formed", tok.line, tok.col
-                )
-            return Proj(arity, index)
+            return self.checked(lambda: Proj(arity, index), tok)
         if tok.text == "comp":
             ts.next()
             outer = self.fexpr()
@@ -267,8 +261,6 @@ class _Parser:
 
     def checked(self, build, tok) -> FunctionExpr:
         """Surface combinator shape errors with the source position."""
-        from .errors import GrsrError
-
         try:
             return build()
         except GrsrError as e:

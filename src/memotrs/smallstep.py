@@ -41,7 +41,9 @@ class ELoc(Expr):
         return f"ELoc({self.loc})"
 
 
-class ECall(Expr):
+class _ESym(Expr):
+    """A symbol applied to expressions: ECall an operation, ECon a constructor."""
+
     __slots__ = ("sym", "args")
 
     def __init__(self, sym: str, args: tuple[Expr, ...]):
@@ -49,22 +51,17 @@ class ECall(Expr):
         self.args = args
 
     def _repr_parts(self) -> list:
-        return call_repr_parts("ECall", self.sym, self.args)
+        return call_repr_parts(type(self).__name__, self.sym, self.args)
 
     __repr__ = bounded_repr
 
 
-class ECon(Expr):
-    __slots__ = ("sym", "args")
+class ECall(_ESym):
+    __slots__ = ()
 
-    def __init__(self, sym: str, args: tuple[Expr, ...]):
-        self.sym = sym
-        self.args = args
 
-    def _repr_parts(self) -> list:
-        return call_repr_parts("ECon", self.sym, self.args)
-
-    __repr__ = bounded_repr
+class ECon(_ESym):
+    __slots__ = ()
 
 
 class EAnnot(Expr):

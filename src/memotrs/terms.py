@@ -61,7 +61,7 @@ class Term:
     """Immutable first-order term; concrete nodes are Var and App. size is
     the term's node count seen as a tree, saturated at SIZE_CAP."""
 
-    __slots__ = ("_hash", "ground", "size")
+    __slots__ = ("_hash", "size")
 
     def __hash__(self) -> int:
         return self._hash
@@ -80,7 +80,6 @@ class Var(Term):
     def __init__(self, name: str):
         self.name = name
         self._hash = hash(("var", name))
-        self.ground = False
         self.size = 1
 
     def __repr__(self) -> str:
@@ -99,22 +98,18 @@ class App(Term):
         n = len(args)
         if n == 0:
             self._hash = hash((sym,))
-            self.ground = True
             self.size = 1
             return
         if n == 1:
             a = args[0]
             self._hash = hash((sym, a._hash))
-            self.ground = a.ground
             size = a.size + 1
         elif n == 2:
             a, b = args
             self._hash = hash((sym, a._hash, b._hash))
-            self.ground = a.ground and b.ground
             size = a.size + b.size + 1
         else:
             self._hash = hash((sym, *[a._hash for a in args]))
-            self.ground = all(a.ground for a in args)
             size = sum(a.size for a in args) + 1
         self.size = size if size < SIZE_CAP else SIZE_CAP
 
@@ -296,44 +291,8 @@ class Rule:
         self.lhs = lhs
         self.rhs = rhs
 
-    @property
-    def operation(self) -> str:
-        return self.lhs.sym
-
     def __repr__(self) -> str:
         return f"Rule({self.lhs!r}, {self.rhs!r})"
-
-
-def _check_pattern(sig: Signature, t: Term) -> None:
-    """Rule arguments may contain only constructors and variables."""
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Var):
-            continue
-        if not sig.is_constructor(node.sym):
-            raise RuleError(f"operation {node.sym} inside a pattern")
-        if sig.constructors[node.sym] != len(node.args):
-            raise ArityError(
-                f"{node.sym} declared with arity {sig.constructors[node.sym]}, "
-                f"applied to {len(node.args)}"
-            )
-        stack.extend(node.args)
-
-
-def _count_var_uses(t: Term, counts: dict[str, int]) -> None:
-    # occurrence count, so shared Var objects are counted per use
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            counts[node.name] = counts.get(node.name, 0) + 1
-        else:
-            stack.extend(node.args)
 
 
 def patterns_overlap(a: Term, b: Term) -> bool:
@@ -398,40 +357,58 @@ def _problems(signature: Signature, rules: Iterable[Rule], by_op: dict):
     joins by_op under its operation. Then the rules in by_op are checked
     pairwise for overlap. A left-hand side is rendered only when a problem
     is reported."""
+    from .parser import format_term
+
     for rule in rules:
         lhs, rhs = rule.lhs, rule.rhs
         if not isinstance(lhs, App) or not signature.is_operation(lhs.sym):
-            where = _plain(lhs) if isinstance(lhs, App) else repr(lhs)
+            where = format_term(lhs) if isinstance(lhs, App) else repr(lhs)
             yield RuleError, f"shape: left-hand head of {where} is not an operation"
             continue
         arity = signature.operations[lhs.sym]
         if arity != len(lhs.args):
             yield ArityError, (
                 f"arity: {lhs.sym} declared with arity {arity} but "
-                f"{_plain(lhs)} applies it to {len(lhs.args)}"
+                f"{format_term(lhs)} applies it to {len(lhs.args)}"
             )
             continue
         ok = True
-        counts: dict[str, int] = {}
+        counts: dict[str, int] = {}  # per occurrence, so a shared Var counts per use
         for p in lhs.args:
-            try:
-                _check_pattern(signature, p)
-            except (RuleError, ArityError) as e:
-                yield type(e), f"pattern: in {_plain(lhs)}: {e}"
+            # patterns hold only constructors, at their arities, and variables;
+            # the first problem met is reported, the variables all counted
+            problem = None
+            stack = [p]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Var):
+                    counts[node.name] = counts.get(node.name, 0) + 1
+                    continue
+                if problem is None:
+                    ar = signature.constructors.get(node.sym)
+                    if ar is None:
+                        problem = RuleError, f"operation {node.sym} inside a pattern"
+                    elif ar != len(node.args):
+                        problem = ArityError, (
+                            f"{node.sym} declared with arity {ar}, "
+                            f"applied to {len(node.args)}"
+                        )
+                stack.extend(node.args)
+            if problem is not None:
+                yield problem[0], f"pattern: in {format_term(lhs)}: {problem[1]}"
                 ok = False
-            _count_var_uses(p, counts)
         for v in sorted(v for v, k in counts.items() if k > 1):
-            yield LinearityError, f"linearity: variable {v} repeated in {_plain(lhs)}"
+            yield LinearityError, f"linearity: variable {v} repeated in {format_term(lhs)}"
             ok = False
         try:
             validate_term(signature, rhs)
         except (ArityError, SignatureError) as e:
-            yield type(e), f"right-hand side of {_plain(lhs)}: {e}"
+            yield type(e), f"right-hand side of {format_term(lhs)}: {e}"
             ok = False
         free = vars_of(rhs) - set(counts)
         if free:
             yield RuleError, (
-                f"scope: right-hand variable(s) {sorted(free)} of {_plain(lhs)} "
+                f"scope: right-hand variable(s) {sorted(free)} of {format_term(lhs)} "
                 "not bound on the left"
             )
             ok = False
@@ -442,28 +419,7 @@ def _problems(signature: Signature, rules: Iterable[Rule], by_op: dict):
             for j in range(i + 1, len(group)):
                 if patterns_overlap(group[i].lhs, group[j].lhs):
                     yield AmbiguityError, (
-                        f"ambiguity: rules {_plain(group[i].lhs)} and "
-                        f"{_plain(group[j].lhs)} overlap"
+                        f"ambiguity: rules {format_term(group[i].lhs)} and "
+                        f"{format_term(group[j].lhs)} overlap"
                     )
 
-
-def _plain(t: Term) -> str:
-    """Minimal rendering for error messages (full formatter lives in parser)."""
-    parts: list[str] = []
-    stack: list = [t]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            parts.append(node)
-        elif isinstance(node, Var):
-            parts.append(node.name)
-        elif not node.args:
-            parts.append(node.sym)
-        else:
-            parts.append(node.sym + "(")
-            stack.append(")")
-            for i, a in enumerate(reversed(node.args)):
-                stack.append(a)
-                if i != len(node.args) - 1:
-                    stack.append(", ")
-    return "".join(parts)

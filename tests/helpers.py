@@ -2,8 +2,9 @@
 
 reference_eval is a deliberately simple recursive interpreter used as an
 oracle; it shares no code with the engines under test (its own matching and
-substitution). Also here: value enumeration, a seeded generator of
-structurally recursive programs, and tree-shape accounting.
+substitution). Also here: value enumeration, seeded generators of
+structurally recursive programs and of .grsr files, and tree-shape
+accounting.
 """
 
 from __future__ import annotations
@@ -183,6 +184,80 @@ def random_program(seed: int) -> Program:
             rhs = rhs_term(2, list(ys), ys + extra)
             rules.append(Rule(lhs, rhs))
     return Program(sig, rules)
+
+
+# ------------------------------------------- random .grsr file generator
+
+_GRSR_ALGEBRAS = {
+    "N": [("zero", 0), ("suc", 1)],
+    "T": [("leaf", 0), ("node", 2)],
+    "B": [("tt", 0), ("ff", 0)],
+}
+
+
+def random_grsr(seed: int) -> str:
+    """A seeded .grsr file that parses: two or three algebras and a few
+    defs built from every form, among them case splits, recursions of one
+    to three components with a select, references to earlier defs,
+    aliases (def g = f ;) and tier annotations, some of them partial.
+    Arities stay at most 3 so that tier inference stays quick."""
+    rng = random.Random(seed)
+    algebras = ["N", "T"] + (["B"] if rng.random() < 0.5 else [])
+    cons = [(c, ar) for a in algebras for c, ar in _GRSR_ALGEBRAS[a]]
+    lines = [
+        f"algebra {a} = " + ", ".join(f"{c}/{ar}" for c, ar in _GRSR_ALGEBRAS[a]) + " ;"
+        for a in algebras
+    ]
+    defs: list[tuple[str, int]] = []  # name, arity
+
+    def block(alg: str, width: int, params: int, depth: int) -> str:
+        rows = []
+        for c, ar in rng.sample(_GRSR_ALGEBRAS[alg], len(_GRSR_ALGEBRAS[alg])):
+            entries = [expr(ar * (1 + width) + params, depth - 1) for _ in range(max(width, 1))]
+            rows.append(f"{c} => {', '.join(entries)} ;")
+        return "{ " + " ".join(rows) + " }"
+
+    def expr(arity: int, depth: int) -> str:
+        leaves = [f"cons[{c}]" for c, ar in cons if ar == arity]
+        leaves += [f"proj {arity} {i}" for i in range(1, arity + 1)]
+        leaves += [name for name, ar in defs if ar == arity]
+        roll = rng.random()
+        if arity > 3 or depth <= 0 or roll < 0.35:
+            if leaves:
+                return rng.choice(leaves)
+            roll = 0.5  # no leaf of this arity: compose one
+        if roll < 0.6:
+            k = rng.randint(1, 2)
+            inners = ", ".join(expr(arity, depth - 1) for _ in range(k))
+            return f"comp ({expr(k, depth - 1)}) ({inners})"
+        if arity == 0:
+            return rng.choice([f"cons[{c}]" for c, ar in cons if ar == 0])
+        alg = rng.choice(algebras)
+        if roll < 0.78:
+            return f"case over {alg} {block(alg, 0, arity - 1, depth)}"
+        width = rng.randint(1, 3 if alg == "N" else 2)
+        select = rng.randint(1, width)
+        tail = f" select {select}" if select > 1 or rng.random() < 0.3 else ""
+        return f"rec over {alg} {block(alg, width, arity - 1, depth)}{tail}"
+
+    for i in range(rng.randint(2, 5)):
+        name = f"f{i}"
+        if defs and rng.random() < 0.2:
+            target, arity = rng.choice(defs)
+            body = target  # an alias
+        else:
+            arity = rng.randint(0, 3)
+            body = expr(arity, rng.randint(1, 3))
+        head = f"def {name}"
+        if arity and rng.random() < 0.4:
+            def tier() -> str:
+                t = rng.choice(algebras)
+                return t if rng.random() < 0.3 else f"{t}@{rng.randint(0, 2)}"
+            ins = " x ".join(tier() for _ in range(arity))
+            head += f" : {ins} -> {tier()}"
+        lines.append(f"{head} = {body} ;")
+        defs.append((name, arity))
+    return "\n".join(lines) + "\n"
 
 
 # ------------------------------------------------------- tree accounting

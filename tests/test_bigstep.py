@@ -286,6 +286,18 @@ def test_stuck_call_raises_with_witness():
             naive_run(p, call, budget=reached.value.count)
 
 
+def test_variable_input_is_refused_before_any_step(programs):
+    # the left argument needs a step, which a budget of 0 does not allow;
+    # the free variable is found first, before the run starts
+    add = programs["add"]
+    call = App("add", (App("add", (App("zero"), App("zero"))), Var("x")))
+    for evaluate in (lambda: eval_memo(add, {}, call, budget=0),
+                     lambda: naive_run(add, call, budget=0)):
+        with pytest.raises(StuckError, match="free variable x in evaluated term") as e:
+            evaluate()
+        assert e.value.witness == Var("x")
+
+
 def test_stuck_and_budget_are_distinct(programs):
     assert not issubclass(StuckError, BudgetExceededError)
     assert not issubclass(BudgetExceededError, StuckError)

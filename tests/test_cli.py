@@ -4,14 +4,26 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from memotrs import App, Heap, parse_program, parser, term_size
+from memotrs import (
+    App,
+    Heap,
+    compile_function,
+    format_program,
+    parse_grsr,
+    parse_program,
+    parser,
+    rename_operations,
+    term_size,
+)
+from memotrs import cli, grsr
 from memotrs.cli import OVERFLOW_LIMIT, _budget_value, _build_parser, main
 from memotrs.grsr_parser import MAX_NESTING
-from helpers import rabbit_tree
+from helpers import rabbit_tree, random_grsr
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -155,6 +167,15 @@ def test_check_all_skips_naive_beyond_budget(capsys):
     out = capsys.readouterr().out
     assert "naive: skipped (" in out
     assert "agreement: ok" in out
+
+
+def test_check_all_gives_naive_its_budget(capsys):
+    add = str(PROGRAMS / "add.trs")
+    assert main(["run", add, "zero", "--engine", "naive", "--budget", "0"]) == 4
+    assert main(["run", add, "zero", "--check-all", "--budget", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "engine: naive" not in out
+    assert "naive: skipped (naive evaluation exceeded 0 inferences)" in out
 
 
 def test_trace_and_dot_outputs(tmp_path, capsys):
@@ -319,6 +340,53 @@ def test_compile_entry_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+def compile_by_def_loop(gf, target) -> str:
+    """What `memotrs compile` printed when it compiled every def again to
+    learn its operation name: the reference for the one-compile CLI."""
+    program, entry = compile_function(target.expr)
+    mapping: dict[str, str] = {}
+    for d in gf.defs:
+        _, name = compile_function(d.expr)
+        if name in program.signature.operations and name not in mapping:
+            mapping[name] = d.name
+    mapping = {k: v for k, v in mapping.items() if k != v}
+    program = rename_operations(program, mapping)
+    entry = mapping.get(entry, entry)
+    return f"# entry: {entry}\n" + format_program(program)
+
+
+def test_compile_matches_the_per_def_loop(tmp_path, capsys, monkeypatch):
+    paths = sorted(PROGRAMS.glob("*.grsr"))
+    for seed in range(60):
+        paths.append(tmp_path / f"r{seed}.grsr")
+        paths[-1].write_text(random_grsr(seed))
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "compile_function", counted("compile", compile_function))
+    monkeypatch.setattr(grsr, "Program", counted("Program", grsr.Program))
+    for path in paths:
+        gf = parse_grsr(path.read_text())
+        for d in gf.defs:
+            calls.clear()
+            assert main(["compile", str(path), "--entry", d.name]) == 0
+            assert calls == {"compile": 1, "Program": 2}
+            assert capsys.readouterr().out == compile_by_def_loop(gf, d)
+    # a def other than the target is not compiled: f's program would declare
+    # pr1_1 both as constructor and operation, g's does not
+    clash = tmp_path / "clash.grsr"
+    clash.write_text("algebra N = zero/0, pr1_1/1 ;\n"
+                     "def f = comp (proj 1 1) (cons[pr1_1]) ;\ndef g = cons[zero] ;\n")
+    assert main(["compile", str(clash), "--entry", "f"]) == 2
+    assert main(["compile", str(clash), "--entry", "g"]) == 0
+    assert capsys.readouterr().out.startswith("# entry: g\n")
+
+
 def test_compiled_program_agrees_with_source(tmp_path, capsys):
     out = tmp_path / "r.trs"
     main(["compile", str(PROGRAMS / "rabbits.grsr"), "-o", str(out)])
@@ -438,9 +506,18 @@ def test_budget_notation():
     assert _budget_value("2^10") == 1024
     assert _budget_value("333") == 333
     assert _budget_value("2^64") == 2**64
+    assert _budget_value("0") == 0 and _budget_value("0^0") == 1
     # an over-large power is refused before it is computed
     with pytest.raises(argparse.ArgumentTypeError):
         _budget_value("2^65")
+    # budgets, bases and exponents are natural numbers
+    for text in ("-3", "2^-1", "0^-1", "-2^3"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _budget_value(text)
+    for text in ("-3", "2^-1", "0^-1"):
+        with pytest.raises(SystemExit) as e:
+            main(["run", str(PROGRAMS / "add.trs"), "zero", "--budget", text])
+        assert e.value.code == 2
     t0 = time.perf_counter()
     with pytest.raises(SystemExit) as e:
         main(["run", str(PROGRAMS / "add.trs"), "add(zero, zero)",

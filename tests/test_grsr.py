@@ -1,3 +1,6 @@
+import time
+from collections import Counter
+
 import pytest
 
 from memotrs import (
@@ -18,10 +21,11 @@ from memotrs import (
     eval_memo,
     infer_tiers,
     infeasibility_reason,
+    operation_name,
     parse_grsr,
     rename_operations,
 )
-from helpers import nat_of, rabbit_tree, suc_chain
+from helpers import nat_of, rabbit_tree, random_grsr, suc_chain
 from oracle import eval_grsr, validate_derivation
 
 NAT = Algebra("N", [("zero", 0), ("suc", 1)])
@@ -199,6 +203,17 @@ def test_projection_inference():
     ]
 
 
+def test_case_tiers_have_no_strict_edge():
+    # a case passes its argument's subterms on at the argument's tier and,
+    # unlike a recursion, may return one of them
+    zero = ConstructorFn(NAT, "zero")
+    pred = Case(NAT, [zero, Proj(1, 1)])
+    assert infer_tiers(pred, 1) == [TierSignature((0,), 0), TierSignature((1,), 1)]
+    rec_pred = SimRec(NAT, [[zero], [Proj(2, 1)]])
+    assert infer_tiers(rec_pred, 1) == []
+    assert infeasibility_reason(rec_pred).startswith("recursion argument must sit")
+
+
 def test_constructor_tiers_are_uniform():
     got = infer_tiers(ConstructorFn(NAT, "suc"), 1)
     assert got == [TierSignature((0,), 0), TierSignature((1,), 1)]
@@ -324,6 +339,47 @@ def test_rename_operations(functions):
     assert "leafn" in same.signature.constructors
     with pytest.raises(GrsrError):
         rename_operations(prog, {entry: "leafn"})  # collides with a constructor
+
+
+def test_operation_name_is_the_compiled_entry(functions):
+    files = [*functions.values(), *(parse_grsr(random_grsr(seed)) for seed in range(80))]
+    seen: Counter = Counter()
+    for gf in files:
+        for i, d in enumerate(gf.defs):
+            assert operation_name(d.expr) == compile_function(d.expr)[1], d.name
+            f = d.expr
+            seen[type(f).__name__] += 1
+            seen["multi-component rec"] += type(f) is SimRec and f.components > 1
+            seen["alias"] += any(e.expr is f for e in gf.defs[:i])
+    for form in ("ConstructorFn", "Proj", "Comp", "Case", "SimRec",
+                 "multi-component rec", "alias"):
+        assert seen[form] >= 5, form
+
+
+def test_default_tier_bound_counts_each_grid_once(functions):
+    zero = ConstructorFn(NAT, "zero")
+    pred = SimRec(NAT, [[zero], [Proj(2, 1)]])
+    twin = SimRec(NAT, [[zero], [Proj(2, 1)]])  # the same grid, another object
+    double = SimRec(NAT, [[zero], [Comp(ConstructorFn(NAT, "suc"), [Proj(2, 2)])]])
+    assert default_tier_bound(pred) == 2
+    assert default_tier_bound(Comp(pred, [twin])) == 2
+    assert default_tier_bound(Comp(pred, [Comp(double, [twin])])) == 3
+    assert default_tier_bound(Case(NAT, [zero, Comp(double, [Proj(1, 1)])])) == 2
+    # adults and babies select two components of one grid
+    rabbits = functions["rabbits"]
+    r = Algebra("R", [("leafn", 0), ("leafm", 0), ("n", 1), ("m", 2)])
+    both = Comp(ConstructorFn(r, "m"),
+                [rabbits.lookup("adults").expr, rabbits.lookup("babies").expr])
+    assert default_tier_bound(both) == 2
+    # each def uses the one before it twice, so the last one's tree doubles
+    # twenty times; each subexpression object is visited once
+    lines = ["algebra N = zero/0, suc/1 ;", "algebra P = nil/0, p/2 ;",
+             "def d0 = rec over N { zero => cons[nil] ; suc => proj 2 2 ; } ;"]
+    lines += [f"def d{i + 1} = comp cons[p] (d{i}, d{i}) ;" for i in range(20)]
+    last = parse_grsr("\n".join(lines)).defs[-1].expr
+    t0 = time.perf_counter()
+    assert default_tier_bound(last) == 2
+    assert time.perf_counter() - t0 < 0.05
 
 
 # -------------------------------------------------------------- parsing

@@ -27,7 +27,7 @@ from memotrs import (
     run,
     run_traced,
 )
-from memotrs.terms import REPR_CHARS
+from memotrs.terms import REPR_CHARS, vars_of
 from helpers import (
     complete_tree,
     rabbit_tree,
@@ -514,7 +514,7 @@ def test_loader_matches_node_by_node_reference():
                 store_value(heap, random_value(rng, sig.constructors, rng.randint(0, 4)))
         term = shared_input(rng, sig, rng.randint(1, 25))
         assert_loads_like_reference(program, heap, term)
-        if term.ground:
+        if not vars_of(term):
             loaded += 1
         else:
             errors += 1

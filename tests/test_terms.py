@@ -246,6 +246,20 @@ def test_diagnostics_collects_everything():
     assert program_diagnostics(sig, rules[2:]) == []
 
 
+def test_pattern_diagnostics_name_the_first_problem_and_count_every_variable():
+    # a pattern is walked last argument first; after its first problem the
+    # walk goes on counting variables, for the linearity and scope checks
+    sig = Signature({"zero": 0, "suc": 1, "pair": 2}, {"f": 1, "g": 2})
+    x = Var("x")
+    lhs = App("g", (App("pair", (App("f", (x,)), App("suc", (App("zero"), Var("y"))))), x))
+    where = "g(pair(f(x), suc(zero, y)), x)"
+    assert program_diagnostics(sig, [Rule(lhs, App("pair", (Var("y"), Var("z"))))]) == [
+        f"pattern: in {where}: suc declared with arity 1, applied to 2",
+        f"linearity: variable x repeated in {where}",
+        f"scope: right-hand variable(s) ['z'] of {where} not bound on the left",
+    ]
+
+
 def test_diagnostics_reports_ambiguity():
     sig = Signature({"zero": 0}, {"f": 1})
     rules = [
