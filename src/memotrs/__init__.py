@@ -51,14 +51,12 @@ from .parser import (
 )
 from .smallstep import (
     Configuration,
-    EAnnot,
     ECall,
     ECon,
     ELoc,
     Expr,
     RefCache,
     RunStats,
-    expression_weight,
     initial_expression,
     run,
     run_traced,

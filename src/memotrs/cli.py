@@ -108,7 +108,7 @@ def _run(
         out = eval_memo(program, {}, term, budget=budget, stats=stats)
         answer, m, total, cache_size = out.value, out.cost, stats.work, len(out.cache)
     elif trace_path is not None:
-        with open(trace_path, "w", newline="") as fh:
+        with _write(trace_path) as fh:
             cfg, rs = run_traced(program, heap, expr, fh, step_budget=budget)
     else:
         cfg, rs = run(program, heap, expr, step_budget=budget)
@@ -121,7 +121,7 @@ def _run(
         heap, answer = cfg.heap, cfg.expr.loc
         m, total, cache_size = rs.applies, rs.total, len(cfg.cache)
         if dot_path is not None:
-            with open(dot_path, "w", newline="") as fh:
+            with _write(dot_path) as fh:
                 fh.write(heap.to_dot([answer]))
         dag_nodes = heap.reachable_count(answer)
         size = heap.unfolded_size(answer, OVERFLOW_LIMIT)
@@ -164,6 +164,14 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}")
+
+
+def _write(path: str):
+    """path opened for writing text."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e.strerror}")
 
 
 def cmd_run(args) -> int:
@@ -286,7 +294,7 @@ def cmd_compile(args) -> int:
     entry = mapping.get(entry, entry)
     text = f"# entry: {entry}\n" + format_program(program)
     if args.output:
-        with open(args.output, "w", newline="") as fh:
+        with _write(args.output) as fh:
             fh.write(text)
         print(f"entry: {entry}")
         print(f"wrote {args.output}")
@@ -333,7 +341,7 @@ def cmd_bench(args) -> int:
         raise ParseError(
             f"suc^{hi} would expand the term beyond {MAX_POWER_NODES} nodes"
         )
-    out = open(args.csv, "w", newline="") if args.csv else sys.stdout
+    out = _write(args.csv) if args.csv else sys.stdout
     try:
         out.write("engine,n,m,total_steps,heap_nodes,unfolded_size_or_overflow,wall_ns\n")
         for n in range(lo, hi + 1):
@@ -375,6 +383,17 @@ def _budget_value(text: str) -> int:
     return b**e
 
 
+def _natural(text: str) -> int:
+    """A natural number, for --tmax and --depth-cap."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
+    return n
+
+
 @functools.cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -394,7 +413,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run every engine and require agreement")
     p.add_argument("--dot", metavar="FILE", help="write the answer DAG (shared)")
     p.add_argument("--trace", metavar="FILE", help="write a step trace CSV (shared)")
-    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP,
+    p.add_argument("--depth-cap", type=_natural, default=DEFAULT_DEPTH_CAP,
                    help="print the value only to this depth")
     p.set_defaults(fn=cmd_run)
 
@@ -404,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tier", help="check or infer tier signatures")
     p.add_argument("file")
-    p.add_argument("--tmax", type=int, default=None, help="largest tier to try")
+    p.add_argument("--tmax", type=_natural, default=None, help="largest tier to try")
     p.set_defaults(fn=cmd_tier)
 
     p = sub.add_parser("compile", help="compile function definitions")

@@ -1,12 +1,10 @@
 """Compiled programs and the one evaluation loop that all engines run.
 
 Code is a postfix tuple: (VAR, slot) and (VAL, value) push a value, (CON,
-sym, k) and (CALL, sym, k) pop k arguments, (ENTER, code, key) runs code as
-the body of the call key (an annotation of a mid-run machine expression),
-and (RET,) ends a body, storing its value under the call's key. Postfix
-order is leftmost-innermost order, so no redex is ever searched for. In a
-rule body a slot is the occurrence the matched call bound the variable to;
-an input holds no variables.
+sym, k) and (CALL, sym, k) pop k arguments, and (RET,) ends a body, storing
+its value under the call's key. Postfix order is leftmost-innermost order,
+so no redex is ever searched for. In a rule body a slot is the occurrence
+the matched call bound the variable to; an input holds no variables.
 
 Each operation's rules compile into a decision tree (Maranget, "Compiling
 Pattern Matching to Good Decision Trees", ML 2008). A call's arguments are
@@ -28,7 +26,7 @@ from typing import Callable, Optional
 from .errors import StuckError
 from .terms import App, Program, Rule, Signature, Term, Var
 
-VAR, VAL, ENTER, RET, CON, CALL = range(6)
+VAR, VAL, RET, CON, CALL = range(5)
 APPLY, READ, STORE, MERGE = "apply", "read", "store", "merge"
 
 
@@ -179,10 +177,6 @@ def execute(
                         raise over((applies, reads, stores, merges, steps))
                     steps += nodes
                 push(v)
-                continue
-            if op == ENTER:
-                frames.append((code, pc, binding, key))
-                code, pc, key = ins[1], 0, ins[2]
                 continue
             if op == RET and not frames:
                 return stack[-1], (applies, reads, stores, merges, steps)

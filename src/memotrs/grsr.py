@@ -17,7 +17,10 @@ from itertools import product
 from typing import Iterable, Optional
 
 from .errors import GrsrError
-from .terms import App, Program, Rule, Signature, Term, Var
+from .terms import App, Program, Rule, Signature, Var, fresh_names, rename
+
+# most tier tuples infer_tiers tries, one constraint solve each
+MAX_TIER_TUPLES = 100_000
 
 
 class Algebra:
@@ -425,9 +428,14 @@ def default_tier_bound(f: FunctionExpr) -> int:
 
 
 def infer_tiers(f: FunctionExpr, t_max: Optional[int] = None) -> list[TierSignature]:
-    """All signatures with tiers <= t_max admitting a derivation."""
+    """All signatures with tiers <= t_max admitting a derivation. More than
+    MAX_TIER_TUPLES tuples to try raise GrsrError before the first."""
     if t_max is None:
         t_max = default_tier_bound(f)
+    # past 64 positions any t_max above 0 tries more than 2^64 tuples
+    if (t_max + 1) ** min(f.arity + 1, 64) > MAX_TIER_TUPLES:
+        raise GrsrError(f"inferring tiers up to {t_max} for {f.arity} arguments would try "
+                        f"{t_max + 1}^{f.arity + 1} tuples, more than {MAX_TIER_TUPLES}")
     prob = _TierProblem()
     root = _collect(f, prob)
     positions = [*root.ins, root.out]
@@ -532,34 +540,20 @@ def compile_function(f: FunctionExpr) -> tuple[Program, str]:
 
 
 def rename_operations(program: Program, mapping: dict[str, str]) -> Program:
-    """A copy of the program with operations renamed per mapping."""
+    """A copy of the program with operations renamed per mapping; one left
+    alone but in the way of a new name moves to the first free <name>_<k>."""
     sig = program.signature
+    renames = {op: mapping[op] for op in sig.operations if op in mapping}
+    taken = {*sig.constructors, *sig.operations, *renames.values()}
+    in_the_way = set(renames.values()).intersection(sig.operations).difference(renames)
+    renames.update(fresh_names(in_the_way, taken))
     new_ops: dict[str, int] = {}
     for op, ar in sig.operations.items():
-        new = mapping.get(op, op)
+        new = renames.get(op, op)
         if new in new_ops or new in sig.constructors:
             raise GrsrError(f"operation rename collides on {new}")
         new_ops[new] = ar
-
-    def rewrite(t: Term) -> Term:
-        memo: dict[int, Term] = {}
-        stack: list[tuple[Term, bool]] = [(t, False)]
-        while stack:
-            node, done = stack.pop()
-            if id(node) in memo:
-                continue
-            if isinstance(node, Var):
-                memo[id(node)] = node
-            elif done:
-                args = tuple(memo[id(a)] for a in node.args)
-                sym = node.sym
-                if sym in sig.operations:
-                    sym = mapping.get(sym, sym)
-                memo[id(node)] = App(sym, args)
-            else:
-                stack.append((node, True))
-                stack.extend((a, False) for a in node.args)
-        return memo[id(t)]
-
-    new_rules = [Rule(rewrite(r.lhs), rewrite(r.rhs)) for r in program.rules]
+    new_rules = [
+        Rule(rename(r.lhs, renames, {}), rename(r.rhs, renames, {})) for r in program.rules
+    ]
     return Program(Signature(dict(sig.constructors), new_ops), new_rules)

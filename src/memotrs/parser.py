@@ -20,7 +20,9 @@ from typing import Iterable, Optional
 
 from .errors import MemotrsError, ParseError
 from .heap import Heap
-from .terms import App, Program, Rule, Signature, Term, Var, term_view
+from .terms import (
+    App, Program, Rule, Signature, Term, Var, fresh_names, rename, term_view, vars_of
+)
 
 _TOKEN_RE = re.compile(
     r"(?P<ws>[ \t\r]+)"
@@ -394,12 +396,18 @@ def _format_decls(decls: dict[str, int]) -> str:
 
 
 def format_program(p: Program) -> str:
-    """Canonical text for a program; parse_program inverts it."""
+    """Canonical text for a program; parse_program inverts it, as a rule
+    variable named like a declared symbol prints under a fresh name."""
+    sig = p.signature
     lines = [
-        f"constructors: {_format_decls(p.signature.constructors)};",
-        f"operations: {_format_decls(p.signature.operations)};",
+        f"constructors: {_format_decls(sig.constructors)};",
+        f"operations: {_format_decls(sig.operations)};",
         "rules:",
     ]
+    declared = {*sig.constructors, *sig.operations}
     for rule in p.rules:
-        lines.append(f"  {format_term(rule.lhs)} -> {format_term(rule.rhs)};")
+        names = vars_of(rule.lhs)
+        fresh = fresh_names(names & declared, declared | names)
+        lhs, rhs = rename(rule.lhs, {}, fresh), rename(rule.rhs, {}, fresh)
+        lines.append(f"  {format_term(lhs)} -> {format_term(rhs)};")
     return "\n".join(lines) + "\n"

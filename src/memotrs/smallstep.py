@@ -11,9 +11,9 @@ One step rewrites the unique leftmost-innermost redex:
             location
     merge   constructor on locations: merge into the heap, keep the location
 
-`run` compiles the expression and drives it through `core.execute` over
-heap locations. The literal one-step transcription of these rules lives
-with the tests, which hold the two to identical traces.
+`run` drives what `initial_expression` builds through `core.execute` over
+heap locations. The tests hold it to the literal one-step machine, whose
+annotations live with them, trace for trace.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .core import CALL, CON, ENTER, RET, VAL, execute
+from .core import CALL, CON, RET, VAL, execute
 from .errors import BudgetExceededError, HeapError
 from .heap import Heap
 from .terms import App, Program, Term, bounded_repr, call_repr_parts, program_delta
@@ -64,20 +64,6 @@ class ECon(_ESym):
     __slots__ = ()
 
 
-class EAnnot(Expr):
-    __slots__ = ("sym", "locs", "body")
-
-    def __init__(self, sym: str, locs: tuple[int, ...], body: Expr):
-        self.sym = sym
-        self.locs = locs
-        self.body = body
-
-    def _repr_parts(self) -> list:
-        return [f"EAnnot({self.sym!r}, {self.locs!r}, ", self.body, ")"]
-
-    __repr__ = bounded_repr
-
-
 RefCache = dict[tuple[str, tuple[int, ...]], int]
 
 
@@ -99,49 +85,33 @@ class RunStats:
     initial_weight: int
 
 
-def expression_weight(e: Expr) -> int:
-    """Locations weigh 0; every symbol or annotation weighs 1."""
-    w = 0
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        t = type(node)
-        if t is ELoc:
-            continue
-        w += 1
-        if t is EAnnot:
-            stack.append(node.body)
-        else:
-            stack.extend(node.args)
-    return w
-
-
 TraceFn = Callable[[int, str, int, int, int], None]
 
 
-def _code_of_expr(e: Expr, n: int) -> list:
-    """Postfix code of a machine expression over a heap of n nodes:
-    locations are pushed, and an annotation enters its body's code like a
-    call whose value gets stored."""
+def _code_of_expr(e: Expr, n: int) -> tuple[list, int]:
+    """Postfix code of a loaded expression over a heap of n nodes, and its
+    weight, one per symbol. Any other node, or an unknown location, raises
+    HeapError."""
     code: list = []
-    stack: list = [((RET,), code), (e, code)]
+    weight = 0
+    stack: list = [(e, None)]  # (node, None), or (None, its finished instruction)
     while stack:
-        node, out = stack.pop()
+        node, ins = stack.pop()
         t = type(node)
-        if t is ELoc:
+        if ins is not None:
+            code.append(ins)
+        elif t is ELoc:
             if not 0 <= node.loc < n:
                 raise HeapError(f"unknown location {node.loc}")
-            out.append((VAL, node.loc))
-        elif t is EAnnot:
-            body: list = []
-            out.append((ENTER, body, (node.sym, node.locs)))
-            stack.extend((((RET,), body), (node.body, body)))
-        elif t is tuple:  # a finished symbol's instruction, or the end of a body
-            out.append(node)
+            code.append((VAL, node.loc))
+        elif t is ECon or t is ECall:
+            weight += 1
+            stack.append((None, (CON if t is ECon else CALL, node.sym, len(node.args))))
+            stack.extend((a, None) for a in reversed(node.args))
         else:
-            stack.append(((CON if t is ECon else CALL, node.sym, len(node.args)), out))
-            stack.extend((a, out) for a in reversed(node.args))
-    return code
+            raise HeapError(f"run takes ELoc, ECon and ECall nodes, not {t.__name__}")
+    code.append((RET,))
+    return code, weight
 
 
 def run(
@@ -152,13 +122,14 @@ def run(
     on_step: Optional[TraceFn] = None,
 ) -> tuple[Configuration, RunStats]:
     """Drive expr to a location; returns the final configuration and counts.
+    A node initial_expression never builds raises HeapError before any step.
 
     on_step, when given, observes (index, kind, weight, heap nodes, cache
     entries) after each step. The default budget is (1+delta)*10^7 plus the
     initial weight. The given heap is left as it was.
     """
     delta = program_delta(program) if program.rules else 0
-    w0 = expression_weight(expr)
+    code, w0 = _code_of_expr(expr, heap.node_count)
     if step_budget is None:
         step_budget = (1 + delta) * 10**7 + w0
     cache: RefCache = {}
@@ -182,8 +153,7 @@ def run(
         on_step(i, kind, w, heap.node_count, len(cache))
 
     loc, counts = execute(
-        program, _code_of_expr(expr, heap.node_count), heap.entries.__getitem__,
-        witness, heap.merge, over,
+        program, code, heap.entries.__getitem__, witness, heap.merge, over,
         cache=cache, limit=step_budget, emit=None if on_step is None else emit,
     )
     return Configuration(cache, heap, ELoc(loc)), RunStats(*counts, delta, w0)

@@ -212,19 +212,32 @@ def minimal_shared_size(terms: Iterable[Term]) -> int:
 
 
 def vars_of(t: Term) -> set[str]:
-    names: set[str] = set()
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, Var):
-            names.add(node.name)
+    return {node.name for node in _postorder(t, lambda a: True) if type(node) is Var}
+
+
+def rename(t: Term, syms: dict[str, str], names: dict[str, str]) -> Term:
+    """t with each symbol s written syms.get(s, s) and each variable v
+    names.get(v, v); a shared node is rewritten once and stays shared."""
+    new: dict[int, Term] = {}
+    for node in _postorder(t, lambda a: True):
+        if type(node) is Var:
+            new[id(node)] = Var(names.get(node.name, node.name))
         else:
-            stack.extend(node.args)
-    return names
+            args = tuple([new[id(a)] for a in node.args])
+            new[id(node)] = App(syms.get(node.sym, node.sym), args)
+    return new[id(t)]
+
+
+def fresh_names(clashing: Iterable[str], taken: set[str]) -> dict[str, str]:
+    """For each name in clashing, name_k for the least k >= 1 not in taken.
+    Distinct names get distinct ones, as k follows the last underscore."""
+    fresh: dict[str, str] = {}
+    for name in clashing:
+        k = 1
+        while f"{name}_{k}" in taken:
+            k += 1
+        fresh[name] = f"{name}_{k}"
+    return fresh
 
 
 class Signature:

@@ -195,24 +195,40 @@ _GRSR_ALGEBRAS = {
 }
 
 
+# names that rule variables and helper operations of compiled programs also
+# use; constructors take only the first kind, since a constructor named like
+# a helper (mk_<con>, pr<m>_<i>) cannot compile
+_GRSR_CON_NAMES = ["x1", "y1", "z1", "x2", "y2", "z2"]
+_GRSR_DEF_NAMES = _GRSR_CON_NAMES + ["pr1_1", "pr2_1", "pr1_1_1", "mk_suc", "mk_zero", "add"]
+
+
 def random_grsr(seed: int) -> str:
     """A seeded .grsr file that parses: two or three algebras and a few
     defs built from every form, among them case splits, recursions of one
     to three components with a select, references to earlier defs,
     aliases (def g = f ;) and tier annotations, some of them partial.
-    Arities stay at most 3 so that tier inference stays quick."""
+    Arities stay at most 3 so that tier inference stays quick. Some
+    constructors and defs are named like the variables and helper
+    operations of compiled programs; those names are drawn from a second
+    stream, so the file's shape does not depend on them."""
     rng = random.Random(seed)
-    algebras = ["N", "T"] + (["B"] if rng.random() < 0.5 else [])
-    cons = [(c, ar) for a in algebras for c, ar in _GRSR_ALGEBRAS[a]]
-    lines = [
-        f"algebra {a} = " + ", ".join(f"{c}/{ar}" for c, ar in _GRSR_ALGEBRAS[a]) + " ;"
+    names = random.Random(f"names {seed}")
+    algebras = ["N", "T", "B"] if rng.random() < 0.5 else ["N", "T"]
+    spare = names.sample(_GRSR_CON_NAMES, len(_GRSR_CON_NAMES))
+    algs = {
+        a: [(spare.pop() if names.random() < 0.3 else c, ar) for c, ar in _GRSR_ALGEBRAS[a]]
         for a in algebras
-    ]
+    }
+    cons = [c for a in algebras for c in algs[a]]
+    lines = [f"algebra {a} = " + ", ".join(f"{c}/{ar}" for c, ar in algs[a]) + " ;"
+             for a in algebras]
+    def_names = [n for n in _GRSR_DEF_NAMES if n not in {c for c, _ in cons}]
+    names.shuffle(def_names)
     defs: list[tuple[str, int]] = []  # name, arity
 
     def block(alg: str, width: int, params: int, depth: int) -> str:
         rows = []
-        for c, ar in rng.sample(_GRSR_ALGEBRAS[alg], len(_GRSR_ALGEBRAS[alg])):
+        for c, ar in rng.sample(algs[alg], len(algs[alg])):
             entries = [expr(ar * (1 + width) + params, depth - 1) for _ in range(max(width, 1))]
             rows.append(f"{c} => {', '.join(entries)} ;")
         return "{ " + " ".join(rows) + " }"
@@ -241,7 +257,7 @@ def random_grsr(seed: int) -> str:
         return f"rec over {alg} {block(alg, width, arity - 1, depth)}{tail}"
 
     for i in range(rng.randint(2, 5)):
-        name = f"f{i}"
+        name = def_names.pop() if names.random() < 0.5 else f"f{i}"
         if defs and rng.random() < 0.2:
             target, arity = rng.choice(defs)
             body = target  # an alias

@@ -3,8 +3,10 @@
 Like `reference_eval` in helpers.py, nothing here is used by the library.
 The one-step machine re-decomposes its expression at every step and hands
 out configurations as values: `step` never changes the configuration it is
-given, and copies the heap only when a merge adds a node. The rule-by-rule
-matchers try each rule's patterns in turn, on terms and on heap locations.
+given, and copies the heap only when a merge adds a node. Its expressions
+hold the annotation frames (`EAnnot`) that the library's `run` never takes,
+and `expression_weight` weighs them. The rule-by-rule matchers try each
+rule's patterns in turn, on terms and on heap locations.
 Canonical-tree matching builds the pattern's tree as a graph and returns
 the morphism into the heap. The library's `run` and its compiled decision
 trees are held to these by the tests.
@@ -46,15 +48,8 @@ from memotrs import (
 )
 from memotrs.core import APPLY, MERGE, READ, STORE
 from memotrs.heap import Node
-from memotrs.smallstep import (
-    Configuration,
-    EAnnot,
-    ECall,
-    ECon,
-    ELoc,
-    Expr,
-    expression_weight,
-)
+from memotrs.smallstep import Configuration, ECall, ECon, ELoc, Expr
+from memotrs.terms import bounded_repr
 
 from helpers import store_value
 
@@ -147,6 +142,23 @@ def match_call(
 # ------------------------------------------------------ one-step machine
 
 
+class EAnnot(Expr):
+    """The annotation frame f<locs>{body}: the call f on locs, its body
+    being evaluated."""
+
+    __slots__ = ("sym", "locs", "body")
+
+    def __init__(self, sym: str, locs: tuple[int, ...], body: Expr):
+        self.sym = sym
+        self.locs = locs
+        self.body = body
+
+    def _repr_parts(self) -> list:
+        return [f"EAnnot({self.sym!r}, {self.locs!r}, ", self.body, ")"]
+
+    __repr__ = bounded_repr
+
+
 class EHole(Expr):
     __slots__ = ()
 
@@ -177,6 +189,23 @@ def expr_equal(a: Expr, b: Expr) -> bool:
                 return False
             stack.extend(zip(x.args, y.args))
     return True
+
+
+def expression_weight(e: Expr) -> int:
+    """Locations weigh 0; every symbol or annotation weighs 1."""
+    w = 0
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is ELoc:
+            continue
+        w += 1
+        if t is EAnnot:
+            stack.append(node.body)
+        else:
+            stack.extend(node.args)
+    return w
 
 
 def expression_size(e: Expr) -> int:

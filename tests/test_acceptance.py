@@ -22,7 +22,6 @@ from memotrs import (
     check_tiers_explained,
     compile_function,
     eval_memo,
-    expression_weight,
     infer_tiers,
     minimal_shared_size,
     naive_run,
@@ -46,6 +45,7 @@ from oracle import (
     canonical_tree,
     configuration_size,
     eval_grsr,
+    expression_weight,
     initial_call,
     match_graph,
     match_term,

@@ -1,5 +1,6 @@
 import argparse
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,8 +12,11 @@ import pytest
 
 from memotrs import (
     App,
+    GrsrError,
     Heap,
+    StuckError,
     compile_function,
+    eval_memo,
     format_program,
     parse_grsr,
     parse_program,
@@ -23,7 +27,8 @@ from memotrs import (
 from memotrs import cli, grsr
 from memotrs.cli import OVERFLOW_LIMIT, _budget_value, _build_parser, main
 from memotrs.grsr_parser import MAX_NESTING
-from helpers import rabbit_tree, random_grsr
+from helpers import rabbit_tree, random_grsr, random_value
+from oracle import eval_grsr
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -309,6 +314,76 @@ def test_tier_tmax_flag(tmp_path, capsys):
     )
 
 
+def test_tier_inference_is_bounded(tmp_path, capsys):
+    f = tmp_path / "big.grsr"
+    f.write_text("algebra N = zero/0, suc/1 ;\ndef big = proj 16 1 ;\n")
+    t0 = time.perf_counter()
+    assert main(["tier", str(f)]) == 2
+    assert time.perf_counter() - t0 < 1
+    assert capsys.readouterr().err == (
+        "error: inferring tiers up to 1 for 16 arguments would try 2^17 tuples, "
+        "more than 100000\n"
+    )
+    f.write_text("algebra N = zero/0, suc/1 ;\ndef one = comp cons[suc] (cons[zero]) ;\n")
+    assert main(["tier", str(f), "--tmax", "100000"]) == 2
+    assert "would try 100001^1 tuples" in capsys.readouterr().err
+
+
+def test_negative_tmax_and_depth_cap_are_refused(capsys):
+    for argv in (
+        ["tier", str(PROGRAMS / "leafs.grsr"), "--tmax", "-1"],
+        ["run", str(PROGRAMS / "add.trs"), "zero", "--depth-cap", "-1"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
+        assert capsys.readouterr().err.endswith(" -1 is negative\n")
+    with pytest.raises(SystemExit) as e:
+        main(["tier", str(PROGRAMS / "leafs.grsr"), "--tmax", "two"])
+    assert e.value.code == 2
+    assert capsys.readouterr().err.endswith("argument --tmax: invalid int value: 'two'\n")
+
+
+def test_unwritable_outputs_exit_2(tmp_path, capsys):
+    bad = str(tmp_path / "missing" / "x")
+    add = str(PROGRAMS / "add.trs")
+    for argv in (
+        ["run", add, "add(zero, zero)", "--dot", bad],
+        ["run", add, "add(zero, zero)", "--trace", bad],
+        ["run", add, "add(zero, zero)", "--trace", bad, "--check-all"],
+        ["compile", str(PROGRAMS / "add.grsr"), "-o", bad],
+        ["bench", add, "--template", "add(zero, zero)", "--csv", bad],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"error: cannot write {bad}: No such file or directory\n"
+        )
+
+
+def test_compiled_names_never_clash(tmp_path, capsys):
+    """A rule variable or helper named like a symbol of the compiled
+    program reads back as the program it was printed from."""
+    cases = [
+        ("algebra B = x1/0, y1/0 ;\n"
+         "def g = rec over N { zero => cons[y1] ; suc => proj 2 2 ; } ;\n",
+         "g(suc(zero))", "y1"),
+        ("def x1 = proj 1 1 ;\ndef f = comp x1 (comp cons[suc] (proj 1 1)) ;\n",
+         "f(suc(zero))", "suc(suc(zero))"),
+        ("def pr1_1 = proj 2 1 ;\n"
+         "def f = comp pr1_1 (comp cons[suc] (proj 1 1), proj 1 1) ;\n",
+         "f(zero)", "suc(zero)"),
+    ]
+    src, trs = tmp_path / "c.grsr", tmp_path / "c.trs"
+    for text, term, value in cases:
+        src.write_text("algebra N = zero/0, suc/1 ;\n" + text)
+        assert main(["compile", str(src), "-o", str(trs)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(trs)]) == 0
+        assert capsys.readouterr().out == "orthogonal\n"
+        assert main(["run", str(trs), term]) == 0
+        assert report_fields(capsys.readouterr().out)["value"] == value
+
+
 def test_compile_to_file_and_rerun(tmp_path, capsys):
     out = tmp_path / "rabbits_c.trs"
     code = main(["compile", str(PROGRAMS / "rabbits.grsr"), "-o", str(out)])
@@ -385,6 +460,50 @@ def test_compile_matches_the_per_def_loop(tmp_path, capsys, monkeypatch):
     assert main(["compile", str(clash), "--entry", "f"]) == 2
     assert main(["compile", str(clash), "--entry", "g"]) == 0
     assert capsys.readouterr().out.startswith("# entry: g\n")
+
+
+def test_compiled_random_files_read_back_and_agree(tmp_path, capsys):
+    """Every def tier accepts compiles to text that parses, formats back to
+    itself, is orthogonal and evaluates as the definition does, though the
+    files name constructors and defs like compiled variables and helpers."""
+    rng = random.Random(7)
+    out = tmp_path / "c.trs"
+    compiled = valued = clashes = moved = 0
+    for seed in range(60):
+        path = tmp_path / f"r{seed}.grsr"
+        path.write_text(random_grsr(seed))
+        gf = parse_grsr(path.read_text())
+        assert main(["tier", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for d, line in zip(gf.defs, lines):
+            if " accepted " not in line and " signatures up to " not in line:
+                continue
+            assert main(["compile", str(path), "--entry", d.name, "-o", str(out)]) == 0
+            capsys.readouterr()
+            text = out.read_text()
+            entry = text.splitlines()[0].removeprefix("# entry: ")
+            program = parse_program(text)
+            assert f"# entry: {entry}\n" + format_program(program) == text
+            assert main(["check", str(out)]) == 0
+            assert capsys.readouterr().out == "orthogonal\n"
+            compiled += 1
+            declared = {*program.signature.constructors, *program.signature.operations}
+            clashes += bool(declared & {"x1", "x2", "y1", "y2", "z1", "z2"})
+            moved += any(op.endswith(("_1_1", "suc_1", "zero_1", "2_1_1"))
+                         for op in program.signature.operations)
+            cons = program.signature.constructors  # whole algebras, all it can read
+            for _ in range(6 if cons or not d.expr.arity else 0):
+                args = tuple(random_value(rng, cons, 3) for _ in range(d.expr.arity))
+                try:
+                    want = eval_grsr(d.expr, args)
+                except GrsrError:  # an argument outside its algebra
+                    with pytest.raises(StuckError):
+                        eval_memo(program, {}, App(entry, args))
+                    continue
+                assert eval_memo(program, {}, App(entry, args)).value == want
+                valued += 1
+    assert compiled > 150 and valued > 400 and clashes > 80 and moved > 10, (
+        compiled, valued, clashes, moved)
 
 
 def test_compiled_program_agrees_with_source(tmp_path, capsys):

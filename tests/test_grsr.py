@@ -19,12 +19,14 @@ from memotrs import (
     compile_function,
     default_tier_bound,
     eval_memo,
+    format_term,
     infer_tiers,
     infeasibility_reason,
     operation_name,
     parse_grsr,
     rename_operations,
 )
+from memotrs import grsr
 from helpers import nat_of, rabbit_tree, random_grsr, suc_chain
 from oracle import eval_grsr, validate_derivation
 
@@ -193,6 +195,19 @@ def test_inference_is_monotone_in_the_bound(functions):
     assert set(infer_tiers(add, 2)) <= set(infer_tiers(add, 3))
 
 
+def test_inference_refuses_too_many_tuples(monkeypatch):
+    monkeypatch.setattr(grsr, "MAX_TIER_TUPLES", 16)
+    assert len(infer_tiers(Proj(3, 1), 1)) == 8  # 2^4 tuples, at the bound
+    for f, t_max in [(Proj(4, 1), 1), (ConstructorFn(NAT, "zero"), 16), (Proj(4, 1), None)]:
+        with pytest.raises(GrsrError, match="more than 16"):
+            infer_tiers(f, t_max)
+    monkeypatch.undo()
+    t0 = time.perf_counter()  # refused before anything is built
+    with pytest.raises(GrsrError, match=r"would try 2\^1000000000000000000 tuples"):
+        infer_tiers(Proj(999_999_999_999_999_999, 1))
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_projection_inference():
     got = infer_tiers(Proj(2, 1), 1)
     assert got == [
@@ -339,6 +354,14 @@ def test_rename_operations(functions):
     assert "leafn" in same.signature.constructors
     with pytest.raises(GrsrError):
         rename_operations(prog, {entry: "leafn"})  # collides with a constructor
+    # an operation left alone moves out of the way of a name given to another
+    prog, entry = compile_function(Comp(Proj(2, 1), [Proj(1, 1), Proj(1, 1)]))
+    renamed = rename_operations(prog, {"pr2_1": "pr1_1", entry: "f"})
+    assert list(renamed.signature.operations) == ["pr1_1", "pr1_1_1", "f"]
+    assert [f"{format_term(r.lhs)} -> {format_term(r.rhs)}" for r in renamed.rules] == [
+        "pr1_1(x1, x2) -> x1", "pr1_1_1(x1) -> x1", "f(x1) -> pr1_1(pr1_1_1(x1), pr1_1_1(x1))"]
+    twice = rename_operations(prog, {"pr2_1": "pr1_1", entry: "pr1_1_1"})
+    assert list(twice.signature.operations) == ["pr1_1", "pr1_1_2", "pr1_1_1"]
 
 
 def test_operation_name_is_the_compiled_entry(functions):

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -9,6 +10,8 @@ from memotrs import (
     Heap,
     HeapError,
     ParseError,
+    Program,
+    Rule,
     Signature,
     Var,
     eval_memo,
@@ -21,9 +24,11 @@ from memotrs import (
     parse_term,
     run,
     term_size,
+    vars_of,
 )
 from memotrs.parser import MAX_POWER_NODES
-from helpers import rabbit_tree, random_value, store_value, suc_chain
+from memotrs.terms import rename
+from helpers import rabbit_tree, random_program, random_value, store_value, suc_chain
 
 NAT = Signature({"zero": 0, "suc": 1}, {"add": 2})
 
@@ -122,6 +127,44 @@ def test_format_program_contains_sections(programs):
     out = format_program(programs["add"])
     assert out.index("constructors:") < out.index("operations:") < out.index("rules:")
     assert "add(zero, y) -> y;" in out
+
+
+def alpha_key(t, order):
+    """t with its variables numbered by first occurrence, in order."""
+    if type(t) is Var:
+        return order.setdefault(t.name, len(order))
+    return (t.sym, *(alpha_key(a, order) for a in t.args))
+
+
+def test_format_program_roundtrips_variables_named_like_symbols():
+    renamed = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        p = random_program(seed)
+        sig = p.signature
+        symbols = [*sig.constructors, *sig.operations]
+        pool = sorted({*symbols, *(f"{s}_1" for s in symbols), "x1", "y1"})
+        rules = []
+        for r in p.rules:
+            names = sorted(vars_of(r.lhs))
+            new = dict(zip(names, rng.sample(pool, len(names))))
+            rules.append(Rule(rename(r.lhs, {}, new), rename(r.rhs, {}, new)))
+        q = Program(sig, rules)
+        text = format_program(q)
+        back = parse_program(text)
+        assert back.signature.constructors == sig.constructors
+        assert back.signature.operations == sig.operations
+        for r, b, line in zip(q.rules, back.rules, text.splitlines()[3:]):
+            order: dict = {}
+            key = alpha_key(r.lhs, order), alpha_key(r.rhs, order)
+            order = {}
+            assert (alpha_key(b.lhs, order), alpha_key(b.rhs, order)) == key
+            # only a rule whose variables clash prints under other names
+            same = line == f"  {format_term(r.lhs)} -> {format_term(r.rhs)};"
+            assert same == vars_of(r.lhs).isdisjoint(symbols), line
+            renamed += not same
+        assert format_program(back) == text
+    assert renamed > 100
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -8,7 +8,6 @@ from memotrs import (
     App,
     BudgetExceededError,
     Configuration,
-    EAnnot,
     ECall,
     ECon,
     ELoc,
@@ -19,7 +18,6 @@ from memotrs import (
     Signature,
     Var,
     eval_memo,
-    expression_weight,
     initial_expression,
     minimal_shared_size,
     naive_run,
@@ -37,6 +35,7 @@ from helpers import (
     suc_chain,
 )
 from oracle import (
+    EAnnot,
     EHole,
     EvalContext,
     applicable_step_kinds,
@@ -46,6 +45,7 @@ from oracle import (
     default_step_budget,
     expr_equal,
     expression_size,
+    expression_weight,
     initial_call,
     initial_expression_by_node,
     step,
@@ -66,18 +66,6 @@ def drive(program, heap, expr):
         kinds.append(kind)
         seen.append(cfg)
     return cfg, kinds, seen
-
-
-def annotations(e):
-    """The annotation frames of an expression."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, EAnnot):
-            yield node
-            stack.append(node.body)
-        elif isinstance(node, (ECon, ECall)):
-            stack.extend(node.args)
 
 
 # ------------------------------------------------------------- decompose
@@ -205,33 +193,21 @@ def test_run_matches_manual_stepping(programs):
         assert c == len(after.cache)
 
 
-def test_run_resumes_mid_run_configuration(programs):
+def test_run_refuses_what_the_loader_never_builds(programs):
     p = programs["rabbits"]
-    heap, expr = initial_call(p, "rabbits", [suc_chain(6)])
-    cfg = Configuration({}, heap, expr)
-    # step until two annotation frames are open, one inside the other
-    while len(list(annotations(cfg.expr))) < 2:
-        cfg, _ = step(cfg, p)
-    nodes_before = cfg.heap.nodes()
-    observed = []
-    final, _ = run(
-        p, cfg.heap, cfg.expr,
-        on_step=lambda i, k, w, h, c: observed.append((k, w, h)),
-    )
-    assert cfg.heap.nodes() == nodes_before  # the given heap is left alone
-    # run starts from an empty cache, so compare with stepping from one too
-    mcfg, kinds, seen = drive(p, cfg.heap, cfg.expr)
-    assert [k for k, _, _ in observed] == kinds
-    assert mcfg.heap.nodes() == final.heap.nodes()
-    assert mcfg.cache == final.cache
-    for (_, w, h), after in zip(observed, seen[1:]):
-        assert w == expression_weight(after.expr)
-        assert h == after.heap.node_count
-    # and stepping on with the configuration's own cache reaches the same value
-    while (nxt := step(cfg, p)) is not None:
-        cfg = nxt[0]
-    value = final.heap.unfold(final.expr.loc)
-    assert value == cfg.heap.unfold(cfg.expr.loc) == rabbit_tree(6)
+    heap, call = initial_call(p, "rabbits", [suc_chain(3)])
+    z = call.args[0].loc
+    nodes = heap.nodes()
+    for expr in [
+        EAnnot("rabbits", (z,), ELoc(z)),
+        EAnnot("rabbits", (z,), ECall("babies", (ELoc(z),))),
+        ECon("m", (ECall("adults", (ELoc(z),)), EHole())),
+        EHole(),
+    ]:
+        steps = []
+        with pytest.raises(HeapError):
+            run(p, heap, expr, on_step=lambda *row: steps.append(row))
+        assert steps == [] and heap.nodes() == nodes
 
 
 def test_rabbits_generation_six_run(programs):
@@ -466,6 +442,11 @@ def assert_loads_like_reference(program, heap, term):
         got_heap, got = initial_expression(program, mine, term)
         assert got_heap is mine
         assert same_shape(got, want)
+        try:  # a budget of 0 stops run at its first step, with its counts
+            _, stats = run(program, got_heap, got, step_budget=0)
+        except BudgetExceededError as e:
+            stats = e.stats
+        assert stats.initial_weight == expression_weight(want)
     assert mine.nodes() == ref.nodes()
     assert mine.index == ref.index
 
