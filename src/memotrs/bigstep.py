@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from operator import attrgetter
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import compile_term, execute
 from .errors import BudgetExceededError
@@ -48,13 +49,15 @@ class MemoStats:
 
 
 def _run_terms(
-    program: Program, term: Term, over: BudgetExceededError, limit: Optional[float], **domain
+    program: Program, term: Term, over: Callable, limit: Optional[float], **domain
 ):
-    """Run a term through `core.execute` with terms as values; over is
-    raised when the run needs more than limit steps."""
+    """Run a term through `core.execute` with terms as values; over() makes
+    the error raised when the run needs more than limit steps. It makes a
+    new one each time, so that no frame of an error's traceback holds the
+    error: that would be a reference cycle, which only the collector frees."""
     code = compile_term(program.signature, term)
     return execute(
-        program, code, term_view, App, App, lambda counts: over, limit=limit, **domain
+        program, code, term_view, App, App, lambda counts: over(), limit=limit, **domain
     )
 
 
@@ -68,8 +71,8 @@ def naive_run(program: Program, term: Term, budget: Optional[int] = None) -> Nai
     only exceed a budget below the cap, as the exact size would; without a
     budget, or with one at or above the cap, term_size sums the exact size.
     """
-    over = BudgetExceededError(
-        f"naive evaluation exceeded {budget} inferences", "naive", budget
+    over = partial(
+        BudgetExceededError, f"naive evaluation exceeded {budget} inferences", "naive", budget
     )
     exact = budget is None or budget >= SIZE_CAP
     cost = term_size if exact else attrgetter("size")
@@ -94,8 +97,8 @@ def eval_memo(
     steps (applies, reads, stores and constructor merges, as the shared
     machine counts them) and exists to abort runaway evaluations.
     """
-    over = BudgetExceededError(
-        f"memoized evaluation exceeded {budget} steps", "memo", budget
+    over = partial(
+        BudgetExceededError, f"memoized evaluation exceeded {budget} steps", "memo", budget
     )
     out: TermCache = dict(cache)
     value, (applies, reads, _, _, steps) = _run_terms(program, term, over, budget, cache=out)

@@ -11,7 +11,9 @@ input (parse or validation), 3 stuck term, 4 budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import math
 import sys
 import time
@@ -98,21 +100,29 @@ def _run(
     heap = None
     if engine == "shared":
         heap, expr = initial_expression(program, Heap.empty(), term)
-    t0 = time.perf_counter_ns()
-    if engine == "naive":
-        res = naive_run(program, term, budget)
-        answer, m, total = res.value, res.rewrite_steps, res.total_steps
-        cache_size = None
-    elif engine == "memo":
-        stats = MemoStats()
-        out = eval_memo(program, {}, term, budget=budget, stats=stats)
-        answer, m, total, cache_size = out.value, out.cost, stats.work, len(out.cache)
-    elif trace_path is not None:
-        with _write(trace_path) as fh:
-            cfg, rs = run_traced(program, heap, expr, fh, step_budget=budget)
-    else:
-        cfg, rs = run(program, heap, expr, step_budget=budget)
-    wall = time.perf_counter_ns() - t0
+    with contextlib.ExitStack() as files:
+        # opened before the first step, so an unwritable path costs no
+        # evaluation, and closed however the run ends
+        trace, dot = [
+            None if path is None else files.enter_context(_write(path))
+            for path in (trace_path, dot_path)
+        ]
+        t0 = time.perf_counter_ns()
+        if engine == "naive":
+            res = naive_run(program, term, budget)
+            answer, m, total = res.value, res.rewrite_steps, res.total_steps
+            cache_size = None
+        elif engine == "memo":
+            stats = MemoStats()
+            out = eval_memo(program, {}, term, budget=budget, stats=stats)
+            answer, m, total, cache_size = out.value, out.cost, stats.work, len(out.cache)
+        elif trace is not None:
+            cfg, rs = run_traced(program, heap, expr, trace, step_budget=budget)
+        else:
+            cfg, rs = run(program, heap, expr, step_budget=budget)
+        wall = time.perf_counter_ns() - t0
+        if dot is not None:
+            dot.write(cfg.heap.to_dot([cfg.expr.loc]))
     # sizes saturate at OVERFLOW_LIMIT, which prints as a marker anyway
     if heap is None:
         dag_nodes = minimal_shared_size([answer])
@@ -120,9 +130,6 @@ def _run(
     else:
         heap, answer = cfg.heap, cfg.expr.loc
         m, total, cache_size = rs.applies, rs.total, len(cfg.cache)
-        if dot_path is not None:
-            with _write(dot_path) as fh:
-                fh.write(heap.to_dot([answer]))
         dag_nodes = heap.reachable_count(answer)
         size = heap.unfolded_size(answer, OVERFLOW_LIMIT)
     report = RunReport(
@@ -448,8 +455,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    # what the engines build holds no reference cycle: no collection is due
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
     except StuckError as e:
         print(f"stuck: {e}", file=sys.stderr)
@@ -460,6 +470,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MemotrsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -1,10 +1,16 @@
 """Compiled programs and the one evaluation loop that all engines run.
 
-Code is a postfix tuple: (VAR, slot) and (VAL, value) push a value, (CON,
-sym, k) and (CALL, sym, k) pop k arguments, and (RET,) ends a body, storing
-its value under the call's key. Postfix order is leftmost-innermost order,
-so no redex is ever searched for. In a rule body a slot is the occurrence
-the matched call bound the variable to; an input holds no variables.
+Code is a postfix tuple of instructions (op, a, b): (VAR, slot, None) and
+(VAL, value, None) push a value, (CON, sym, k) and (CALL, sym, k) pop k
+arguments, and (RET, None, None) ends a body, storing its value under the
+call's key. Postfix order is leftmost-innermost order, so no redex is ever
+searched for. In a rule body a slot is the occurrence the matched call
+bound the variable to; an input holds no variables. A CON or CALL of a rule
+body whose arguments are all variables compiles, without their pushes, to
+one (FCON, sym, get) or (FCALL, sym, get), where get(binding) gives the
+arguments (Proebsting's superoperators, POPL 1995). The naive engine still
+charges each of them, left to right as its push was, before the step's
+budget check.
 
 Each operation's rules compile into a decision tree (Maranget, "Compiling
 Pattern Matching to Good Decision Trees", ML 2008). A call's arguments are
@@ -21,12 +27,13 @@ stuck call.
 from __future__ import annotations
 
 import sys
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import StuckError
-from .terms import App, Program, Rule, Signature, Term, Var
+from .terms import App, Program, Rule, Signature, Term, Var, validate_term
 
-VAR, VAL, RET, CON, CALL = range(5)
+VAR, VAL, RET, CON, CALL, FCON, FCALL = range(7)
 APPLY, READ, STORE, MERGE = "apply", "read", "store", "merge"
 
 
@@ -34,32 +41,42 @@ def compile_term(sig: Signature, t: Term, slots: Optional[dict] = None) -> tuple
     """Postfix code of t: of a rule body whose variables have the given
     slots, or without them of an input term, whose constructor-only
     subterms are one VAL push each. A variable in an input is free, and
-    raises StuckError before any code runs."""
+    raises StuckError before any code runs; a symbol the signature does not
+    declare at that arity raises as validate_term does."""
     code: list = []
     vals: dict[int, tuple] = {}  # id -> VAL push of a node met before
     stack: list = [(t, False)]
     while stack:
         node, done = stack.pop()
         if done:
-            k = len(node.args)
-            if not sig.is_constructor(node.sym):
-                code.append((CALL, node.sym, k))
-            elif slots is None and all(ins[0] == VAL for ins in code[len(code) - k :]):
+            sym, k = node.sym, len(node.args)
+            con = sig.is_constructor(sym)
+            if (sig.constructors if con else sig.operations).get(sym) != k:
+                validate_term(sig, t)  # raises the signature's complaint
+            ops = code[len(code) - k :]
+            if slots is not None and all(ins[0] == VAR for ins in ops):
+                # operands read from the binding tuple; a slice of one is a tuple
+                at = [ins[1] for ins in ops] or [0]
+                get = itemgetter(*at) if k > 1 else itemgetter(slice(at[0], at[0] + k))
+                code[len(code) - k :] = [(FCON if con else FCALL, sym, get)]
+            elif not con:
+                code.append((CALL, sym, k))
+            elif slots is None and all(ins[0] == VAL for ins in ops):
                 # its arguments are values
-                code[len(code) - k :] = [vals.setdefault(id(node), (VAL, node))]
+                code[len(code) - k :] = [vals.setdefault(id(node), (VAL, node, None))]
             else:
-                code.append((CON, node.sym, k))
+                code.append((CON, sym, k))
         elif id(node) in vals:  # a shared value is pushed, not walked again
             code.append(vals[id(node)])
         elif type(node) is Var:
             if slots is None:
                 raise StuckError(f"free variable {node.name} in evaluated term", node)
-            code.append((VAR, slots[node.name]))
+            code.append((VAR, slots[node.name], None))
         else:
             stack.append((node, True))
             for a in reversed(node.args):
                 stack.append((a, False))
-    code.append((RET,))
+    code.append((RET, None, None))
     return tuple(code)
 
 
@@ -117,15 +134,15 @@ class _Trees(dict):
 
 def _ancestors(code: tuple, j: int) -> int:
     """Symbols of code whose subtree holds instruction j: the later CON and
-    CALL instructions that pop the value j leaves behind."""
+    CALL instructions that pop the value j leaves behind, never a fused one."""
     n = above = 0  # values pushed after j and still on the stack
-    for ins in code[j + 1 :]:
-        if ins[0] < CON:
+    for op, _, k in code[j + 1 :]:
+        if op < CON or op >= FCON:
             above += 1
-        elif ins[2] > above:
+        elif k > above:
             n, above = n + 1, 0
         else:
-            above -= ins[2] - 1
+            above -= k - 1
     return n
 
 
@@ -146,12 +163,13 @@ def execute(
 
     view(v) gives the (symbol, arguments) of a value v, which the decision
     trees test; witness(sym, args) gives the term a stuck call reports;
-    build(sym, args) gives a constructor value; over(counts)
-    gives the error for a step beyond limit. Each CON, CALL and RET is a
-    step; without a cache there are no reads and a RET stores nothing. With
-    push_cost, each pushed value v costs push_cost(v) steps: the naive
-    engine's inferences, one per node re-derived, a RET standing for the
-    rule firing. emit(step, kind, change of weight) observes each step.
+    build(sym, args) gives a constructor value; over(counts) gives the
+    error for a step beyond limit. Each CON, CALL (fused or not) and RET is
+    a step; without a cache there are no reads and a RET stores nothing.
+    With push_cost, each pushed value v, and each argument a fused
+    instruction reads, costs push_cost(v) steps: the naive engine's
+    inferences, one per node re-derived, a RET standing for the rule
+    firing. emit(step, kind, change of weight) observes each step.
     """
     limit = sys.maxsize if limit is None else limit
     if program._code is None:  # kept on the program from its first run on
@@ -160,30 +178,35 @@ def execute(
     stack: list = []
     push = stack.append
     frames: list = []
-    binding: object = None  # the occurrences of the body being run
+    binding: tuple = ()  # the occurrences of the body being run
     key = None
     pc = 0
     applies = reads = stores = merges = steps = 0
     try:
         while True:
-            ins = code[pc]
+            op, a, b = code[pc]
             pc += 1
-            op = ins[0]
-            if op == VAR or op == VAL:
-                v = binding[ins[1]] if op == VAR else ins[1]
+            if op >= FCON:  # the operands are read from the binding
+                args = b(binding)
                 if push_cost is not None:
-                    nodes = push_cost(v)
-                    if steps + nodes > limit:
-                        raise over((applies, reads, stores, merges, steps))
-                    steps += nodes
-                push(v)
-                continue
-            if op == RET and not frames:
-                return stack[-1], (applies, reads, stores, merges, steps)
-            if steps >= limit:
-                raise over((applies, reads, stores, merges, steps))
-            steps += 1
-            if op == RET:
+                    for v in args:  # charged as their pushes were
+                        nodes = push_cost(v)
+                        if steps + nodes > limit:
+                            raise over((applies, reads, stores, merges, steps))
+                        steps += nodes
+            elif op >= CON:
+                if b == 1:
+                    args = (stack.pop(),)
+                else:
+                    n = len(stack) - b
+                    args = tuple(stack[n:])
+                    del stack[n:]
+            elif op == RET:
+                if not frames:
+                    return stack[-1], (applies, reads, stores, merges, steps)
+                if steps >= limit:
+                    raise over((applies, reads, stores, merges, steps))
+                steps += 1
                 if cache is not None:
                     stores += 1
                     cache[key] = stack[-1]
@@ -191,21 +214,27 @@ def execute(
                         emit(steps, STORE, -1)
                 code, pc, binding, key = frames.pop()
                 continue
-            if ins[2] == 1:
-                args = (stack.pop(),)
             else:
-                n = len(stack) - ins[2]
-                args = tuple(stack[n:])
-                del stack[n:]
-            if op == CON:
+                v = binding[a] if op == VAR else a
+                if push_cost is not None:
+                    nodes = push_cost(v)
+                    if steps + nodes > limit:
+                        raise over((applies, reads, stores, merges, steps))
+                    steps += nodes
+                push(v)
+                continue
+            if steps >= limit:
+                raise over((applies, reads, stores, merges, steps))
+            steps += 1
+            if op == CON or op == FCON:
                 merges += 1
-                push(build(ins[1], args))
+                push(build(a, args))
                 if emit is not None:
                     emit(steps, MERGE, -1)
                 continue
             call = None
             if cache is not None:
-                call = (ins[1], args)
+                call = (a, args)
                 hit = cache.get(call)
                 if hit is not None:
                     reads += 1
@@ -213,8 +242,8 @@ def execute(
                     if emit is not None:
                         emit(steps, READ, -1)
                     continue
-            node = trees[ins[1]]
-            occ = list(args)
+            node = trees[a]
+            occ = args
             while type(node) is list:
                 sym, kids = view(occ[node[0]])
                 nxt = node[1].get(sym)
@@ -224,9 +253,7 @@ def execute(
                     occ += kids
                     node = nxt
             if node is None:
-                raise StuckError(
-                    f"no rule matches {ins[1]}/{len(args)} call", witness(ins[1], args)
-                )
+                raise StuckError(f"no rule matches {a}/{len(args)} call", witness(a, args))
             applies += 1
             frames.append((code, pc, binding, key))
             code, body_weight = node

@@ -19,12 +19,15 @@ annotations live with them, trace for trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .core import CALL, CON, RET, VAL, execute
 from .errors import BudgetExceededError, HeapError
 from .heap import Heap
-from .terms import App, Program, Term, bounded_repr, call_repr_parts, program_delta
+from .terms import (
+    App, Program, Signature, Term, bounded_repr, call_repr_parts, program_delta, validate_term
+)
 
 
 class Expr:
@@ -86,11 +89,13 @@ class RunStats:
 
 
 TraceFn = Callable[[int, str, int, int, int], None]
+_SYM = attrgetter("sym")
 
 
-def _code_of_expr(e: Expr, n: int) -> tuple[list, int]:
+def _code_of_expr(e: Expr, n: int, sig: Signature) -> tuple[list, int]:
     """Postfix code of a loaded expression over a heap of n nodes, and its
-    weight, one per symbol. Any other node, or an unknown location, raises
+    weight, one per symbol. Any other node, an unknown location, or a
+    symbol sig does not declare as that node's kind at its arity raises
     HeapError."""
     code: list = []
     weight = 0
@@ -103,14 +108,17 @@ def _code_of_expr(e: Expr, n: int) -> tuple[list, int]:
         elif t is ELoc:
             if not 0 <= node.loc < n:
                 raise HeapError(f"unknown location {node.loc}")
-            code.append((VAL, node.loc))
+            code.append((VAL, node.loc, None))
         elif t is ECon or t is ECall:
+            declared = sig.constructors if t is ECon else sig.operations
+            if declared.get(node.sym) != len(node.args):
+                raise HeapError(f"{t.__name__} of {node.sym}/{len(node.args)} is not declared")
             weight += 1
             stack.append((None, (CON if t is ECon else CALL, node.sym, len(node.args))))
             stack.extend((a, None) for a in reversed(node.args))
         else:
             raise HeapError(f"run takes ELoc, ECon and ECall nodes, not {t.__name__}")
-    code.append((RET,))
+    code.append((RET, None, None))
     return code, weight
 
 
@@ -128,8 +136,45 @@ def run(
     entries) after each step. The default budget is (1+delta)*10^7 plus the
     initial weight. The given heap is left as it was.
     """
+    def observe(w: int, nodes: list, cache: RefCache) -> Callable:
+        def emit(i: int, kind: str, dw: int) -> None:
+            nonlocal w
+            w += dw
+            on_step(i, kind, w, len(nodes), len(cache))
+
+        return emit
+
+    return _drive(program, heap, expr, step_budget, None if on_step is None else observe)
+
+
+def run_traced(
+    program: Program,
+    heap: Heap,
+    expr: Expr,
+    out,
+    step_budget: Optional[int] = None,
+) -> tuple[Configuration, RunStats]:
+    """run() writing a CSV trace: one post-step row per step, header included."""
+    write = out.write
+    write("step,kind,weight,heap_size,cache_size\n")
+
+    def observe(w: int, nodes: list, cache: RefCache) -> Callable:
+        def emit(i: int, kind: str, dw: int) -> None:  # one call per step
+            nonlocal w
+            w += dw
+            write(f"{i},{kind},{w},{len(nodes)},{len(cache)}\n")
+
+        return emit
+
+    return _drive(program, heap, expr, step_budget, observe)
+
+
+def _drive(
+    program: Program, heap: Heap, expr: Expr, step_budget: Optional[int], observe
+) -> tuple[Configuration, RunStats]:
+    """run(); observe(initial weight, heap nodes, cache) makes execute's emit."""
     delta = program_delta(program) if program.rules else 0
-    code, w0 = _code_of_expr(expr, heap.node_count)
+    code, w0 = _code_of_expr(expr, heap.node_count, program.signature)
     if step_budget is None:
         step_budget = (1 + delta) * 10**7 + w0
     cache: RefCache = {}
@@ -145,34 +190,11 @@ def run(
         err.stats = RunStats(*counts, delta, w0)
         return err
 
-    w = w0
-
-    def emit(i: int, kind: str, dw: int) -> None:
-        nonlocal w
-        w += dw
-        on_step(i, kind, w, heap.node_count, len(cache))
-
     loc, counts = execute(
-        program, code, heap.entries.__getitem__, witness, heap.merge, over,
-        cache=cache, limit=step_budget, emit=None if on_step is None else emit,
+        program, code, heap.entries.__getitem__, witness, heap.merge, over, cache=cache,
+        limit=step_budget, emit=None if observe is None else observe(w0, heap.entries, cache),
     )
     return Configuration(cache, heap, ELoc(loc)), RunStats(*counts, delta, w0)
-
-
-def run_traced(
-    program: Program,
-    heap: Heap,
-    expr: Expr,
-    out,
-    step_budget: Optional[int] = None,
-) -> tuple[Configuration, RunStats]:
-    """run() writing a CSV trace: one post-step row per step, header included."""
-    out.write("step,kind,weight,heap_size,cache_size\n")
-
-    def emit(i: int, kind: str, w: int, h: int, c: int) -> None:
-        out.write(f"{i},{kind},{w},{h},{c}\n")
-
-    return run(program, heap, expr, step_budget=step_budget, on_step=emit)
 
 
 def initial_expression(program: Program, heap: Heap, term: Term) -> tuple[Heap, Expr]:
@@ -184,8 +206,13 @@ def initial_expression(program: Program, heap: Heap, term: Term) -> tuple[Heap, 
     object met again keeps the location or expression it got the first
     time. Loading is one pass, linear in the term's distinct nodes: each
     maximal run of unary nodes is walked down once, and the constructors
-    at its bottom are merged by one Heap.merge_run."""
-    constructors = program.signature.constructors
+    at its bottom are merged by one Heap.merge_run. A symbol the signature
+    does not declare at that arity raises as validate_term does, before a
+    node holding it is built."""
+    sig = program.signature
+    constructors = sig.constructors
+    arity = {**sig.operations, **constructors}
+    unary = {sym for sym, n in arity.items() if n == 1}
     built: dict[int, object] = {}  # id(node) -> its location, or its Expr
     stack: list = [term]  # nodes to load; a list is a run waiting for its bottom
     while stack:
@@ -216,6 +243,8 @@ def initial_expression(program: Program, heap: Heap, term: Term) -> tuple[Heap, 
                     stack += todo
                     continue
                 sym = node.sym
+                if arity.get(sym) != len(node.args):
+                    validate_term(sig, term)  # raises the signature's complaint
                 kids = tuple([built[id(a)] for a in node.args])
                 if sym in constructors and all(type(k) is int for k in kids):
                     below = heap.merge(sym, kids)
@@ -224,8 +253,11 @@ def initial_expression(program: Program, heap: Heap, term: Term) -> tuple[Heap, 
                     below = cls(sym, tuple([ELoc(k) if type(k) is int else k for k in kids]))
                 built[id(node)] = below
         k = len(run)
+        if k:
+            syms = list(map(_SYM, run))
+            if not unary.issuperset(syms):
+                validate_term(sig, term)
         if k and type(below) is int:  # merge the run's constructor bottom at once
-            syms = [n.sym for n in run]
             while k and syms[k - 1] in constructors:
                 k -= 1
             if k < len(run):

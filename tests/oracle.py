@@ -13,6 +13,9 @@ trees are held to these by the tests.
 
 `initial_expression_by_node` loads a term one node at a time, the oracle
 for `smallstep.initial_expression`, which walks unary runs at once.
+`unfused` gives a program whose rule bodies run without fused
+instructions, each turned back into its VAR pushes and CON or CALL by
+`expand_fused`: the oracle for the fused code the engines run.
 
 For the function algebra, `eval_grsr` evaluates a function by its
 denotation (with `_scrutinee` and `_eval_simrec`), the oracle for
@@ -46,7 +49,7 @@ from memotrs import (
     program_delta,
     terms_equal,
 )
-from memotrs.core import APPLY, MERGE, READ, STORE
+from memotrs.core import APPLY, CALL, CON, FCALL, FCON, MERGE, READ, STORE, VAR, _Trees
 from memotrs.heap import Node
 from memotrs.smallstep import Configuration, ECall, ECon, ELoc, Expr
 from memotrs.terms import bounded_repr
@@ -497,6 +500,44 @@ def check_well_formed(cfg: Configuration) -> list[str]:
                 f"annotation for {key[0]}{list(key[1])} coexists with its cache entry"
             )
     return problems
+
+
+# ------------------------------------------ fused instructions, expanded
+
+
+def expand_fused(code: tuple) -> tuple:
+    """code with each FCON or FCALL turned back into the VAR pushes of its
+    arguments and the CON or CALL that pops them."""
+    out: list = []
+    for op, a, b in code:
+        if op != FCON and op != FCALL:
+            out.append((op, a, b))
+            continue
+        items = b.__reduce__()[1]  # the itemgetter's slots, or one slice of them
+        slots = range(items[0].start, items[0].stop) if type(items[0]) is slice else items
+        out += [(VAR, s, None) for s in slots]
+        out.append((CON if op == FCON else CALL, a, len(slots)))
+    return tuple(out)
+
+
+def _expand_tree(node):
+    if type(node) is list:
+        at, branches, default = node
+        return [at, {s: _expand_tree(t) for s, t in branches.items()}, _expand_tree(default)]
+    return None if node is None else (expand_fused(node[0]), node[1])
+
+
+class _UnfusedTrees(_Trees):
+    def __missing__(self, op: str) -> object:
+        tree = self[op] = _expand_tree(super().__missing__(op))
+        return tree
+
+
+def unfused(program: Program) -> Program:
+    """The program, its rule bodies compiled without fused instructions."""
+    q = Program(program.signature, program.rules)
+    q._code = _UnfusedTrees(q)
+    return q
 
 
 # ------------------------------------------- canonical-tree matching

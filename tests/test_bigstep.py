@@ -422,7 +422,79 @@ def test_shared_input_is_compiled_once_per_node():
         code = compile_term(sig, call)
         seconds = time.perf_counter() - t0
         # compared without showing a term, as a failure report would print t
-        same_code = code == ((VAL, t), (CALL, "f", 1), (RET,))
+        same_code = code == ((VAL, t, None), (CALL, "f", 1), (RET, None, None))
         assert same_code and sig.asked == depth + 2 and seconds < 1, depth
     same_value = eval_memo(p, {}, call).value == t
     assert same_value
+
+
+def test_naive_outcome_at_each_budget_matches_the_recount():
+    """Around its inference count, and at every budget for small counts,
+    the naive engine returns the value, runs out of budget or gets stuck as
+    the independent recount says, on fused code as on its expansion. Some
+    rules are dropped, so that some calls get stuck."""
+    from oracle import unfused
+
+    rng = random.Random(23)
+    outcomes = set()
+    for seed in range(40):
+        full = random_program(seed)
+        p = Program(full.signature, [r for r in full.rules if rng.random() < 0.8])
+        q = unfused(p)
+        for op, arity in sorted(p.signature.operations.items()):
+            call = App(op, tuple(
+                random_value(rng, p.signature.constructors, 3) for _ in range(arity)
+            ))
+            try:
+                count, _ = count_inferences(p, call)
+                stuck = False
+            except StuckInference as e:
+                count, stuck = e.count, True
+            budgets = range(count + 2) if count <= 60 else range(count - 2, count + 2)
+            for budget in budgets:
+                got = []
+                for program in (p, q):
+                    try:
+                        got.append(naive_run(program, call, budget).value)
+                    except (BudgetExceededError, StuckError) as e:
+                        got.append(type(e))
+                want = (
+                    BudgetExceededError if budget < count
+                    else StuckError if stuck else reference_eval(p, call)
+                )
+                assert got == [want, want], (seed, op, budget)
+                outcomes.add(want if type(want) is type else "value")
+    assert outcomes == {BudgetExceededError, StuckError, "value"}
+
+
+def test_a_run_out_of_budget_leaves_no_reference_cycle(programs):
+    """The error a run raises is not held by the frames its traceback holds,
+    so once the error is dropped, reference counting frees all the run
+    built; the command line runs each command with the collector paused."""
+    import gc
+
+    from memotrs import Heap, initial_expression, run
+
+    rabbits, leafs = programs["rabbits"], programs["leafs"]
+    runs = [
+        lambda: naive_run(rabbits, rabbits_call(12), budget=100),
+        lambda: eval_memo(rabbits, {}, rabbits_call(12), budget=10),
+        lambda: run(rabbits, *initial_expression(rabbits, Heap.empty(), rabbits_call(12)), 10),
+        # stuck, but the budget runs out before the stuck call is reached
+        lambda: naive_run(leafs, App("leafs", (App("zero"),)), budget=1),
+    ]
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for i, evaluate in enumerate(runs):
+            try:
+                evaluate()
+            except BudgetExceededError:
+                pass
+            else:
+                pytest.fail(f"run {i} kept within its budget")
+            assert gc.collect() == 0, i
+    finally:
+        if collecting:
+            gc.enable()

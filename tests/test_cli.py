@@ -1,4 +1,5 @@
 import argparse
+import gc
 import os
 import random
 import subprocess
@@ -358,6 +359,66 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: cannot write {bad}: No such file or directory\n"
         )
+
+
+def test_unwritable_dot_is_refused_before_the_first_step(tmp_path, capsys, monkeypatch):
+    bad = str(tmp_path / "missing" / "x")
+    trace = tmp_path / "t.csv"
+    add = str(PROGRAMS / "add.trs")
+    runs = []
+    for name in ("run", "run_traced"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, real=real, **k: runs.append(1) or real(*a, **k)
+        )
+    for extra in ([], ["--check-all"], ["--trace", str(trace)]):
+        argv = ["run", add, "add(suc^3(zero), zero)", "--dot", bad, *extra]
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {bad}: No such file or directory\n"
+    assert runs == []
+    # the trace file opened first is closed and left empty
+    assert trace.read_bytes() == b""
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_pauses_the_collector_and_restores_it(collecting, tmp_path, monkeypatch, capsys):
+    overlap = tmp_path / "overlap.trs"
+    overlap.write_text("constructors: zero/0 ; operations: f/1 ;\n"
+                       "rules: f(x) -> x ; f(zero) -> zero ;\n")
+    add, leafs = str(PROGRAMS / "add.trs"), str(PROGRAMS / "leafs.trs")
+    during = []
+    real_run = cli.run
+    monkeypatch.setattr(
+        cli, "run", lambda *a, **k: during.append(gc.isenabled()) or real_run(*a, **k)
+    )
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, code in (
+            (["run", add, "add(suc(zero), zero)"], 0),
+            (["check", str(overlap)], 1),
+            (["run", add, "add(zero"], 2),
+            (["run", leafs, "leafs(zero)"], 3),
+            (["run", add, "add(suc^9(zero), zero)", "--budget", "3"], 4),
+        ):
+            assert main(argv) == code, argv
+            assert gc.isenabled() == collecting, argv
+        with pytest.raises(SystemExit):  # argparse's exit 2
+            main(["run", add])
+        assert gc.isenabled() == collecting
+
+        def boom(text):
+            raise RuntimeError("escapes main")
+
+        monkeypatch.setattr(cli, "parse_program", boom)
+        with pytest.raises(RuntimeError):
+            main(["run", add, "add(zero, zero)"])
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+    capsys.readouterr()
+    assert during == [False] * 3  # the runs of exits 0, 3 and 4
 
 
 def test_compiled_names_never_clash(tmp_path, capsys):

@@ -203,6 +203,12 @@ def test_run_refuses_what_the_loader_never_builds(programs):
         EAnnot("rabbits", (z,), ECall("babies", (ELoc(z),))),
         ECon("m", (ECall("adults", (ELoc(z),)), EHole())),
         EHole(),
+        # symbols the signature does not declare as that kind at that arity
+        ECall("g", (ELoc(z),)),
+        ECall("rabbits", (ELoc(z), ELoc(z))),
+        ECon("m", (ELoc(z),)),
+        ECon("adults", (ELoc(z),)),
+        ECall("suc", (ELoc(z),)),
     ]:
         steps = []
         with pytest.raises(HeapError):
