@@ -99,7 +99,7 @@ def _run(
         budget = DEFAULT_NAIVE_BUDGET
     heap = None
     if engine == "shared":
-        heap, expr = initial_expression(program, Heap.empty(), term)
+        heap, expr = initial_expression(program, Heap(), term)
     with contextlib.ExitStack() as files:
         # opened before the first step, so an unwritable path costs no
         # evaluation, and closed however the run ends
@@ -247,7 +247,7 @@ def cmd_check(args) -> int:
 
 def _tier_line(d: GrsrDef, tmax_flag: Optional[int]) -> str:
     f = d.expr
-    fully = d.annotated and d.tier_output is not None and all(
+    fully = d.tier_inputs is not None and d.tier_output is not None and all(
         i is not None for i in d.tier_inputs
     )
     if fully:
@@ -258,7 +258,7 @@ def _tier_line(d: GrsrDef, tmax_flag: Optional[int]) -> str:
         return f"{d.name}: rejected {sig}: {reason}"
     tmax = tmax_flag if tmax_flag is not None else default_tier_bound(f)
     sigs = infer_tiers(f, tmax)
-    if d.annotated:
+    if d.tier_inputs is not None:
         def fits(s: TierSignature) -> bool:
             pins = [*zip(s.inputs, d.tier_inputs), (s.output, d.tier_output)]
             return all(want is None or got == want for got, want in pins)

@@ -50,7 +50,7 @@ def compile_term(sig: Signature, t: Term, slots: Optional[dict] = None) -> tuple
         node, done = stack.pop()
         if done:
             sym, k = node.sym, len(node.args)
-            con = sig.is_constructor(sym)
+            con = sym in sig.constructors
             if (sig.constructors if con else sig.operations).get(sym) != k:
                 validate_term(sig, t)  # raises the signature's complaint
             ops = code[len(code) - k :]
@@ -125,7 +125,7 @@ class _Trees(dict):
     first call."""
 
     def __init__(self, program: Program):
-        self.sig, self.by_op = program.signature, program._by_op
+        self.sig, self.by_op = program.signature, program.by_op
 
     def __missing__(self, op: str) -> object:
         tree = self[op] = _decision_tree(self.sig, op, self.by_op.get(op, ()))

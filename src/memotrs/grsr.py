@@ -136,19 +136,10 @@ class Case(FunctionExpr):
                 f"case over {algebra.name} needs {len(cons)} branches, "
                 f"got {len(self.branches)}"
             )
-        params: Optional[int] = None
-        for (con, ar), f in zip(cons, self.branches):
-            p = f.arity - ar
-            if p < 0:
-                raise GrsrError(f"case branch for {con} has too few arguments")
-            if params is None:
-                params = p
-            elif params != p:
-                raise GrsrError("case branches disagree on parameter count")
-        self.params = params if params is not None else 0
+        self.grid = tuple((f,) for f in self.branches)
+        self.params = _shared_params(self, 0, "case branch", "case branches")
         self.arity = 1 + self.params
         self.key = f"case[{algebra.key}]({','.join(f.key for f in self.branches)})"
-        self.grid = tuple((f,) for f in self.branches)
         self.components = self.select = 1
 
 
@@ -187,21 +178,28 @@ class SimRec(FunctionExpr):
         if not 1 <= select <= n:
             raise GrsrError(f"select {select} out of range 1..{n}")
         self.select = select
-        params: Optional[int] = None
-        for (con, ar), row in zip(cons, self.grid):
-            for f in row:
-                p = f.arity - ar * (1 + n)
-                if p < 0:
-                    raise GrsrError(f"recursion entry for {con} has too few arguments")
-                if params is None:
-                    params = p
-                elif params != p:
-                    raise GrsrError("recursion entries disagree on parameter count")
-        self.params = params if params is not None else 0
+        self.params = _shared_params(self, n, "recursion entry", "recursion entries")
         self.arity = 1 + self.params
         rows = ";".join(",".join(f.key for f in row) for row in self.grid)
         self.grid_key = f"rec[{algebra.key}]({rows})"
         self.key = f"{self.grid_key}@{select}"
+
+
+def _shared_params(g: FunctionExpr, values: int, entry: str, entries: str) -> int:
+    """The parameter count every entry of g.grid agrees on. An entry at a
+    constructor of arity ar takes the ar subterms, then `values` arguments
+    per subterm (0 in a case); entry and entries name it in errors."""
+    params = None
+    for (con, ar), row in zip(g.algebra.constructors, g.grid):
+        for f in row:
+            p = f.arity - ar * (1 + values)
+            if p < 0:
+                raise GrsrError(f"{entry} for {con} has too few arguments")
+            if params is None:
+                params = p
+            elif params != p:
+                raise GrsrError(f"{entries} disagree on parameter count")
+    return params
 
 
 # ---------------------------------------------------------------- tiering
@@ -266,9 +264,6 @@ class _TierProblem:
         if ra != rb:
             self.parent[ra] = rb
 
-    def gt(self, hi: int, lo: int, note: str) -> None:
-        self.edges.append((hi, lo, note))
-
 
 def _collect(f: FunctionExpr, prob: _TierProblem) -> _Node:
     t = type(f)
@@ -297,7 +292,7 @@ def _collect(f: FunctionExpr, prob: _TierProblem) -> _Node:
         if t is SimRec:
             n = f.components
             note = f"recursion argument must sit strictly above the result in {f.key}"
-            prob.gt(p, m, note)
+            prob.edges.append((p, m, note))
         kids = []
         for (con, ar), row in zip(f.algebra.constructors, f.grid):
             for g in row:
@@ -333,33 +328,8 @@ def _solve(
     val: dict[int, int] = {}
     state: dict[int, int] = {}  # 1 visiting, 2 done
     classes = {prob.find(v) for v in range(len(prob.parent))}
-
-    def visit(c: int) -> Optional[str]:
-        if state.get(c) == 2:
-            return None
-        if state.get(c) == 1:
-            return "recursion tiers form a cycle"
-        state[c] = 1
-        bound = 0
-        for lo, note in above.get(c, ()):
-            bad = visit(lo)
-            if bad is not None:
-                return bad
-            if val[lo] + 1 > bound:
-                bound = val[lo] + 1
-        if c in class_pin:
-            if class_pin[c] < bound:
-                return (
-                    f"tier {class_pin[c]} pinned below a required minimum of {bound}"
-                )
-            val[c] = class_pin[c]
-        else:
-            val[c] = bound
-        state[c] = 2
-        return None
-
     for c in classes:
-        bad = visit(c)
+        bad = _settle(c, above, class_pin, val, state)
         if bad is not None:
             return None, bad
     if cap is not None:
@@ -367,6 +337,33 @@ def _solve(
             if v > cap:
                 return None, f"needs a tier above the bound {cap}"
     return {v: val[prob.find(v)] for v in range(len(prob.parent))}, None
+
+
+def _settle(c: int, above: dict, class_pin: dict, val: dict, state: dict) -> Optional[str]:
+    """Set val[c], the least tier of class c above the classes it must
+    exceed and at its pin, or give why there is none. Not nested in _solve:
+    a nested function that calls itself is a reference cycle, which nothing
+    frees while a command runs with the collector paused."""
+    if state.get(c) == 2:
+        return None
+    if state.get(c) == 1:
+        return "recursion tiers form a cycle"
+    state[c] = 1
+    bound = 0
+    for lo, note in above.get(c, ()):
+        bad = _settle(lo, above, class_pin, val, state)
+        if bad is not None:
+            return bad
+        if val[lo] + 1 > bound:
+            bound = val[lo] + 1
+    if c in class_pin:
+        if class_pin[c] < bound:
+            return f"tier {class_pin[c]} pinned below a required minimum of {bound}"
+        val[c] = class_pin[c]
+    else:
+        val[c] = bound
+    state[c] = 2
+    return None
 
 
 def _derivation(node: _Node, val: dict[int, int]) -> TierDerivation:
@@ -427,11 +424,9 @@ def default_tier_bound(f: FunctionExpr) -> int:
     return len(grids) + 1
 
 
-def infer_tiers(f: FunctionExpr, t_max: Optional[int] = None) -> list[TierSignature]:
+def infer_tiers(f: FunctionExpr, t_max: int) -> list[TierSignature]:
     """All signatures with tiers <= t_max admitting a derivation. More than
     MAX_TIER_TUPLES tuples to try raise GrsrError before the first."""
-    if t_max is None:
-        t_max = default_tier_bound(f)
     # past 64 positions any t_max above 0 tries more than 2^64 tuples
     if (t_max + 1) ** min(f.arity + 1, 64) > MAX_TIER_TUPLES:
         raise GrsrError(f"inferring tiers up to {t_max} for {f.arity} arguments would try "
@@ -454,8 +449,8 @@ def _h8(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:8]
 
 
-def _vars(prefix: str, n: int, start: int = 1) -> list[Var]:
-    return [Var(f"{prefix}{i}") for i in range(start, start + n)]
+def _vars(prefix: str, n: int) -> list[Var]:
+    return [Var(f"{prefix}{i}") for i in range(1, n + 1)]
 
 
 def _components(g: FunctionExpr) -> list[tuple[str, str]]:
@@ -488,55 +483,58 @@ def compile_function(f: FunctionExpr) -> tuple[Program, str]:
     cons: dict[str, int] = {}
     ops: dict[str, int] = {}
     rules: list[Rule] = []
-    named: dict[str, str] = {}  # structural key -> operation name
+    entry = _compile(f, cons, ops, rules, {})
+    return Program(Signature(cons, ops), rules), entry
 
-    def add_algebra(a: Algebra) -> None:
-        for con, ar in a.constructors:
-            if cons.get(con, ar) != ar:
-                raise GrsrError(f"constructor {con} declared at two arities")
-            cons[con] = ar
 
-    def visit(g: FunctionExpr) -> str:
-        if g.key in named:
-            return named[g.key]
-        t = type(g)
-        if t is Case or t is SimRec:
-            add_algebra(g.algebra)
-            entry_ops = [[visit(h) for h in row] for row in g.grid]
-            comps = _components(g)
-            for key, cname in comps:
-                named[key] = cname
-                ops[cname] = g.arity
-            calls = comps if t is SimRec else ()  # a case passes no component values
-            zs = _vars("z", g.params)
-            for (con, ar), row_ops in zip(g.algebra.constructors, entry_ops):
-                ys = _vars("y", ar)
-                rec_calls = tuple(App(cname, (y, *zs)) for _, cname in calls for y in ys)
-                pat = App(con, tuple(ys))
-                for (_, cname), op in zip(comps, row_ops):
-                    lhs = App(cname, (pat, *zs))
-                    rules.append(Rule(lhs, App(op, (*ys, *rec_calls, *zs))))
-            return named[g.key]
-        if t is Comp:
-            outer = visit(g.outer)
-            inner = [visit(h) for h in g.inners]
-        elif t is ConstructorFn:
-            add_algebra(g.algebra)
-        name = named[g.key] = operation_name(g)
-        ops[name] = g.arity
-        xs = tuple(_vars("x", g.arity))
-        if t is Comp:
-            rhs = App(outer, tuple(App(h, xs) for h in inner))
-        elif t is Proj:
-            rhs = xs[g.index - 1]
-        else:
-            rhs = App(g.con, xs)
-        rules.append(Rule(App(name, xs), rhs))
-        return name
+def _add_algebra(cons: dict[str, int], a: Algebra) -> None:
+    for con, ar in a.constructors:
+        if cons.get(con, ar) != ar:
+            raise GrsrError(f"constructor {con} declared at two arities")
+        cons[con] = ar
 
-    entry = visit(f)
-    program = Program(Signature(cons, ops), rules)
-    return program, entry
+
+def _compile(g: FunctionExpr, cons: dict, ops: dict, rules: list, named: dict) -> str:
+    """The operation g compiles to. Declares the symbols and appends the
+    rules of g and of each subexpression whose structural key (named maps
+    it to its operation) is new, subexpressions first; not nested in
+    compile_function for the reason _settle is not."""
+    if g.key in named:
+        return named[g.key]
+    t = type(g)
+    if t is Case or t is SimRec:
+        _add_algebra(cons, g.algebra)
+        entry_ops = [[_compile(h, cons, ops, rules, named) for h in row] for row in g.grid]
+        comps = _components(g)
+        for key, cname in comps:
+            named[key] = cname
+            ops[cname] = g.arity
+        calls = comps if t is SimRec else ()  # a case passes no component values
+        zs = _vars("z", g.params)
+        for (con, ar), row_ops in zip(g.algebra.constructors, entry_ops):
+            ys = _vars("y", ar)
+            rec_calls = tuple(App(cname, (y, *zs)) for _, cname in calls for y in ys)
+            pat = App(con, tuple(ys))
+            for (_, cname), op in zip(comps, row_ops):
+                lhs = App(cname, (pat, *zs))
+                rules.append(Rule(lhs, App(op, (*ys, *rec_calls, *zs))))
+        return named[g.key]
+    if t is Comp:
+        outer = _compile(g.outer, cons, ops, rules, named)
+        inner = [_compile(h, cons, ops, rules, named) for h in g.inners]
+    elif t is ConstructorFn:
+        _add_algebra(cons, g.algebra)
+    name = named[g.key] = operation_name(g)
+    ops[name] = g.arity
+    xs = tuple(_vars("x", g.arity))
+    if t is Comp:
+        rhs = App(outer, tuple(App(h, xs) for h in inner))
+    elif t is Proj:
+        rhs = xs[g.index - 1]
+    else:
+        rhs = App(g.con, xs)
+    rules.append(Rule(App(name, xs), rhs))
+    return name
 
 
 def rename_operations(program: Program, mapping: dict[str, str]) -> Program:

@@ -29,7 +29,9 @@ algebras cannot both declare the same name. # starts a line comment.
 Function expressions nest at most MAX_NESTING deep, counting grouping
 parentheses and the depth of each referenced def where it is used; deeper
 input is refused with a ParseError before anything is built, which bounds
-the recursion of every pass over a parsed function.
+the recursion of every pass over a parsed function. An arity, of a
+constructor or of a proj, above MAX_ARITY is refused the same way, since
+inferring tiers and compiling build something per argument position.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .grsr import Algebra, Case, Comp, ConstructorFn, FunctionExpr, Proj, SimRec
 from .parser import TokenStream, read_nat, tokenize
 
 MAX_NESTING = 256
+MAX_ARITY = 10_000
 
 _KEYWORDS = frozenset(
     {"algebra", "def", "cons", "proj", "comp", "case", "rec", "over", "select"}
@@ -58,10 +61,6 @@ class GrsrDef:
     tier_output: Optional[int]
     line: int
 
-    @property
-    def annotated(self) -> bool:
-        return self.tier_inputs is not None
-
 
 @dataclass(frozen=True)
 class GrsrFile:
@@ -73,6 +72,14 @@ class GrsrFile:
             if d.name == name:
                 return d
         raise KeyError(name)
+
+
+def _arity(ts: TokenStream) -> int:
+    tok = ts.peek()
+    n = read_nat(ts)
+    if n > MAX_ARITY:
+        raise ParseError(f"arity {n} is larger than {MAX_ARITY}", tok.line, tok.col)
+    return n
 
 
 def _name_token(ts: TokenStream, what: str) -> str:
@@ -123,7 +130,7 @@ class _Parser:
                     f"{self.con_owner[con]}"
                 )
             ts.expect("punct", "/")
-            cons.append((con, read_nat(ts)))
+            cons.append((con, _arity(ts)))
             self.con_owner[con] = name
             if ts.at_punct(","):
                 ts.next()
@@ -222,7 +229,7 @@ class _Parser:
             return ConstructorFn(self.algebras[self.con_owner[con]], con)
         if tok.text == "proj":
             ts.next()
-            arity = read_nat(ts)
+            arity = _arity(ts)
             index = read_nat(ts)
             return self.checked(lambda: Proj(arity, index), tok)
         if tok.text == "comp":

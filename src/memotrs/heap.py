@@ -26,10 +26,6 @@ class Heap:
         self.entries: list[Node] = []  # location -> node
         self.index: dict[Node, int] = {}  # node -> location
 
-    @classmethod
-    def empty(cls) -> "Heap":
-        return cls()
-
     def copy(self) -> "Heap":
         h = Heap()
         h.entries = self.entries.copy()
@@ -40,19 +36,10 @@ class Heap:
     def node_count(self) -> int:
         return len(self.entries)
 
-    def locations(self) -> range:
-        return range(len(self.entries))
-
-    def contains(self, loc: int) -> bool:
-        return 0 <= loc < len(self.entries)
-
     def entry(self, loc: int) -> Node:
-        if not self.contains(loc):
+        if not 0 <= loc < len(self.entries):
             raise HeapError(f"unknown location {loc}")
         return self.entries[loc]
-
-    def nodes(self) -> list[tuple[int, str, tuple[int, ...]]]:
-        return [(i, *node) for i, node in enumerate(self.entries)]
 
     def merge(self, sym: str, args: tuple[int, ...]) -> int:
         """Find or append the node (sym, args); returns its location."""
@@ -92,8 +79,9 @@ class Heap:
         One downward sweep from the highest root: children sit below their
         parents, so every location is marked before the sweep reaches it."""
         roots = list(roots)
+        entries = self.entries
         for loc in roots:
-            if not self.contains(loc):
+            if not 0 <= loc < len(entries):
                 raise HeapError(f"unknown location {loc}")
         if not roots:
             return []
@@ -101,7 +89,6 @@ class Heap:
         marked = bytearray(top + 1)
         for loc in roots:
             marked[loc] = 1
-        entries = self.entries
         found: list[int] = []
         for loc in range(top, -1, -1):
             if marked[loc]:
@@ -145,12 +132,10 @@ class Heap:
             sizes[l] = size if limit is None or size < limit else limit
         return sizes[loc]
 
-    def to_dot(self, roots: Optional[Iterable[int]] = None) -> str:
-        """GraphViz rendering; restricted to roots' sub-DAG when given."""
-        if roots is None:
-            locs = range(len(self.entries))
-        else:
-            locs = self._reachable(roots)
+    def to_dot(self, roots: Iterable[int]) -> str:
+        """GraphViz rendering of the sub-DAG below roots; every location
+        as a root draws the whole heap."""
+        locs = self._reachable(roots)
         lines = ["digraph heap {"]
         entries = self.entries
         for l in locs:

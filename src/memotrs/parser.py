@@ -97,9 +97,9 @@ class TokenStream:
         tok = self.peek()
         return tok.kind == "punct" and tok.text == text
 
-    def at_name(self, text: Optional[str] = None) -> bool:
+    def at_name(self, text: str) -> bool:
         tok = self.peek()
-        return tok.kind == "name" and (text is None or tok.text == text)
+        return tok.kind == "name" and tok.text == text
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         tok = self.peek()
@@ -127,31 +127,23 @@ def read_nat(ts: TokenStream) -> int:
     return int(digits)
 
 
-def _expand_power(sym: str, count: int, inner: Term) -> Term:
-    t = inner
-    for _ in range(count):
-        t = App(sym, (t,))
-    return t
-
-
-def parse_term_tokens(ts: TokenStream, sig: Optional[Signature], allow_vars: bool) -> Term:
-    """Parse one term; iterative, so deeply nested input cannot overflow."""
+def parse_term_tokens(ts: TokenStream, sig: Signature, allow_vars: bool) -> Term:
+    """Parse one term over sig; with allow_vars an undeclared nullary name
+    is a variable. Iterative, so deeply nested input cannot overflow."""
 
     def make(sym: str, args: tuple[Term, ...], tok: Token) -> Term:
-        if sig is None:
-            return App(sym, args)
-        if sig.is_constructor(sym) or sig.is_operation(sym):
-            ar = sig.arity(sym)
-            if ar != len(args):
-                raise ParseError(
-                    f"{sym} declared with arity {ar}, applied to {len(args)}",
-                    tok.line,
-                    tok.col,
-                )
-            return App(sym, args)
-        if not args and allow_vars:
-            return Var(sym)
-        raise ParseError(f"undeclared symbol: {sym}", tok.line, tok.col)
+        ar = sig.constructors.get(sym, sig.operations.get(sym))
+        if ar is None:
+            if not args and allow_vars:
+                return Var(sym)
+            raise ParseError(f"undeclared symbol: {sym}", tok.line, tok.col)
+        if ar != len(args):
+            raise ParseError(
+                f"{sym} declared with arity {ar}, applied to {len(args)}",
+                tok.line,
+                tok.col,
+            )
+        return App(sym, args)
 
     result: Optional[Term] = None
     frames: list[list] = []  # [sym, power, args, name token]
@@ -207,20 +199,18 @@ def parse_term_tokens(ts: TokenStream, sig: Optional[Signature], allow_vars: boo
         if power is not None:
             if len(args) != 1:
                 raise ParseError(f"{sym}^{power} takes one argument", tok.line, tok.col)
-            base = args[0]
-            if sig is not None:
-                probe = make(sym, (base,), tok)  # arity check on the repeated symbol
-                result = _expand_power(sym, power - 1, probe) if power > 0 else base
-            else:
-                result = _expand_power(sym, power, base)
+            probe = make(sym, (args[0],), tok)  # arity check on the repeated symbol
+            result = probe if power else args[0]
+            for _ in range(power - 1):
+                result = App(sym, (result,))
         else:
             result = make(sym, tuple(args), tok)
 
 
-def parse_term(text: str, sig: Optional[Signature] = None, allow_vars: bool = False) -> Term:
-    """Parse a standalone term, validating symbols against sig when given."""
+def parse_term(text: str, sig: Signature) -> Term:
+    """Parse a standalone ground term, validating its symbols against sig."""
     ts = TokenStream(tokenize(text))
-    t = parse_term_tokens(ts, sig, allow_vars)
+    t = parse_term_tokens(ts, sig, False)
     ts.expect("eof")
     return t
 

@@ -257,12 +257,6 @@ class Signature:
         self.constructors = dict(constructors)
         self.operations = dict(operations)
 
-    def is_constructor(self, sym: str) -> bool:
-        return sym in self.constructors
-
-    def is_operation(self, sym: str) -> bool:
-        return sym in self.operations
-
     def arity(self, sym: str) -> int:
         if sym in self.constructors:
             return self.constructors[sym]
@@ -274,7 +268,7 @@ class Signature:
         return f"Signature({self.constructors!r}, {self.operations!r})"
 
 
-def validate_term(sig: Signature, t: Term, allow_vars: bool = True) -> None:
+def validate_term(sig: Signature, t: Term) -> None:
     """Check every symbol is declared and applied at its arity."""
     seen: set[int] = set()
     stack = [t]
@@ -284,8 +278,6 @@ def validate_term(sig: Signature, t: Term, allow_vars: bool = True) -> None:
             continue
         seen.add(id(node))
         if isinstance(node, Var):
-            if not allow_vars:
-                raise ArityError(f"unexpected variable {node.name} in ground term")
             continue
         ar = sig.arity(node.sym)
         if ar != len(node.args):
@@ -325,10 +317,11 @@ class Program:
     """A validated orthogonal constructor rewrite program.
 
     Construction raises the first problem `program_diagnostics` reports,
-    as that problem's exception class with its message.
+    as that problem's exception class with its message. by_op maps each
+    operation with rules to its rules, in program order.
     """
 
-    __slots__ = ("signature", "rules", "_by_op", "_delta", "_code")
+    __slots__ = ("signature", "rules", "by_op", "_delta", "_code")
 
     def __init__(self, signature: Signature, rules: Iterable[Rule]):
         self.signature = signature
@@ -336,12 +329,9 @@ class Program:
         by_op: dict[str, list[Rule]] = {}
         for error, message in _problems(signature, self.rules, by_op):
             raise error(message)
-        self._by_op = {op: tuple(group) for op, group in by_op.items()}
+        self.by_op = {op: tuple(group) for op, group in by_op.items()}
         self._delta: Optional[int] = None
         self._code = None  # decision trees over compiled bodies, see core._Trees
-
-    def rules_for(self, op: str) -> tuple[Rule, ...]:
-        return self._by_op.get(op, ())
 
     def __repr__(self) -> str:
         return f"Program({len(self.rules)} rules over {self.signature!r})"
@@ -374,7 +364,7 @@ def _problems(signature: Signature, rules: Iterable[Rule], by_op: dict):
 
     for rule in rules:
         lhs, rhs = rule.lhs, rule.rhs
-        if not isinstance(lhs, App) or not signature.is_operation(lhs.sym):
+        if not isinstance(lhs, App) or lhs.sym not in signature.operations:
             where = format_term(lhs) if isinstance(lhs, App) else repr(lhs)
             yield RuleError, f"shape: left-hand head of {where} is not an operation"
             continue

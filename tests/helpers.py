@@ -43,9 +43,9 @@ def reference_eval(program: Program, t: Term) -> Term:
     if isinstance(t, Var):
         raise ValueError(f"free variable {t.name}")
     args = tuple(reference_eval(program, a) for a in t.args)
-    if program.signature.is_constructor(t.sym):
+    if t.sym in program.signature.constructors:
         return App(t.sym, args)
-    for rule in program.rules_for(t.sym):
+    for rule in program.by_op.get(t.sym, ()):
         binding: dict[str, Term] = {}
         if all(
             _match(p, a, binding) for p, a in zip(rule.lhs.args, args)

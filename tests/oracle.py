@@ -86,7 +86,7 @@ def find_rule(
     program: Program, sym: str, args: tuple[Term, ...]
 ) -> tuple[Rule, dict[str, Term]]:
     """The rule whose argument patterns (jointly linear) all match args."""
-    for rule in program.rules_for(sym):
+    for rule in program.by_op.get(sym, ()):
         binding: dict[str, Term] = {}
         for p, a in zip(rule.lhs.args, args):
             b = match_term(p, a)
@@ -129,7 +129,7 @@ def match_call(
     program: Program, heap: Heap, sym: str, locs: tuple[int, ...]
 ) -> tuple[Rule, dict[str, int]]:
     """The rule whose patterns all match the call on locations, and the binding."""
-    for rule in program.rules_for(sym):
+    for rule in program.by_op.get(sym, ()):
         binding: dict[str, int] = {}
         for p, l in zip(rule.lhs.args, locs):
             b = match_pattern_at(heap, p, l)
@@ -309,7 +309,7 @@ def expr_of_term(program: Program, t: Term, binding: dict[str, int]) -> Expr:
             memo[id(node)] = ELoc(binding[node.name])
         elif done:
             args = tuple(memo[id(a)] for a in node.args)
-            cls = ECon if sig.is_constructor(node.sym) else ECall
+            cls = ECon if node.sym in sig.constructors else ECall
             memo[id(node)] = cls(node.sym, args)
         else:
             stack.append((node, True))
@@ -362,7 +362,7 @@ def applicable_step_kinds(cfg: Configuration, program: Program) -> list[str]:
     locs = tuple(a.loc for a in redex.args)
     if (redex.sym, locs) in cfg.cache:
         return [READ]
-    for rule in program.rules_for(redex.sym):
+    for rule in program.by_op.get(redex.sym, ()):
         if all(
             match_pattern_at(cfg.heap, p, l) is not None
             for p, l in zip(rule.lhs.args, locs)
@@ -379,13 +379,13 @@ def default_step_budget(program: Program, expr: Expr) -> int:
 def initial_call(program: Program, op: str, values: list[Term]) -> tuple[Heap, Expr]:
     """Store the argument values in a fresh heap and form the call expression."""
     sig = program.signature
-    if not sig.is_operation(op):
+    if op not in sig.operations:
         raise ArityError(f"not an operation: {op}")
     if sig.operations[op] != len(values):
         raise ArityError(
             f"{op} declared with arity {sig.operations[op]}, given {len(values)}"
         )
-    heap = Heap.empty()
+    heap = Heap()
     arg_locs = [store_value(heap, v) for v in values]
     return heap, ECall(op, tuple(ELoc(l) for l in arg_locs))
 

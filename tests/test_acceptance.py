@@ -322,7 +322,7 @@ def test_criterion_09_matching_proposition():
         return [number(s, [0]) for s in shapes(depth)]
 
     def check_pair(pat, val):
-        heap = Heap.empty()
+        heap = Heap()
         loc = store_value(heap, val)
         tree_binding = match_term(pat, val)
         got = match_graph(pat, heap, loc)

@@ -27,7 +27,7 @@ from memotrs import (
 )
 from memotrs import cli, grsr
 from memotrs.cli import OVERFLOW_LIMIT, _budget_value, _build_parser, main
-from memotrs.grsr_parser import MAX_NESTING
+from memotrs.grsr_parser import MAX_ARITY, MAX_NESTING
 from helpers import rabbit_tree, random_grsr, random_value
 from oracle import eval_grsr
 
@@ -120,7 +120,7 @@ def test_answer_sizes_stay_small_on_huge_answers():
     # the heap and 9 MB for the term (its walk's own tables), against 110 MB
     # exact: the 30 MB bound leaves over 3x on either side
     depth = 40_000
-    heap = Heap.empty()
+    heap = Heap()
     loc = heap.merge("leaf", ())
     term = App("leaf", ())
     for _ in range(depth):
@@ -419,6 +419,48 @@ def test_main_pauses_the_collector_and_restores_it(collecting, tmp_path, monkeyp
         (gc.enable if before else gc.disable)()
     capsys.readouterr()
     assert during == [False] * 3  # the runs of exits 0, 3 and 4
+
+
+SHIPPED_TERMS = {
+    "add.trs": "add(suc^3(zero), suc^2(zero))",
+    "id.trs": "id(suc^5(zero))",
+    "leafs.trs": "leafs(m(n(leafm), m(leafn, n(m(leafm, leafn)))))",
+    "rabbits.trs": "rabbits(suc^6(zero))",
+    "tree.trs": "tree(suc^5(zero))",
+}
+
+
+def test_commands_leave_no_reference_cycle(capsys):
+    """With the collector off, as main keeps it during a command, every
+    subcommand on the shipped files leaves nothing for the collector: a
+    cycle would live until the collector is back on. One command runs
+    first, so what a process builds once (argparse's parser) is not
+    counted."""
+    commands = []
+    for path in sorted(PROGRAMS.glob("*.trs")):
+        file, term = str(path), SHIPPED_TERMS[path.name]
+        commands.append(["check", file])
+        commands += [["run", file, term, "--engine", e] for e in cli.ENGINES]
+        commands.append(["run", file, term, "--check-all"])
+    commands.append(["bench", str(PROGRAMS / "rabbits.trs"), "rabbits", "--range", "0..6",
+                     "--engine", "naive,memo,shared"])
+    for path in sorted(PROGRAMS.glob("*.grsr")):
+        file = str(path)
+        commands += [["tier", file], ["tier", file, "--tmax", "2"]]
+        for d in parse_grsr(path.read_text()).defs:
+            commands.append(["compile", file, "--entry", d.name])
+    before = gc.isenabled()
+    gc.disable()
+    try:
+        main(commands[0])
+        gc.collect()
+        for argv in commands:
+            assert main(argv) == 0, argv
+            assert gc.collect() == 0, argv
+    finally:
+        if before:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_compiled_names_never_clash(tmp_path, capsys):
@@ -813,3 +855,25 @@ def test_grsr_nesting_counts_referenced_defs(tmp_path, capsys):
                        + ")" * MAX_NESTING + " ;\n")
     assert main(["tier", str(grouped)]) == 2
     assert "2:265: function expression nested deeper" in capsys.readouterr().err
+
+
+def test_grsr_arity_is_bounded(tmp_path, capsys):
+    """A proj or a constructor declaration of arity MAX_ARITY passes tier
+    and compile; one more is refused with its position before anything is
+    built (one of 10^6 took about 500 MB before)."""
+    files = {
+        "proj": lambda m: f"def big = proj {m} 1 ;\n",
+        "constructor": lambda m: f"algebra A = a/0, b/{m} ;\ndef big = cons[b] ;\n",
+    }
+    for kind, text in files.items():
+        path = tmp_path / f"{kind}.grsr"
+        path.write_text(text(MAX_ARITY))
+        assert main(["tier", "--tmax", "0", str(path)]) == 0, kind
+        assert main(["compile", str(path)]) == 0, kind
+        capsys.readouterr()
+        path.write_text(text(MAX_ARITY + 1))
+        col = text(MAX_ARITY + 1).index(str(MAX_ARITY + 1)) + 1
+        for command in ("tier", "compile"):
+            assert main([command, str(path)]) == 2, kind
+            err = capsys.readouterr().err
+            assert err == f"error: 1:{col}: arity {MAX_ARITY + 1} is larger than {MAX_ARITY}\n"

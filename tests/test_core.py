@@ -51,7 +51,7 @@ def _by_terms(program: Program, call: App, budget=None, **domain) -> tuple:
 
 def _by_machine(program: Program, call: App, budget=None) -> tuple:
     steps: list = []
-    heap, expr = initial_expression(program, Heap.empty(), call)
+    heap, expr = initial_expression(program, Heap(), call)
     try:
         cfg, stats = run(program, heap, expr, budget, lambda *row: steps.append(row))
     except BudgetExceededError as e:
@@ -127,7 +127,7 @@ def test_fusion_reads_every_slot_order():
 
 def _engines(program: Program, term: App) -> dict:
     def shared():
-        heap = Heap.empty()
+        heap = Heap()
         try:
             return run(program, *initial_expression(program, heap, term))
         finally:  # a refused term leaves no ill-formed node behind

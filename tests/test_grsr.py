@@ -181,7 +181,7 @@ def test_add_rejects_flat_tiers(functions):
 def test_add_inference(functions):
     add = functions["add"].lookup("add").expr
     assert default_tier_bound(add) == 2
-    got = infer_tiers(add)
+    got = infer_tiers(add, default_tier_bound(add))
     assert got == [
         TierSignature((1, 0), 0),
         TierSignature((2, 0), 0),
@@ -198,13 +198,14 @@ def test_inference_is_monotone_in_the_bound(functions):
 def test_inference_refuses_too_many_tuples(monkeypatch):
     monkeypatch.setattr(grsr, "MAX_TIER_TUPLES", 16)
     assert len(infer_tiers(Proj(3, 1), 1)) == 8  # 2^4 tuples, at the bound
-    for f, t_max in [(Proj(4, 1), 1), (ConstructorFn(NAT, "zero"), 16), (Proj(4, 1), None)]:
+    for f, t_max in [(Proj(4, 1), 1), (ConstructorFn(NAT, "zero"), 16)]:
         with pytest.raises(GrsrError, match="more than 16"):
             infer_tiers(f, t_max)
     monkeypatch.undo()
     t0 = time.perf_counter()  # refused before anything is built
     with pytest.raises(GrsrError, match=r"would try 2\^1000000000000000000 tuples"):
-        infer_tiers(Proj(999_999_999_999_999_999, 1))
+        f = Proj(999_999_999_999_999_999, 1)
+        infer_tiers(f, default_tier_bound(f))
     assert time.perf_counter() - t0 < 0.1
 
 
@@ -410,10 +411,10 @@ def test_default_tier_bound_counts_each_grid_once(functions):
 
 def test_parse_annotations(functions):
     add_def = functions["add"].lookup("add")
-    assert add_def.annotated
+    assert add_def.tier_inputs is not None
     assert add_def.tier_inputs == (2, 1) and add_def.tier_output == 1
     one_def = functions["leafs"].lookup("one")
-    assert not one_def.annotated
+    assert one_def.tier_inputs is None
 
 
 def test_parse_partial_annotation():
@@ -422,7 +423,7 @@ def test_parse_partial_annotation():
         "def f : N x N@1 -> N = proj 2 2 ;\n"
     )
     d = f.lookup("f")
-    assert d.annotated
+    assert d.tier_inputs is not None
     assert d.tier_inputs == (None, 1) and d.tier_output is None
 
 

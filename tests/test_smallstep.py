@@ -143,7 +143,7 @@ def test_id_program_step_by_step(programs):
 
 def test_read_replays_cached_call(programs):
     p = programs["id"]
-    heap = Heap.empty()
+    heap = Heap()
     heap.merge("zero", ())
     cfg = Configuration({("id", (0,)): 0}, heap, ECall("id", (ELoc(0),)))
     cfg, kind = step(cfg, p)
@@ -154,7 +154,7 @@ def test_read_replays_cached_call(programs):
 
 def test_merge_step_stores_constructor(programs):
     p = programs["add"]
-    heap = Heap.empty()
+    heap = Heap()
     z = heap.merge("zero", ())
     cfg = Configuration({}, heap, ECon("suc", (ELoc(z),)))
     cfg, kind = step(cfg, p)
@@ -184,7 +184,7 @@ def test_run_matches_manual_stepping(programs):
     assert [k for _, k, *_ in observed] == kinds
     assert expr_equal(mcfg.expr, cfg.expr)
     assert mcfg.cache == cfg.cache
-    assert mcfg.heap.nodes() == cfg.heap.nodes()
+    assert mcfg.heap.entries == cfg.heap.entries
     assert stats.total == len(kinds)
     # the incremental weight column equals the recomputed weight
     for (_, _, w, h, c), after in zip(observed, seen[1:]):
@@ -197,7 +197,7 @@ def test_run_refuses_what_the_loader_never_builds(programs):
     p = programs["rabbits"]
     heap, call = initial_call(p, "rabbits", [suc_chain(3)])
     z = call.args[0].loc
-    nodes = heap.nodes()
+    nodes = heap.entries.copy()
     for expr in [
         EAnnot("rabbits", (z,), ELoc(z)),
         EAnnot("rabbits", (z,), ECall("babies", (ELoc(z),))),
@@ -213,7 +213,7 @@ def test_run_refuses_what_the_loader_never_builds(programs):
         steps = []
         with pytest.raises(HeapError):
             run(p, heap, expr, on_step=lambda *row: steps.append(row))
-        assert steps == [] and heap.nodes() == nodes
+        assert steps == [] and heap.entries == nodes
 
 
 def test_rabbits_generation_six_run(programs):
@@ -271,7 +271,7 @@ def test_per_step_lemmas_on_corpus(programs):
                 assert dw == -1
             assert configuration_size(after) - configuration_size(cfg) <= delta
             assert after.heap.node_count >= cfg.heap.node_count
-            assert after.heap.nodes()[: cfg.heap.node_count] == cfg.heap.nodes()
+            assert after.heap.entries[: cfg.heap.node_count] == cfg.heap.entries
             assert check_well_formed(after) == []
             cfg = after
         assert expression_weight(cfg.expr) == 0
@@ -300,7 +300,7 @@ def test_simulation_applies_equal_memo_cost(programs):
         (programs["leafs"], App("leafs", (rabbit_tree(5),))),
     ]
     for p, call in cases:
-        heap, expr = initial_expression(p, Heap.empty(), call)
+        heap, expr = initial_expression(p, Heap(), call)
         cfg, stats = run(p, heap, expr)
         memo = eval_memo(p, {}, call)
         assert stats.applies == memo.cost
@@ -345,7 +345,7 @@ def test_naive_answer_shared_size_is_reachable_count(programs):
         ]
         cases.append((p, App(op, tuple(vals))))
     for p, call in cases:
-        heap, expr = initial_expression(p, Heap.empty(), call)
+        heap, expr = initial_expression(p, Heap(), call)
         cfg, _ = run(p, heap, expr)
         naive = naive_run(p, call, 10**6).value
         assert minimal_shared_size([naive]) == cfg.heap.reachable_count(cfg.expr.loc)
@@ -381,7 +381,7 @@ def test_trace_rows_and_determinism(programs):
 def test_initial_expression_mixed_term(programs):
     p = programs["add"]
     term = App("add", (App("suc", (App("add", (suc_chain(0), suc_chain(0))),)), suc_chain(0)))
-    heap, expr = initial_expression(p, Heap.empty(), term)
+    heap, expr = initial_expression(p, Heap(), term)
     assert isinstance(expr, ECall)
     inner = expr.args[0]
     assert isinstance(inner, ECon)  # suc over an unevaluated call stays symbolic
@@ -391,7 +391,7 @@ def test_initial_expression_mixed_term(programs):
 
 def test_initial_expression_pure_value(programs):
     p = programs["add"]
-    heap, expr = initial_expression(p, Heap.empty(), suc_chain(3))
+    heap, expr = initial_expression(p, Heap(), suc_chain(3))
     assert isinstance(expr, ELoc)
     assert heap.unfold(expr.loc) == suc_chain(3)
 
@@ -399,14 +399,14 @@ def test_initial_expression_pure_value(programs):
 def test_initial_expression_numbers_right_to_left(programs):
     # constructor-only subterms are merged children first, last argument first
     term = App("m", (App("rabbits", (App("zero"),)), App("n", (App("leafm"),))))
-    heap, expr = initial_expression(programs["rabbits"], Heap.empty(), term)
-    assert heap.nodes() == [(0, "leafm", ()), (1, "n", (0,)), (2, "zero", ())]
+    heap, expr = initial_expression(programs["rabbits"], Heap(), term)
+    assert heap.entries == [("leafm", ()), ("n", (0,)), ("zero", ())]
     assert isinstance(expr, ECon) and expr.args[1].loc == 1
 
 
 def test_initial_expression_rejects_variables(programs):
     with pytest.raises(HeapError):
-        initial_expression(programs["add"], Heap.empty(), App("suc", (Var("x"),)))
+        initial_expression(programs["add"], Heap(), App("suc", (Var("x"),)))
 
 
 def same_shape(a, b) -> bool:
@@ -453,7 +453,7 @@ def assert_loads_like_reference(program, heap, term):
         except BudgetExceededError as e:
             stats = e.stats
         assert stats.initial_weight == expression_weight(want)
-    assert mine.nodes() == ref.nodes()
+    assert mine.entries == ref.entries
     assert mine.index == ref.index
 
 
@@ -495,7 +495,7 @@ def test_loader_matches_node_by_node_reference():
         rng = random.Random(seed)
         program = random_program(seed) if seed % 3 else LOAD_PROGRAM
         sig = program.signature
-        heap = Heap.empty()
+        heap = Heap()
         if seed % 2:  # into a heap that already holds values
             for _ in range(3):
                 store_value(heap, random_value(rng, sig.constructors, rng.randint(0, 4)))
@@ -533,20 +533,20 @@ def test_loader_sharing_cases():
         suc(suc(Var("x"))),  # a variable at the bottom of a run
         pair(suc(zero, 4), suc(Var("x"), 2)),
     ]
-    warm = Heap.empty()
+    warm = Heap()
     store_value(warm, suc(zero, 3))
     store_value(warm, pair(zero, zero))
     for term in cases:
-        for heap in (Heap.empty(), warm):
+        for heap in (Heap(), warm):
             assert_loads_like_reference(LOAD_PROGRAM, heap, term)
-    _, expr = initial_expression(LOAD_PROGRAM, Heap.empty(), suc(f(suc(zero))))
+    _, expr = initial_expression(LOAD_PROGRAM, Heap(), suc(f(suc(zero))))
     assert isinstance(expr, ECon) and isinstance(expr.args[0], ECall)
 
 
 def test_loader_takes_deep_runs():
     n = 200_000
     chain = suc_chain(n)
-    heap, expr = initial_expression(LOAD_PROGRAM, Heap.empty(), chain)
+    heap, expr = initial_expression(LOAD_PROGRAM, Heap(), chain)
     assert isinstance(expr, ELoc) and expr.loc == n and heap.node_count == n + 1
     heap, expr = initial_expression(LOAD_PROGRAM, heap, App("f", (chain,)))
     assert isinstance(expr, ECall) and expr.args[0].loc == n
@@ -558,7 +558,7 @@ def test_loader_is_linear_in_distinct_nodes():
     for _ in range(40):  # 2^40 tree nodes, 91 distinct
         t = App("pair", (t, t))
     start = time.perf_counter()
-    heap, expr = initial_expression(LOAD_PROGRAM, Heap.empty(), App("f", (t,)))
+    heap, expr = initial_expression(LOAD_PROGRAM, Heap(), App("f", (t,)))
     assert time.perf_counter() - start < 1.0
     assert heap.node_count == 91 and expr.args[0].loc == 90
 
@@ -583,7 +583,7 @@ def test_expression_reprs_are_bounded():
 
 
 def test_unfold_expression_drops_annotations(programs):
-    heap = Heap.empty()
+    heap = Heap()
     z = heap.merge("zero", ())
     e = EAnnot("id", (z,), ECon("suc", (ELoc(z),)))
     assert unfold_expression(heap, e) == suc_chain(1)
@@ -603,7 +603,7 @@ def test_budget_cuts_off_with_stats(programs):
 
 
 def test_well_formedness_detects_problems():
-    heap = Heap.empty()
+    heap = Heap()
     z = heap.merge("zero", ())
     ok = Configuration({}, heap, ELoc(z))
     assert check_well_formed(ok) == []
