@@ -54,6 +54,17 @@ JOBS = {
                     "--engine", "naive"],
     "stuck_memo": ["run", "programs/leafs.trs", "add(leafs(leafm), leafn)",
                    "--engine", "memo"],
+    # input shapes the shared engine's loader meets: a constructor over calls,
+    # a unary run of calls above a value, a bare value, a call beside a value
+    "nested_shared": ["run", "programs/add.trs",
+                      "suc(add(add(suc(zero), suc(zero)), add(suc(zero), zero)))",
+                      "--trace", "{trace}", "--dot", "{dot}"],
+    "id_run_shared": ["run", "programs/id.trs", "id(id(id(suc^3(zero))))",
+                      "--trace", "{trace}", "--dot", "{dot}"],
+    "value_shared": ["run", "programs/add.trs", "suc^2(zero)",
+                     "--trace", "{trace}", "--dot", "{dot}"],
+    "mixed_shared": ["run", "programs/rabbits.trs", "m(rabbits(suc^3(zero)), n(leafm))",
+                     "--trace", "{trace}", "--dot", "{dot}"],
 }
 
 
