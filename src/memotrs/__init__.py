@@ -51,10 +51,6 @@ from .parser import (
 )
 from .smallstep import (
     Configuration,
-    ECall,
-    ECon,
-    ELoc,
-    Expr,
     RefCache,
     RunStats,
     initial_expression,

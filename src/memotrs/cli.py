@@ -99,7 +99,7 @@ def _run(
         budget = DEFAULT_NAIVE_BUDGET
     heap = None
     if engine == "shared":
-        heap, expr = initial_expression(program, Heap(), term)
+        heap, code = initial_expression(program, Heap(), term)
     with contextlib.ExitStack() as files:
         # opened before the first step, so an unwritable path costs no
         # evaluation, and closed however the run ends
@@ -117,18 +117,18 @@ def _run(
             out = eval_memo(program, {}, term, budget=budget, stats=stats)
             answer, m, total, cache_size = out.value, out.cost, stats.work, len(out.cache)
         elif trace is not None:
-            cfg, rs = run_traced(program, heap, expr, trace, step_budget=budget)
+            cfg, rs = run_traced(program, heap, code, trace, step_budget=budget)
         else:
-            cfg, rs = run(program, heap, expr, step_budget=budget)
+            cfg, rs = run(program, heap, code, step_budget=budget)
         wall = time.perf_counter_ns() - t0
         if dot is not None:
-            dot.write(cfg.heap.to_dot([cfg.expr.loc]))
+            dot.write(cfg.heap.to_dot([cfg.loc]))
     # sizes saturate at OVERFLOW_LIMIT, which prints as a marker anyway
     if heap is None:
         dag_nodes = minimal_shared_size([answer])
         size = term_size(answer, OVERFLOW_LIMIT)
     else:
-        heap, answer = cfg.heap, cfg.expr.loc
+        heap, answer = cfg.heap, cfg.loc
         m, total, cache_size = rs.applies, rs.total, len(cfg.cache)
         dag_nodes = heap.reachable_count(answer)
         size = heap.unfolded_size(answer, OVERFLOW_LIMIT)
@@ -257,13 +257,8 @@ def _tier_line(d: GrsrDef, tmax_flag: Optional[int]) -> str:
             return f"{d.name}: accepted {sig}"
         return f"{d.name}: rejected {sig}: {reason}"
     tmax = tmax_flag if tmax_flag is not None else default_tier_bound(f)
-    sigs = infer_tiers(f, tmax)
-    if d.tier_inputs is not None:
-        def fits(s: TierSignature) -> bool:
-            pins = [*zip(s.inputs, d.tier_inputs), (s.output, d.tier_output)]
-            return all(want is None or got == want for got, want in pins)
-
-        sigs = [s for s in sigs if fits(s)]
+    pins = None if d.tier_inputs is None else (*d.tier_inputs, d.tier_output)
+    sigs = infer_tiers(f, tmax, pins)
     if sigs:
         listed = ", ".join(str(s) for s in sigs)
         return f"{d.name}: signatures up to tier {tmax}: {listed}"
@@ -377,11 +372,7 @@ def cmd_bench(args) -> int:
 def _budget_value(text: str) -> int:
     """A budget: a natural number N, or B^E for natural numbers B and E."""
     base, hat, exp = text.partition("^")
-    b, e = int(base), int(exp) if hat else 1
-    if b < 0 or e < 0:
-        raise argparse.ArgumentTypeError(
-            f"budget {text} is negative or has a negative exponent"
-        )
+    b, e = _natural(base), _natural(exp) if hat else 1
     # checked before exponentiating: 10^999999999 alone needs ~415 MB
     if b > 1 and e * math.log2(b) > MAX_BUDGET_BITS:
         raise argparse.ArgumentTypeError(
@@ -391,14 +382,14 @@ def _budget_value(text: str) -> int:
 
 
 def _natural(text: str) -> int:
-    """A natural number, for --tmax and --depth-cap."""
-    try:
-        n = int(text)
-    except ValueError:
+    """A natural number in ASCII digits, as a term or --range writes one:
+    --tmax, --depth-cap, and a budget's base and exponent."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if n < 0:
+    if digits != text:
         raise argparse.ArgumentTypeError(f"{text} is negative")
-    return n
+    return int(text)
 
 
 @functools.cache  # built on the first call, not at import

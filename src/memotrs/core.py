@@ -5,7 +5,10 @@ Code is a postfix tuple of instructions (op, a, b): (VAR, slot, None) and
 arguments, and (RET, None, None) ends a body, storing its value under the
 call's key. Postfix order is leftmost-innermost order, so no redex is ever
 searched for. In a rule body a slot is the occurrence the matched call
-bound the variable to; an input holds no variables. A CON or CALL of a rule
+bound the variable to; an input holds no variables. `compile_term` is the
+one compiler of inputs for all engines: a VAL of an input holds a term
+for the memo and naive engines, and for the shared engine the heap
+location its loader merged the term into. A CON or CALL of a rule
 body whose arguments are all variables compiles, without their pushes, to
 one (FCON, sym, get) or (FCALL, sym, get), where get(binding) gives the
 arguments (Proebsting's superoperators, POPL 1995). The naive engine still
@@ -37,14 +40,18 @@ VAR, VAL, RET, CON, CALL, FCON, FCALL = range(7)
 APPLY, READ, STORE, MERGE = "apply", "read", "store", "merge"
 
 
-def compile_term(sig: Signature, t: Term, slots: Optional[dict] = None) -> tuple:
+def compile_term(
+    sig: Signature, t: Term, slots: Optional[dict] = None, vals: Optional[dict] = None
+) -> tuple:
     """Postfix code of t: of a rule body whose variables have the given
     slots, or without them of an input term, whose constructor-only
     subterms are one VAL push each. A variable in an input is free, and
     raises StuckError before any code runs; a symbol the signature does not
-    declare at that arity raises as validate_term does."""
+    declare at that arity raises as validate_term does. vals, passed by the
+    shared engine's loader, gives the VAL push of each node id it has
+    merged into a heap, so those nodes are pushed as their locations."""
     code: list = []
-    vals: dict[int, tuple] = {}  # id -> VAL push of a node met before
+    vals = {} if vals is None else vals  # id -> VAL push of a node met before
     stack: list = [(t, False)]
     while stack:
         node, done = stack.pop()

@@ -424,21 +424,31 @@ def default_tier_bound(f: FunctionExpr) -> int:
     return len(grids) + 1
 
 
-def infer_tiers(f: FunctionExpr, t_max: int) -> list[TierSignature]:
-    """All signatures with tiers <= t_max admitting a derivation. More than
-    MAX_TIER_TUPLES tuples to try raise GrsrError before the first."""
+def infer_tiers(
+    f: FunctionExpr, t_max: int, pins: Optional[tuple[Optional[int], ...]] = None
+) -> list[TierSignature]:
+    """All signatures with tiers <= t_max admitting a derivation. pins, one
+    per input and then one for the output, fixes each tier that is not None,
+    and only the open positions are searched. More than MAX_TIER_TUPLES
+    tuples to try raise GrsrError before the first."""
+    if pins is not None and len(pins) != f.arity + 1:
+        raise GrsrError(f"{len(pins)} pins for {f.arity} arguments and the output")
+    n_open = f.arity + 1 if pins is None else pins.count(None)
     # past 64 positions any t_max above 0 tries more than 2^64 tuples
-    if (t_max + 1) ** min(f.arity + 1, 64) > MAX_TIER_TUPLES:
+    if (t_max + 1) ** min(n_open, 64) > MAX_TIER_TUPLES:
         raise GrsrError(f"inferring tiers up to {t_max} for {f.arity} arguments would try "
-                        f"{t_max + 1}^{f.arity + 1} tuples, more than {MAX_TIER_TUPLES}")
+                        f"{t_max + 1}^{n_open} tuples, more than {MAX_TIER_TUPLES}")
     prob = _TierProblem()
     root = _collect(f, prob)
     positions = [*root.ins, root.out]
+    pins = (None,) * len(positions) if pins is None else pins
+    fixed = [(v, p) for v, p in zip(positions, pins) if p is not None]
+    free = [v for v, p in zip(positions, pins) if p is None]
     found: list[TierSignature] = []
-    for combo in product(range(t_max + 1), repeat=len(positions)):
-        val, _ = _solve(prob, list(zip(positions, combo)), t_max)
+    for combo in product(range(t_max + 1), repeat=len(free)):
+        val, _ = _solve(prob, fixed + list(zip(free, combo)), t_max)
         if val is not None:
-            found.append(TierSignature(tuple(combo[:-1]), combo[-1]))
+            found.append(TierSignature(tuple(val[v] for v in root.ins), val[root.out]))
     return found
 
 

@@ -4,15 +4,18 @@ Like `reference_eval` in helpers.py, nothing here is used by the library.
 The one-step machine re-decomposes its expression at every step and hands
 out configurations as values: `step` never changes the configuration it is
 given, and copies the heap only when a merge adds a node. Its expressions
-hold the annotation frames (`EAnnot`) that the library's `run` never takes,
-and `expression_weight` weighs them. The rule-by-rule matchers try each
-rule's patterns in turn, on terms and on heap locations.
+(`ELoc`, `ECon`, `ECall` and the annotation frames `EAnnot`) and its
+`Configuration` live only here: the library compiles inputs to code and
+runs that, and `expression_code` gives the code of an expression without
+annotations. `expression_weight` weighs expressions. The rule-by-rule
+matchers try each rule's patterns in turn, on terms and on heap locations.
 Canonical-tree matching builds the pattern's tree as a graph and returns
 the morphism into the heap. The library's `run` and its compiled decision
 trees are held to these by the tests.
 
-`initial_expression_by_node` loads a term one node at a time, the oracle
-for `smallstep.initial_expression`, which walks unary runs at once.
+`initial_expression_by_node` loads a term one node at a time into an
+expression, the oracle for `smallstep.initial_expression`, which walks
+unary runs at once and returns code.
 `unfused` gives a program whose rule bodies run without fused
 instructions, each turned back into its VAR pushes and CON or CALL by
 `expand_fused`: the oracle for the fused code the engines run.
@@ -25,6 +28,7 @@ rule by rule, the oracle for `check_tiers_explained`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from memotrs import (
@@ -49,10 +53,10 @@ from memotrs import (
     program_delta,
     terms_equal,
 )
-from memotrs.core import APPLY, CALL, CON, FCALL, FCON, MERGE, READ, STORE, VAR, _Trees
+from memotrs.core import APPLY, CALL, CON, FCALL, FCON, MERGE, READ, RET, STORE, VAL, VAR, _Trees
 from memotrs.heap import Node
-from memotrs.smallstep import Configuration, ECall, ECon, ELoc, Expr
-from memotrs.terms import bounded_repr
+from memotrs.smallstep import RefCache
+from memotrs.terms import bounded_repr, call_repr_parts
 
 from helpers import store_value
 
@@ -145,6 +149,43 @@ def match_call(
 # ------------------------------------------------------ one-step machine
 
 
+class Expr:
+    __slots__ = ()
+
+
+class ELoc(Expr):
+    __slots__ = ("loc",)
+
+    def __init__(self, loc: int):
+        self.loc = loc
+
+    def __repr__(self) -> str:
+        return f"ELoc({self.loc})"
+
+
+class _ESym(Expr):
+    """A symbol applied to expressions: ECall an operation, ECon a constructor."""
+
+    __slots__ = ("sym", "args")
+
+    def __init__(self, sym: str, args: tuple[Expr, ...]):
+        self.sym = sym
+        self.args = args
+
+    def _repr_parts(self) -> list:
+        return call_repr_parts(type(self).__name__, self.sym, self.args)
+
+    __repr__ = bounded_repr
+
+
+class ECall(_ESym):
+    __slots__ = ()
+
+
+class ECon(_ESym):
+    __slots__ = ()
+
+
 class EAnnot(Expr):
     """The annotation frame f<locs>{body}: the call f on locs, its body
     being evaluated."""
@@ -167,6 +208,34 @@ class EHole(Expr):
 
     def __repr__(self) -> str:
         return "EHole()"
+
+
+@dataclass(frozen=True)
+class Configuration:
+    """The paper's configuration: a cache, a heap and an expression."""
+
+    cache: RefCache
+    heap: Heap
+    expr: Expr
+
+
+def expression_code(e: Expr) -> tuple:
+    """The code `smallstep.run` takes for an expression without annotations:
+    a location pushes itself, a symbol pops its arguments, in postfix order."""
+    code: list = []
+    stack: list = [e]  # expressions, and the finished instruction of a symbol
+    while stack:
+        node = stack.pop()
+        t = type(node)
+        if t is tuple:
+            code.append(node)
+        elif t is ELoc:
+            code.append((VAL, node.loc, None))
+        else:
+            stack.append((CON if t is ECon else CALL, node.sym, len(node.args)))
+            stack.extend(reversed(node.args))
+    code.append((RET, None, None))
+    return tuple(code)
 
 
 def expr_equal(a: Expr, b: Expr) -> bool:

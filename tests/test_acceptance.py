@@ -16,13 +16,13 @@ import pytest
 from memotrs import (
     App,
     BudgetExceededError,
-    Configuration,
     Heap,
     TierSignature,
     check_tiers_explained,
     compile_function,
     eval_memo,
     infer_tiers,
+    initial_expression,
     minimal_shared_size,
     naive_run,
     program_delta,
@@ -41,10 +41,12 @@ from helpers import (
     suc_chain,
 )
 from oracle import (
+    Configuration,
     applicable_step_kinds,
     canonical_tree,
     configuration_size,
     eval_grsr,
+    expression_code,
     expression_weight,
     initial_call,
     match_graph,
@@ -58,8 +60,8 @@ R_CONS = {"leafn": 0, "leafm": 0, "n": 1, "m": 2}
 
 def machine_outcome(program, op, values):
     heap, expr = initial_call(program, op, values)
-    cfg, stats = run(program, heap, expr)
-    return cfg.heap.unfold(cfg.expr.loc), stats
+    cfg, stats = run(program, heap, expression_code(expr))
+    return cfg.heap.unfold(cfg.loc), stats
 
 
 def sample_inputs(rng, constructors, arity, limit):
@@ -160,8 +162,8 @@ def test_criterion_04_sharing_compactness(programs):
     p = programs["tree"]
     for n in range(1, 201):
         heap, expr = initial_call(p, "tree", [suc_chain(n)])
-        cfg, _ = run(p, heap, expr)
-        loc = cfg.expr.loc
+        cfg, _ = run(p, heap, expression_code(expr))
+        loc = cfg.loc
         assert cfg.heap.reachable_count(loc) == n + 1
         assert cfg.heap.unfolded_size(loc) == 2 ** (n + 1) - 1
 
@@ -223,7 +225,7 @@ def test_criterion_06_determinism(programs):
         def traced():
             heap, expr = initial_call(p, op, vals)
             buf = StringIO()
-            run_traced(p, heap, expr, buf)
+            run_traced(p, heap, expression_code(expr), buf)
             return buf.getvalue()
 
         first, second = traced(), traced()
@@ -396,11 +398,11 @@ def test_criterion_10_polytime_soundness(programs):
         for _ in range(6):
             for n in rng.sample(ns, len(ns)):
                 reps = max(3, 240 // n)
-                inputs = [initial_call(p, "rabbits", [suc_chain(n)])
+                inputs = [initial_expression(p, Heap(), App("rabbits", (suc_chain(n),)))
                           for _ in range(reps)]
                 t0 = time.perf_counter_ns()
-                for heap, expr in inputs:
-                    run(p, heap, expr)
+                for heap, code in inputs:
+                    run(p, heap, code)
                 best[n] = min(best[n], (time.perf_counter_ns() - t0) / reps)
     finally:
         gc.enable()

@@ -330,6 +330,19 @@ def test_tier_inference_is_bounded(tmp_path, capsys):
     assert "would try 100001^1 tuples" in capsys.readouterr().err
 
 
+def test_tier_searches_only_open_positions(tmp_path, capsys):
+    # 16 pinned inputs leave 2 tuples to try, and the next def is printed
+    f = tmp_path / "pinned.grsr"
+    ins = " x ".join(["N@1"] * 16)
+    f.write_text(f"algebra N = zero/0, suc/1 ;\ndef big : {ins} -> N = proj 16 1 ;\n"
+                 "def first = proj 2 1 ;\n")
+    assert main(["tier", str(f)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"big: signatures up to tier 1: ({', '.join(['1'] * 16)}) -> 1",
+        "first: signatures up to tier 1: (0, 0) -> 0, (0, 1) -> 0, (1, 0) -> 1, (1, 1) -> 1",
+    ]
+
+
 def test_negative_tmax_and_depth_cap_are_refused(capsys):
     for argv in (
         ["tier", str(PROGRAMS / "leafs.grsr"), "--tmax", "-1"],
@@ -343,6 +356,31 @@ def test_negative_tmax_and_depth_cap_are_refused(capsys):
         main(["tier", str(PROGRAMS / "leafs.grsr"), "--tmax", "two"])
     assert e.value.code == 2
     assert capsys.readouterr().err.endswith("argument --tmax: invalid int value: 'two'\n")
+
+
+def test_numbers_are_ascii_digits_everywhere(capsys):
+    """--budget (base and exponent), --tmax and --depth-cap read numbers as
+    --range and terms do: ASCII digits only, anything else exit 2."""
+    add, leafs = str(PROGRAMS / "add.trs"), str(PROGRAMS / "leafs.grsr")
+    for bad in ("1_000", "\u0663\u0665", "+40", " 40 ", "4 0", "", "0x10", "4.0"):
+        for argv in (
+            ["run", add, "zero", "--budget", bad],
+            ["run", add, "zero", "--budget", f"{bad}^2"],
+            ["run", add, "zero", "--budget", f"2^{bad}"],
+            ["run", add, "zero", "--depth-cap", bad],
+            ["tier", leafs, "--tmax", bad],
+        ):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == 2, argv
+        template = "add(suc^{n}(zero), zero)"
+        assert main(["bench", add, "--template", template, "--range", f"{bad}..2"]) == 2
+        if bad.strip() == bad and " " not in bad:  # a term may space its tokens
+            assert main(["run", add, f"suc^{bad}(zero)"]) == 2, bad
+    capsys.readouterr()
+    assert main(["run", add, "suc^007(zero)", "--budget", "040", "--depth-cap", "03"]) == 0
+    assert main(["run", add, "zero", "--budget", "2^064"]) == 0
+    assert main(["tier", leafs, "--tmax", "01"]) == 0
 
 
 def test_unwritable_outputs_exit_2(tmp_path, capsys):

@@ -51,12 +51,12 @@ def _by_terms(program: Program, call: App, budget=None, **domain) -> tuple:
 
 def _by_machine(program: Program, call: App, budget=None) -> tuple:
     steps: list = []
-    heap, expr = initial_expression(program, Heap(), call)
+    heap, code = initial_expression(program, Heap(), call)
     try:
-        cfg, stats = run(program, heap, expr, budget, lambda *row: steps.append(row))
+        cfg, stats = run(program, heap, code, budget, lambda *row: steps.append(row))
     except BudgetExceededError as e:
         return "over", dataclasses.astuple(e.stats), steps
-    return cfg.heap.unfold(cfg.expr.loc), dataclasses.astuple(stats), steps
+    return cfg.heap.unfold(cfg.loc), dataclasses.astuple(stats), steps
 
 
 def test_fused_code_runs_as_its_expansion():

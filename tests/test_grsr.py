@@ -1,3 +1,4 @@
+import random
 import time
 from collections import Counter
 
@@ -207,6 +208,34 @@ def test_inference_refuses_too_many_tuples(monkeypatch):
         f = Proj(999_999_999_999_999_999, 1)
         infer_tiers(f, default_tier_bound(f))
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_pinned_inference_is_the_filtered_search(monkeypatch):
+    """Pins only narrow the search: what infer_tiers finds with them is what
+    it finds without, less the signatures that disagree with a pin. Only
+    the open positions count towards MAX_TIER_TUPLES."""
+    rng = random.Random(5)
+    checked = 0
+    for seed in range(40):
+        for d in parse_grsr(random_grsr(seed)).defs:
+            f = d.expr
+            t_max = default_tier_bound(f)
+            every = infer_tiers(f, t_max)
+            for _ in range(3):
+                pins = tuple(rng.choice([None, None, 0, 1, 2, 5]) for _ in range(f.arity + 1))
+                want = [s for s in every if all(
+                    p is None or p == t for p, t in zip(pins, (*s.inputs, s.output)))]
+                assert infer_tiers(f, t_max, pins) == want, (d.name, pins)
+                checked += bool(want)
+    assert checked > 20
+    monkeypatch.setattr(grsr, "MAX_TIER_TUPLES", 16)
+    assert infer_tiers(Proj(4, 1), 1, (None, None, 1, None, None)) == [
+        TierSignature((t, u, 1, v), t) for t in (0, 1) for u in (0, 1) for v in (0, 1)]
+    with pytest.raises(GrsrError, match=r"would try 2\^5 tuples"):
+        infer_tiers(Proj(4, 1), 1, (None,) * 5)
+    for pins in [(1,), (1, None, None, None, None, 5)]:  # one per input, then the output
+        with pytest.raises(GrsrError, match=f"{len(pins)} pins for 4 arguments"):
+            infer_tiers(Proj(4, 1), 1, pins)
 
 
 def test_projection_inference():

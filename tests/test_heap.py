@@ -4,9 +4,6 @@ import pytest
 
 from memotrs import (
     App,
-    Configuration,
-    ECon,
-    ELoc,
     Heap,
     HeapError,
     Var,
@@ -15,6 +12,9 @@ from memotrs import (
 )
 from helpers import complete_tree, random_value, store_value, suc_chain
 from oracle import (
+    Configuration,
+    ECon,
+    ELoc,
     canonical_tree,
     is_maximally_shared,
     match_graph,

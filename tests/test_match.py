@@ -12,8 +12,6 @@ import pytest
 
 from memotrs import (
     App,
-    ECall,
-    ELoc,
     Heap,
     HeapError,
     Program,
@@ -29,7 +27,7 @@ from memotrs import (
     vars_of,
 )
 from helpers import enum_values, random_program, store_value
-from oracle import find_rule, match_call
+from oracle import ECall, ELoc, expression_code, find_rule, match_call
 
 HAND_WRITTEN = """
 constructors: zero/0, suc/1, nil/0, cons/2 ;
@@ -60,6 +58,11 @@ def reporting(program: Program) -> Program:
     return Program(Signature(cons, sig.operations), rules)
 
 
+def call_code(op: str, locs: tuple) -> tuple:
+    """The code run takes for the call of op on heap locations."""
+    return expression_code(ECall(op, tuple(map(ELoc, locs))))
+
+
 def check_calls(program: Program, pool: list) -> tuple[set, int]:
     """Every call of every operation on values from pool gets the oracle's
     rule and binding, or its stuck message and witness, from all three
@@ -80,7 +83,7 @@ def check_calls(program: Program, pool: list) -> tuple[set, int]:
                 assert str(want) == str(e)
                 assert want.witness == e.witness
                 for attempt in (
-                    lambda: run(rep, heap, ECall(op, tuple(map(ELoc, locs)))),
+                    lambda: run(rep, heap, call_code(op, locs)),
                     lambda: eval_memo(rep, {}, call),
                     lambda: naive_run(rep, call),
                 ):
@@ -92,8 +95,8 @@ def check_calls(program: Program, pool: list) -> tuple[set, int]:
             matched.add(rule)
             i = program.rules.index(rule)
             names = sorted(by_loc)
-            cfg, _ = run(rep, heap, ECall(op, tuple(map(ELoc, locs))))
-            assert cfg.heap.entries[cfg.expr.loc] == (
+            cfg, _ = run(rep, heap, call_code(op, locs))
+            assert cfg.heap.entries[cfg.loc] == (
                 f"rule{i}", tuple(by_loc[n] for n in names)
             )
             same_rule, by_term = find_rule(program, op, values)
@@ -132,12 +135,12 @@ def test_tree_on_hand_written_patterns():
     rep = reporting(program)
     heap = Heap()
     two = store_value(heap, App("suc", (App("suc", (App("zero"),)),)))
-    cfg, _ = run(rep, heap, ECall("half", (ELoc(two),)))
-    assert cfg.heap.entries[cfg.expr.loc] == ("rule1", (0,))  # half's x is zero
+    cfg, _ = run(rep, heap, call_code("half", (two,)))
+    assert cfg.heap.entries[cfg.loc] == ("rule1", (0,))  # half's x is zero
     with pytest.raises(StuckError, match="no rule matches none/1 call"):
-        run(rep, heap, ECall("none", (ELoc(two),)))
-    cfg, _ = run(rep, heap, ECall("k", ()))
-    assert cfg.heap.entries[cfg.expr.loc] == ("rule8", ())
+        run(rep, heap, call_code("none", (two,)))
+    cfg, _ = run(rep, heap, call_code("k", ()))
+    assert cfg.heap.entries[cfg.loc] == ("rule8", ())
 
 
 def test_run_refuses_unknown_locations():
@@ -148,4 +151,4 @@ def test_run_refuses_unknown_locations():
     store_value(heap, App("zero"))
     for loc in (-1, heap.node_count):
         with pytest.raises(HeapError, match=f"unknown location {loc}"):
-            run(program, heap, ECall("id", (ELoc(loc),)))
+            run(program, heap, call_code("id", (loc,)))

@@ -210,9 +210,9 @@ def test_format_shared_answers_as_unshared_copies(programs):
     ]
     for name, call in cases:
         p = programs[name]
-        heap, expr = initial_expression(p, Heap(), call)
-        cfg, _ = run(p, heap, expr)
-        shared = cfg.heap.unfold(cfg.expr.loc)
+        heap, code = initial_expression(p, Heap(), call)
+        cfg, _ = run(p, heap, code)
+        shared = cfg.heap.unfold(cfg.loc)
         memo = eval_memo(p, {}, call).value
         naive = naive_run(p, call, 10**6).value
         if name in ("rabbits", "tree"):  # one object along several paths
@@ -225,7 +225,7 @@ def test_format_shared_answers_as_unshared_copies(programs):
                 assert format_term(shared, cap, compress) == want
                 assert format_term(memo, cap, compress) == want
                 # the heap view prints the location as its unfolding prints
-                assert format_term(cfg.expr.loc, cap, compress, heap=cfg.heap) == want
+                assert format_term(cfg.loc, cap, compress, heap=cfg.heap) == want
     # chains that stop at a variable, at another symbol, and run into a
     # shorter chain; ground values are also printed from a heap holding them
     x = Var("x")

@@ -1,16 +1,13 @@
 import io
 import random
 import time
+from operator import itemgetter
 
 import pytest
 
 from memotrs import (
     App,
     BudgetExceededError,
-    Configuration,
-    ECall,
-    ECon,
-    ELoc,
     Heap,
     HeapError,
     MemoStats,
@@ -25,6 +22,7 @@ from memotrs import (
     run,
     run_traced,
 )
+from memotrs.core import CALL, CON, FCALL, RET, VAL, VAR, compile_term
 from memotrs.terms import REPR_CHARS, vars_of
 from helpers import (
     complete_tree,
@@ -35,8 +33,12 @@ from helpers import (
     suc_chain,
 )
 from oracle import (
+    Configuration,
     EAnnot,
+    ECall,
+    ECon,
     EHole,
+    ELoc,
     EvalContext,
     applicable_step_kinds,
     check_well_formed,
@@ -44,6 +46,7 @@ from oracle import (
     decompose,
     default_step_budget,
     expr_equal,
+    expression_code,
     expression_size,
     expression_weight,
     initial_call,
@@ -165,9 +168,9 @@ def test_merge_step_stores_constructor(programs):
 def test_machine_totals_for_id(programs):
     p = programs["id"]
     heap, expr = initial_call(p, "id", [App("zero", ())])
-    cfg, stats = run(p, heap, expr)
+    cfg, stats = run(p, heap, expression_code(expr))
     assert stats.applies == 1 and stats.total == 2
-    assert cfg.heap.unfold(cfg.expr.loc) == App("zero", ())
+    assert cfg.heap.unfold(cfg.loc) == App("zero", ())
 
 
 # ---------------------------------------------------------- whole runs
@@ -178,11 +181,12 @@ def test_run_matches_manual_stepping(programs):
     heap, expr = initial_call(p, "rabbits", [suc_chain(5)])
     observed = []
     cfg, stats = run(
-        p, heap, expr, on_step=lambda i, k, w, h, c: observed.append((i, k, w, h, c))
+        p, heap, expression_code(expr),
+        on_step=lambda i, k, w, h, c: observed.append((i, k, w, h, c)),
     )
     mcfg, kinds, seen = drive(p, heap, expr)
     assert [k for _, k, *_ in observed] == kinds
-    assert expr_equal(mcfg.expr, cfg.expr)
+    assert expr_equal(mcfg.expr, ELoc(cfg.loc))
     assert mcfg.cache == cfg.cache
     assert mcfg.heap.entries == cfg.heap.entries
     assert stats.total == len(kinds)
@@ -198,29 +202,42 @@ def test_run_refuses_what_the_loader_never_builds(programs):
     heap, call = initial_call(p, "rabbits", [suc_chain(3)])
     z = call.args[0].loc
     nodes = heap.entries.copy()
-    for expr in [
-        EAnnot("rabbits", (z,), ELoc(z)),
-        EAnnot("rabbits", (z,), ECall("babies", (ELoc(z),))),
-        ECon("m", (ECall("adults", (ELoc(z),)), EHole())),
-        EHole(),
+    val, ret = (VAL, z, None), (RET, None, None)
+    for code in [
         # symbols the signature does not declare as that kind at that arity
-        ECall("g", (ELoc(z),)),
-        ECall("rabbits", (ELoc(z), ELoc(z))),
-        ECon("m", (ELoc(z),)),
-        ECon("adults", (ELoc(z),)),
-        ECall("suc", (ELoc(z),)),
+        expression_code(ECall("g", (ELoc(z),))),
+        expression_code(ECall("rabbits", (ELoc(z), ELoc(z)))),
+        expression_code(ECon("m", (ELoc(z),))),
+        expression_code(ECon("adults", (ELoc(z),))),
+        expression_code(ECall("suc", (ELoc(z),))),
+        # loaded against a larger heap, or another program
+        initial_expression(p, heap.copy(), App("rabbits", (suc_chain(5),)))[1],
+        initial_expression(programs["add"], heap.copy(), App("add", (App("zero"),) * 2))[1],
+        ((VAL, -1, None), ret),
+        # a term, as the memo and naive engines push it
+        compile_term(p.signature, App("rabbits", (suc_chain(3),))),
+        # instructions only rule bodies hold, and stacks that do not hold
+        # one value at the end
+        ((VAR, 0, None), ret),
+        ((FCALL, "babies", itemgetter(slice(0, 1))), ret),
+        ((CALL, "rabbits", 1), ret),
+        (val, val, ret),
+        (val, (CON, "m", 2), ret),
+        ((CON, "m", 2), val, val, ret),
+        (val,),
+        (),
     ]:
         steps = []
         with pytest.raises(HeapError):
-            run(p, heap, expr, on_step=lambda *row: steps.append(row))
+            run(p, heap, code, on_step=lambda *row: steps.append(row))
         assert steps == [] and heap.entries == nodes
 
 
 def test_rabbits_generation_six_run(programs):
     p = programs["rabbits"]
     heap, expr = initial_call(p, "rabbits", [suc_chain(6)])
-    cfg, stats = run(p, heap, expr)
-    loc = cfg.expr.loc
+    cfg, stats = run(p, heap, expression_code(expr))
+    loc = cfg.loc
     assert cfg.heap.unfold(loc) == rabbit_tree(6)
     assert stats.applies == 11
     assert stats.total == 35
@@ -233,14 +250,14 @@ def test_tree_run_shares_every_level(programs):
     p = programs["tree"]
     for n in (1, 4, 10):
         heap, expr = initial_call(p, "tree", [suc_chain(n)])
-        cfg, stats = run(p, heap, expr)
-        loc = cfg.expr.loc
+        cfg, stats = run(p, heap, expression_code(expr))
+        loc = cfg.loc
         assert cfg.heap.reachable_count(loc) == n + 1
         assert cfg.heap.unfolded_size(loc) == 2 ** (n + 1) - 1
         assert stats.applies == 2 * n + 1
     heap, expr = initial_call(p, "tree", [suc_chain(4)])
-    cfg, _ = run(p, heap, expr)
-    assert cfg.heap.unfold(cfg.expr.loc) == complete_tree(4)
+    cfg, _ = run(p, heap, expression_code(expr))
+    assert cfg.heap.unfold(cfg.loc) == complete_tree(4)
 
 
 def test_per_step_lemmas_on_corpus(programs):
@@ -286,7 +303,7 @@ def test_step_total_bound(programs):
     ]:
         p = programs[name]
         heap, expr = initial_call(p, op, vals)
-        _, stats = run(p, heap, expr)
+        _, stats = run(p, heap, expression_code(expr))
         assert stats.total <= (1 + stats.delta) * stats.applies + stats.initial_weight
         assert stats.stores == stats.applies  # every annotation gets stored
         assert stats.delta == program_delta(p)
@@ -300,11 +317,10 @@ def test_simulation_applies_equal_memo_cost(programs):
         (programs["leafs"], App("leafs", (rabbit_tree(5),))),
     ]
     for p, call in cases:
-        heap, expr = initial_expression(p, Heap(), call)
-        cfg, stats = run(p, heap, expr)
+        cfg, stats = run(p, *initial_expression(p, Heap(), call))
         memo = eval_memo(p, {}, call)
         assert stats.applies == memo.cost
-        assert cfg.heap.unfold(cfg.expr.loc) == memo.value
+        assert cfg.heap.unfold(cfg.loc) == memo.value
 
 
 def test_simulation_on_random_programs():
@@ -318,11 +334,11 @@ def test_simulation_on_random_programs():
         ]
         call = App(op, tuple(vals))
         heap, expr = initial_call(p, op, vals)
-        cfg, stats = run(p, heap, expr)
+        cfg, stats = run(p, heap, expression_code(expr))
         memo_stats = MemoStats()
         memo = eval_memo(p, {}, call, stats=memo_stats)
         assert stats.applies == memo.cost
-        assert cfg.heap.unfold(cfg.expr.loc) == memo.value
+        assert cfg.heap.unfold(cfg.loc) == memo.value
         assert memo_stats.reads == stats.reads
         assert memo_stats.work == stats.total
         assert len(memo.cache) == len(cfg.cache)
@@ -345,10 +361,9 @@ def test_naive_answer_shared_size_is_reachable_count(programs):
         ]
         cases.append((p, App(op, tuple(vals))))
     for p, call in cases:
-        heap, expr = initial_expression(p, Heap(), call)
-        cfg, _ = run(p, heap, expr)
+        cfg, _ = run(p, *initial_expression(p, Heap(), call))
         naive = naive_run(p, call, 10**6).value
-        assert minimal_shared_size([naive]) == cfg.heap.reachable_count(cfg.expr.loc)
+        assert minimal_shared_size([naive]) == cfg.heap.reachable_count(cfg.loc)
 
 
 # ------------------------------------------------------------- tracing
@@ -360,7 +375,7 @@ def test_trace_rows_and_determinism(programs):
     def one():
         heap, expr = initial_call(p, "rabbits", [suc_chain(6)])
         buf = io.StringIO()
-        cfg, stats = run_traced(p, heap, expr, buf)
+        cfg, stats = run_traced(p, heap, expression_code(expr), buf)
         return buf.getvalue(), stats
 
     text, stats = one()
@@ -375,33 +390,33 @@ def test_trace_rows_and_determinism(programs):
     assert again == text
 
 
-# ------------------------------------------------- building expressions
+# ------------------------------------------------------------- loading
 
 
 def test_initial_expression_mixed_term(programs):
     p = programs["add"]
     term = App("add", (App("suc", (App("add", (suc_chain(0), suc_chain(0))),)), suc_chain(0)))
-    heap, expr = initial_expression(p, Heap(), term)
-    assert isinstance(expr, ECall)
-    inner = expr.args[0]
-    assert isinstance(inner, ECon)  # suc over an unevaluated call stays symbolic
-    cfg, _ = run(p, heap, expr)
-    assert cfg.heap.unfold(cfg.expr.loc) == suc_chain(1)
+    heap, code = initial_expression(p, Heap(), term)
+    # suc over an unevaluated call stays a CON instruction
+    inner = ECon("suc", (ECall("add", (ELoc(0), ELoc(0))),))
+    assert code == expression_code(ECall("add", (inner, ELoc(0))))
+    cfg, _ = run(p, heap, code)
+    assert cfg.heap.unfold(cfg.loc) == suc_chain(1)
 
 
 def test_initial_expression_pure_value(programs):
     p = programs["add"]
-    heap, expr = initial_expression(p, Heap(), suc_chain(3))
-    assert isinstance(expr, ELoc)
-    assert heap.unfold(expr.loc) == suc_chain(3)
+    heap, code = initial_expression(p, Heap(), suc_chain(3))
+    assert code == ((VAL, 3, None), (RET, None, None))
+    assert heap.unfold(3) == suc_chain(3)
 
 
 def test_initial_expression_numbers_right_to_left(programs):
     # constructor-only subterms are merged children first, last argument first
     term = App("m", (App("rabbits", (App("zero"),)), App("n", (App("leafm"),))))
-    heap, expr = initial_expression(programs["rabbits"], Heap(), term)
+    heap, code = initial_expression(programs["rabbits"], Heap(), term)
     assert heap.entries == [("leafm", ()), ("n", (0,)), ("zero", ())]
-    assert isinstance(expr, ECon) and expr.args[1].loc == 1
+    assert code == expression_code(ECon("m", (ECall("rabbits", (ELoc(2),)), ELoc(1))))
 
 
 def test_initial_expression_rejects_variables(programs):
@@ -409,34 +424,37 @@ def test_initial_expression_rejects_variables(programs):
         initial_expression(programs["add"], Heap(), App("suc", (Var("x"),)))
 
 
-def same_shape(a, b) -> bool:
-    """Equal expressions with the same sharing: every ECon or ECall object
-    of a pairs with exactly one of b. Walks each shared node once."""
-    pair: dict[int, int] = {}
-    back: dict[int, int] = {}
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if type(x) is not type(y):
-            return False
-        if type(x) is ELoc:
-            if x.loc != y.loc:
-                return False
-            continue
-        if id(x) in pair or id(y) in back:
-            if pair.get(id(x)) != id(y) or back.get(id(y)) != id(x):
-                return False
-            continue
-        pair[id(x)], back[id(y)] = id(y), id(x)
-        if x.sym != y.sym or len(x.args) != len(y.args):
-            return False
-        stack.extend(zip(x.args, y.args))
-    return True
+def test_loaded_code_is_compile_terms():
+    """The shared engine runs the code the memo and naive engines run, a
+    location in place of each value: one compiler serves all three."""
+    rng = random.Random(47)
+    vals = 0
+    for seed in range(60):
+        p = random_program(seed)
+        sig = p.signature
+        heap = Heap()
+        for _ in range(rng.randint(0, 3)):  # a heap that may hold values already
+            store_value(heap, random_value(rng, sig.constructors, rng.randint(0, 4)))
+        for _ in range(5):
+            term = shared_input(rng, sig, rng.randint(1, 12))
+            if vars_of(term):
+                continue
+            heap, code = initial_expression(p, heap, term)
+            want = compile_term(sig, term)
+            assert len(code) == len(want)
+            for (op, a, b), (wop, wa, wb) in zip(code, want):
+                assert (op, b) == (wop, wb)
+                if op == VAL:
+                    vals += 1
+                    assert heap.unfold(a) == wa
+                else:
+                    assert a == wa
+    assert vals > 100
 
 
 def assert_loads_like_reference(program, heap, term):
     """initial_expression and the node-by-node loader agree on the heap
-    they leave, the expression's shape and sharing, and HeapError."""
+    they leave, the code of the expression, its weight, and HeapError."""
     mine, ref = heap.copy(), heap.copy()
     try:
         _, want = initial_expression_by_node(program, ref, term)
@@ -447,7 +465,7 @@ def assert_loads_like_reference(program, heap, term):
     else:
         got_heap, got = initial_expression(program, mine, term)
         assert got_heap is mine
-        assert same_shape(got, want)
+        assert got == expression_code(want)
         try:  # a budget of 0 stops run at its first step, with its counts
             _, stats = run(program, got_heap, got, step_budget=0)
         except BudgetExceededError as e:
@@ -539,17 +557,17 @@ def test_loader_sharing_cases():
     for term in cases:
         for heap in (Heap(), warm):
             assert_loads_like_reference(LOAD_PROGRAM, heap, term)
-    _, expr = initial_expression(LOAD_PROGRAM, Heap(), suc(f(suc(zero))))
-    assert isinstance(expr, ECon) and isinstance(expr.args[0], ECall)
+    _, code = initial_expression(LOAD_PROGRAM, Heap(), suc(f(suc(zero))))
+    assert code == expression_code(ECon("suc", (ECall("f", (ELoc(1),)),)))
 
 
 def test_loader_takes_deep_runs():
     n = 200_000
     chain = suc_chain(n)
-    heap, expr = initial_expression(LOAD_PROGRAM, Heap(), chain)
-    assert isinstance(expr, ELoc) and expr.loc == n and heap.node_count == n + 1
-    heap, expr = initial_expression(LOAD_PROGRAM, heap, App("f", (chain,)))
-    assert isinstance(expr, ECall) and expr.args[0].loc == n
+    heap, code = initial_expression(LOAD_PROGRAM, Heap(), chain)
+    assert code == ((VAL, n, None), (RET, None, None)) and heap.node_count == n + 1
+    heap, code = initial_expression(LOAD_PROGRAM, heap, App("f", (chain,)))
+    assert code == ((VAL, n, None), (CALL, "f", 1), (RET, None, None))
     assert heap.node_count == n + 1
 
 
@@ -558,9 +576,9 @@ def test_loader_is_linear_in_distinct_nodes():
     for _ in range(40):  # 2^40 tree nodes, 91 distinct
         t = App("pair", (t, t))
     start = time.perf_counter()
-    heap, expr = initial_expression(LOAD_PROGRAM, Heap(), App("f", (t,)))
+    heap, code = initial_expression(LOAD_PROGRAM, Heap(), App("f", (t,)))
     assert time.perf_counter() - start < 1.0
-    assert heap.node_count == 91 and expr.args[0].loc == 90
+    assert heap.node_count == 91 and code[0] == (VAL, 90, None)
 
 
 def test_expression_reprs_are_bounded():
@@ -596,7 +614,7 @@ def test_budget_cuts_off_with_stats(programs):
     p = programs["rabbits"]
     heap, expr = initial_call(p, "rabbits", [suc_chain(10)])
     with pytest.raises(BudgetExceededError) as e:
-        run(p, heap, expr, step_budget=7)
+        run(p, heap, expression_code(expr), step_budget=7)
     assert e.value.budget == 7
     assert e.value.stats.total <= 7
     assert default_step_budget(p, expr) == 6 * 10**7 + 1
