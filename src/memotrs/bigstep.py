@@ -4,8 +4,13 @@ Both run the compiled program in `core.execute` over terms. The plain
 evaluator counts one inference per node of every value it touches, as a
 derivation that re-derives each value node by node would (that exponential
 count on duplication-heavy programs is the point of having it), and its
-budget bounds the total number of inferences. It does not rebuild the
-values it counts: they share nodes, and each term carries its tree size.
+budget bounds the total number of inferences. It computes that count
+rather than re-deriving: it does not rebuild the values it counts (they
+share nodes, and each term carries its tree size), and a call equal to one
+that has returned is charged the inferences and firings stored for it
+then, not run again. So the count is exact at every size, goes over a
+budget where re-deriving would, and is stuck where re-deriving would be;
+its time and memory are the memoizing evaluator's.
 The memoizing evaluator caches operation calls on evaluated arguments; its
 cost counts cache writes only, reads are free, and its budget bounds
 machine steps.
@@ -62,14 +67,16 @@ def _run_terms(
 
 
 def naive_run(program: Program, term: Term, budget: Optional[int] = None) -> NaiveResult:
-    """Call-by-value evaluation without caching.
+    """Call-by-value evaluation as if without caching.
 
     Every inference counts toward the budget: one per constructor node
     derived (values included, every time they are derived), one per
-    operation split, one per rule firing. A value is not rebuilt to be
-    counted: its tree size is the count. A saturated size (SIZE_CAP) can
-    only exceed a budget below the cap, as the exact size would; without a
-    budget, or with one at or above the cap, term_size sums the exact size.
+    operation split, one per rule firing. A call equal to one already
+    returned adds the counts stored for it, as re-deriving it would. A
+    value is not rebuilt to be counted: its tree size is the count. A
+    saturated size (SIZE_CAP) can only exceed a budget below the cap, as
+    the exact size would; without a budget, or with one at or above the
+    cap, term_size sums the exact size.
     """
     over = partial(
         BudgetExceededError, f"naive evaluation exceeded {budget} inferences", "naive", budget

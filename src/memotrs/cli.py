@@ -288,7 +288,7 @@ def cmd_compile(args) -> int:
     program, entry = compile_function(target.expr)
     mapping: dict[str, str] = {}
     for d in gf.defs:
-        name = operation_name(d.expr)
+        name = operation_name(d.expr, program.signature.constructors)
         if name in program.signature.operations and name not in mapping:
             mapping[name] = d.name
     mapping = {k: v for k, v in mapping.items() if k != v}

@@ -176,12 +176,18 @@ def execute(
     With push_cost, each pushed value v, and each argument a fused
     instruction reads, costs push_cost(v) steps: the naive engine's
     inferences, one per node re-derived, a RET standing for the rule
-    firing. emit(step, kind, change of weight) observes each step.
+    firing. With push_cost and no cache, the steps and applies each call
+    took after its CALL step are kept once it returns: an equal call later
+    charges its CALL step and then those, in place of running its body
+    again, and so goes over limit just where running it would have.
+    emit(step, kind, change of weight) observes each step.
     """
     limit = sys.maxsize if limit is None else limit
     if program._code is None:  # kept on the program from its first run on
         program._code = _Trees(program)
     trees = program._code
+    # call -> (value, steps, applies) of a returned call, for push_cost
+    counted = None if push_cost is None else {}
     stack: list = []
     push = stack.append
     frames: list = []
@@ -219,6 +225,9 @@ def execute(
                     cache[key] = stack[-1]
                     if emit is not None:
                         emit(steps, STORE, -1)
+                elif counted is not None:
+                    call, steps_at, applies_at = key
+                    counted[call] = (stack[-1], steps - steps_at, applies - applies_at)
                 code, pc, binding, key = frames.pop()
                 continue
             else:
@@ -249,6 +258,18 @@ def execute(
                     if emit is not None:
                         emit(steps, READ, -1)
                     continue
+            elif counted is not None:
+                call = (a, args)
+                hit = counted.get(call)
+                if hit is not None:
+                    value, nodes, fired = hit
+                    if steps + nodes > limit:
+                        raise over((applies, reads, stores, merges, steps))
+                    steps += nodes
+                    applies += fired
+                    push(value)
+                    continue
+                call = (call, steps, applies)  # the counts its RET subtracts
             node = trees[a]
             occ = args
             while type(node) is list:

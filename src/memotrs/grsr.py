@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .errors import GrsrError
 from .terms import App, Program, Rule, Signature, Var, fresh_names, rename
@@ -463,37 +463,58 @@ def _vars(prefix: str, n: int) -> list[Var]:
     return [Var(f"{prefix}{i}") for i in range(1, n + 1)]
 
 
-def _components(g: FunctionExpr) -> list[tuple[str, str]]:
+def _free(name: str, constructors: Collection[str]) -> str:
+    """name, or when a constructor has it, name_k for the least k >= 1 that
+    names neither a constructor c nor the helper mk_c. So it names no other
+    helper: those are mk_c, pr<m>_<i>, cp_<hash>, cs_<hash> and
+    rc<j>_<hash>, and a name_k of the last four has one underscore more."""
+    if name not in constructors:
+        return name
+    taken = {*constructors, *(f"mk_{c}" for c in constructors)}
+    return fresh_names([name], taken)[name]
+
+
+def _components(g: FunctionExpr, constructors: Collection[str] = ()) -> list[tuple[str, str]]:
     """The (structural key, operation name) of each component a Case or
-    SimRec compiles to."""
+    SimRec compiles to, in a program declaring those constructors."""
     if type(g) is Case:
-        return [(g.key, f"cs_{_h8(g.key)}")]
+        return [(g.key, _free(f"cs_{_h8(g.key)}", constructors))]
     h = _h8(g.grid_key)
-    return [(f"{g.grid_key}@{j}", f"rc{j}_{h}") for j in range(1, g.components + 1)]
+    return [
+        (f"{g.grid_key}@{j}", _free(f"rc{j}_{h}", constructors))
+        for j in range(1, g.components + 1)
+    ]
 
 
-def operation_name(g: FunctionExpr) -> str:
+def operation_name(g: FunctionExpr, constructors: Collection[str] = ()) -> str:
     """The name of the operation g compiles to, as compile_function names it
-    in every program that contains g."""
+    in every program that contains g and declares those constructors."""
     t = type(g)
-    if t is ConstructorFn:
-        return f"mk_{g.con}"
-    if t is Proj:
-        return f"pr{g.arity}_{g.index}"
-    if t is Comp:
-        return f"cp_{_h8(g.key)}"
     if t is Case or t is SimRec:
-        return _components(g)[g.select - 1][1]
-    raise GrsrError(f"unknown function form {g!r}")
+        return _components(g, constructors)[g.select - 1][1]
+    if t is ConstructorFn:
+        name = f"mk_{g.con}"
+    elif t is Proj:
+        name = f"pr{g.arity}_{g.index}"
+    elif t is Comp:
+        name = f"cp_{_h8(g.key)}"
+    else:
+        raise GrsrError(f"unknown function form {g!r}")
+    return _free(name, constructors)
 
 
 def compile_function(f: FunctionExpr) -> tuple[Program, str]:
     """Compile to an orthogonal rewrite program; returns it with the entry
-    operation's name. Structurally equal subexpressions share one operation."""
+    operation's name. Structurally equal subexpressions share one operation.
+    A helper named like a constructor is renamed (operation_name), which
+    needs every constructor known: such a program is compiled twice."""
     cons: dict[str, int] = {}
     ops: dict[str, int] = {}
     rules: list[Rule] = []
-    entry = _compile(f, cons, ops, rules, {})
+    entry = _compile(f, cons, ops, rules, {}, ())
+    if not cons.keys().isdisjoint(ops):
+        ops, rules = {}, []
+        entry = _compile(f, cons, ops, rules, {}, set(cons))
     return Program(Signature(cons, ops), rules), entry
 
 
@@ -504,18 +525,23 @@ def _add_algebra(cons: dict[str, int], a: Algebra) -> None:
         cons[con] = ar
 
 
-def _compile(g: FunctionExpr, cons: dict, ops: dict, rules: list, named: dict) -> str:
-    """The operation g compiles to. Declares the symbols and appends the
-    rules of g and of each subexpression whose structural key (named maps
-    it to its operation) is new, subexpressions first; not nested in
-    compile_function for the reason _settle is not."""
+def _compile(
+    g: FunctionExpr, cons: dict, ops: dict, rules: list, named: dict, names: Collection[str]
+) -> str:
+    """The operation g compiles to, named as operation_name names it in a
+    program declaring the constructors in names. Declares the symbols and
+    appends the rules of g and of each subexpression whose structural key
+    (named maps it to its operation) is new, subexpressions first; not
+    nested in compile_function for the reason _settle is not."""
     if g.key in named:
         return named[g.key]
     t = type(g)
     if t is Case or t is SimRec:
         _add_algebra(cons, g.algebra)
-        entry_ops = [[_compile(h, cons, ops, rules, named) for h in row] for row in g.grid]
-        comps = _components(g)
+        entry_ops = [
+            [_compile(h, cons, ops, rules, named, names) for h in row] for row in g.grid
+        ]
+        comps = _components(g, names)
         for key, cname in comps:
             named[key] = cname
             ops[cname] = g.arity
@@ -530,11 +556,11 @@ def _compile(g: FunctionExpr, cons: dict, ops: dict, rules: list, named: dict) -
                 rules.append(Rule(lhs, App(op, (*ys, *rec_calls, *zs))))
         return named[g.key]
     if t is Comp:
-        outer = _compile(g.outer, cons, ops, rules, named)
-        inner = [_compile(h, cons, ops, rules, named) for h in g.inners]
+        outer = _compile(g.outer, cons, ops, rules, named, names)
+        inner = [_compile(h, cons, ops, rules, named, names) for h in g.inners]
     elif t is ConstructorFn:
         _add_algebra(cons, g.algebra)
-    name = named[g.key] = operation_name(g)
+    name = named[g.key] = operation_name(g, names)
     ops[name] = g.arity
     xs = tuple(_vars("x", g.arity))
     if t is Comp:

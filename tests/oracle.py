@@ -21,9 +21,9 @@ instructions, each turned back into its VAR pushes and CON or CALL by
 `expand_fused`: the oracle for the fused code the engines run.
 
 For the function algebra, `eval_grsr` evaluates a function by its
-denotation (with `_scrutinee` and `_eval_simrec`), the oracle for
-`compile_function`, and `validate_derivation` re-checks a tier derivation
-rule by rule, the oracle for `check_tiers_explained`.
+denotation, iteratively and once per function and arguments, the oracle
+for `compile_function`, and `validate_derivation` re-checks a tier
+derivation rule by rule, the oracle for `check_tiers_explained`.
 """
 
 from __future__ import annotations
@@ -715,24 +715,62 @@ def match_graph(
 
 
 def eval_grsr(f: FunctionExpr, args: Iterable[Term]) -> Term:
-    """Denotational evaluation; the reference oracle for the compiler."""
+    """Denotational evaluation; the reference oracle for the compiler.
+
+    It works through an explicit stack of goals (g, j, xs): the value of g,
+    or of component j of a recursion g, on the arguments xs. Each goal is
+    evaluated once (memo, keyed by the recursion's grid for a component),
+    the paper's memoization, so recursions whose denotation repeats a
+    component on a subterm, as rabbits does, stay polynomial."""
     args = tuple(args)
     if len(args) != f.arity:
         raise GrsrError(f"{f.key} takes {f.arity} arguments, got {len(args)}")
-    t = type(f)
-    if t is ConstructorFn:
-        return App(f.con, args)
-    if t is Proj:
-        return args[f.index - 1]
-    if t is Comp:
-        return eval_grsr(f.outer, tuple(eval_grsr(g, args) for g in f.inners))
-    if t is Case:
-        scrut = _scrutinee(f.algebra, args[0])
-        branch = f.branches[f.algebra.index(scrut.sym)]
-        return eval_grsr(branch, scrut.args + args[1:])
-    if t is SimRec:
-        return _eval_simrec(f, f.select - 1, args)
-    raise GrsrError(f"unknown function form {f!r}")
+    memo: dict = {}
+    root = _goal(f, args)
+    todo = [root]
+    while todo:
+        g, j, xs = goal = todo[-1]
+        key = _goal_key(goal)
+        if key in memo:
+            todo.pop()
+            continue
+        t = type(g)
+        if t is ConstructorFn:
+            memo[key] = App(g.con, xs)
+            continue
+        if t is Proj:
+            memo[key] = xs[g.index - 1]
+            continue
+        if t is Comp:
+            needs = [_goal(h, xs) for h in g.inners]
+            if all(_goal_key(n) in memo for n in needs):
+                needs = [_goal(g.outer, tuple(memo[_goal_key(n)] for n in needs))]
+        else:  # Case or SimRec: a case is a recursion passing no values
+            scrut = _scrutinee(g.algebra, xs[0])
+            params = xs[1:]
+            needs = [] if t is Case else [
+                (g, jj, (x, *params)) for jj in range(g.components) for x in scrut.args
+            ]
+            if all(_goal_key(n) in memo for n in needs):
+                row = g.grid[g.algebra.index(scrut.sym)]
+                values = tuple(memo[_goal_key(n)] for n in needs)
+                needs = [_goal(row[j], scrut.args + values + params)]
+        missing = [n for n in needs if _goal_key(n) not in memo]
+        if missing:
+            todo.extend(reversed(missing))
+        else:  # the one remaining need is g's value on xs
+            memo[key] = memo[_goal_key(needs[0])]
+    return memo[_goal_key(root)]
+
+
+def _goal(g: FunctionExpr, xs: tuple) -> tuple:
+    """The goal of g's value on xs: of its selected component for a SimRec."""
+    return (g, g.select - 1 if type(g) is SimRec else 0, xs)
+
+
+def _goal_key(goal: tuple) -> tuple:
+    g, j, xs = goal
+    return (g.grid_key if type(g) is SimRec else g.key, j, xs)
 
 
 def _scrutinee(algebra: Algebra, v: Term) -> App:
@@ -741,17 +779,6 @@ def _scrutinee(algebra: Algebra, v: Term) -> App:
     if len(v.args) != algebra.arity(v.sym):
         raise GrsrError(f"malformed value: {v.sym} applied at the wrong arity")
     return v
-
-
-def _eval_simrec(f: SimRec, j: int, args: tuple[Term, ...]) -> Term:
-    scrut = _scrutinee(f.algebra, args[0])
-    params = args[1:]
-    row = f.grid[f.algebra.index(scrut.sym)]
-    rec: list[Term] = []
-    for jj in range(f.components):
-        for x in scrut.args:
-            rec.append(_eval_simrec(f, jj, (x,) + params))
-    return eval_grsr(row[j], scrut.args + tuple(rec) + params)
 
 
 def validate_derivation(d: TierDerivation) -> None:

@@ -12,6 +12,7 @@ from memotrs import (
     Rule,
     Signature,
     StuckError,
+    Term,
     Var,
     eval_memo,
     naive_run,
@@ -60,6 +61,66 @@ def count_inferences(program: Program, t: App) -> tuple[int, int]:
 
     ev(t)
     return judgements[0] + firings[0], firings[0]
+
+
+def count_inferences_by_call(program: Program, t: App) -> tuple[int, int]:
+    """count_inferences by dynamic programming, for inputs whose derivation
+    is too large to walk. Programs are orthogonal, so the inferences and
+    firings of a call depend only on its operation and argument values:
+    each distinct call's derivation is counted once, and each value's
+    nodes by its tree size. Iterative, as the derivations are deep."""
+    sig = program.signature
+    sizes: dict[int, tuple[Term, int]] = {}  # id -> (node kept alive, tree size)
+
+    def size(v: Term) -> int:
+        todo = [v]
+        while todo:
+            u = todo[-1]
+            missing = [a for a in u.args if id(a) not in sizes]
+            if missing:
+                todo.extend(missing)
+                continue
+            sizes[id(u)] = (u, 1 + sum(sizes[id(a)][1] for a in u.args))
+            todo.pop()
+        return sizes[id(v)][1]
+
+    calls: dict = {}  # (op, argument values) -> (value, inferences, firings)
+    results: list = []  # (value, inferences, firings) of each term evaluated
+    todo: list = [("eval", t, {})]
+    while todo:
+        task, u, env = todo.pop()
+        if task == "eval" and type(u) is Var:
+            results.append((env[u.name], size(env[u.name]), 0))
+        elif task == "eval":
+            todo.append(("apply", u, env))
+            todo.extend(("eval", a, env) for a in reversed(u.args))
+        elif task == "apply":
+            parts = results[len(results) - len(u.args) :]
+            del results[len(results) - len(u.args) :]
+            args = tuple(v for v, _, _ in parts)
+            count = 1 + sum(n for _, n, _ in parts)
+            fired = sum(f for _, _, f in parts)
+            if u.sym in sig.constructors:
+                results.append((App(u.sym, args), count, fired))
+            elif (u.sym, args) in calls:
+                value, n, f = calls[u.sym, args]
+                results.append((value, count + n, fired + f))
+            else:
+                for rule in program.by_op.get(u.sym, ()):
+                    binding: dict = {}
+                    if all(_match(p, a, binding) for p, a in zip(rule.lhs.args, args)):
+                        break
+                else:
+                    raise AssertionError(f"no rule matches {u.sym}")
+                todo.append(("return", (u.sym, args), (count, fired)))
+                todo.append(("eval", rule.rhs, binding))
+        else:  # a rule body has been evaluated: its firing completes the call
+            value, n, f = results.pop()
+            calls[u] = (value, n + 1, f + 1)
+            count, fired = env
+            results.append((value, count + n + 1, fired + f + 1))
+    (_, count, fired), = results
+    return count, fired
 
 
 def add_call(i: int, j: int) -> App:
@@ -466,6 +527,88 @@ def test_naive_outcome_at_each_budget_matches_the_recount():
                 assert got == [want, want], (seed, op, budget)
                 outcomes.add(want if type(want) is type else "value")
     assert outcomes == {BudgetExceededError, StuckError, "value"}
+
+
+def _outcome(program: Program, call: App, budget: int):
+    try:
+        res = naive_run(program, call, budget)
+    except (BudgetExceededError, StuckError) as e:
+        return type(e)
+    return res.value, res.total_steps, res.rewrite_steps
+
+
+def test_counted_calls_keep_every_budget_boundary(programs):
+    """Equal calls are charged their stored counts, not run again: at every
+    budget up to the count, those falling inside a repeated call's stored
+    count included, the naive engine runs out of budget exactly where the
+    recount says, and returns the recounted value and counts from there on.
+    In add(add(suc^n(zero), zero), zero) and f(f(zero)) the outermost call
+    repeats the inner one, so its stored count is the last thing charged."""
+    dup = parse_program(DUPLICATING)
+    cases = [
+        *((programs["rabbits"], rabbits_call(n)) for n in range(11)),
+        *((programs["tree"], App("tree", (suc_chain(n),))) for n in range(9)),
+        *((dup, App("f", (suc_chain(n),))) for n in range(8)),
+        *((programs["add"], App("add", (add_call(n, 0), App("zero")))) for n in range(4)),
+        (dup, App("f", (App("f", (App("zero"),)),))),
+    ]
+    for p, call in cases:
+        count, firings = count_inferences(p, call)
+        assert count_inferences_by_call(p, call) == (count, firings)
+        done = (reference_eval(p, call), count, firings)
+        for budget in range(count + 2):
+            want = BudgetExceededError if budget < count else done
+            assert _outcome(p, call, budget) == want, (call, budget)
+
+
+STUCK_AFTER_REPEATS = """
+constructors: zero/0, suc/1, pair/2 ;
+operations: f/1, g/1, k/1 ;
+rules:
+  f(x) -> pair(g(x), k(x)) ;
+  g(zero) -> zero ;
+  g(suc(x)) -> suc(g(x)) ;
+  k(suc(x)) -> pair(g(suc(x)), k(x)) ;
+"""
+
+
+def test_a_stuck_call_after_repeated_calls_is_counted_as_rederived():
+    """k has no rule for zero. Each k(suc^i(zero)) repeats a g call that f
+    made before, inside the open calls, and then k(zero) is stuck: the
+    engine is stuck or over budget where the recount says."""
+    p = parse_program(STUCK_AFTER_REPEATS)
+    for n in range(7):
+        call = App("f", (suc_chain(n),))
+        with pytest.raises(StuckInference) as reached:
+            count_inferences(p, call)
+        count = reached.value.count
+        for budget in range(count + 2):
+            want = BudgetExceededError if budget < count else StuckError
+            assert _outcome(p, call, budget) is want, (n, budget)
+        with pytest.raises(StuckError) as e:
+            naive_run(p, call)
+        assert e.value.witness == App("k", (App("zero"),))
+
+
+def test_naive_counts_are_exact_far_beyond_rederivation(programs):
+    """rabbits(suc^n(zero)) takes Fibonacci-many firings and exponentially
+    many inferences; the naive engine gives both exactly, the latter a
+    number of over 40 digits, in well under a second."""
+    p = programs["rabbits"]
+    for n in (200, 500):
+        call = rabbits_call(n)
+        t0 = time.perf_counter()
+        res = naive_run(p, call)
+        seconds = time.perf_counter() - t0
+        assert seconds < 1, n
+        assert (res.total_steps, res.rewrite_steps) == count_inferences_by_call(p, call)
+        assert res.rewrite_steps == fib(n + 1) and res.total_steps > 10**40
+        same_value = res.value == rabbit_tree(n)
+        assert same_value, n
+        # a budget one below the count runs out, the count itself suffices
+        with pytest.raises(BudgetExceededError):
+            naive_run(p, call, budget=res.total_steps - 1)
+        assert naive_run(p, call, budget=res.total_steps).total_steps == res.total_steps
 
 
 def test_a_run_out_of_budget_leaves_no_reference_cycle(programs):

@@ -593,14 +593,41 @@ def test_compile_matches_the_per_def_loop(tmp_path, capsys, monkeypatch):
             assert main(["compile", str(path), "--entry", d.name]) == 0
             assert calls == {"compile": 1, "Program": 2}
             assert capsys.readouterr().out == compile_by_def_loop(gf, d)
-    # a def other than the target is not compiled: f's program would declare
-    # pr1_1 both as constructor and operation, g's does not
-    clash = tmp_path / "clash.grsr"
-    clash.write_text("algebra N = zero/0, pr1_1/1 ;\n"
-                     "def f = comp (proj 1 1) (cons[pr1_1]) ;\ndef g = cons[zero] ;\n")
-    assert main(["compile", str(clash), "--entry", "f"]) == 2
-    assert main(["compile", str(clash), "--entry", "g"]) == 0
-    assert capsys.readouterr().out.startswith("# entry: g\n")
+
+
+def test_helpers_named_like_constructors_get_fresh_names(tmp_path, capsys):
+    """A compiled helper (mk_<con>, pr<m>_<i>) named like a constructor of
+    the program moves to the first free <name>_<k>; the program reads back,
+    is orthogonal and computes the definition."""
+    cases = [
+        ("algebra N = zero/0, suc/1, mk_zero/0 ;\n"
+         "def f = comp cons[suc] (cons[zero]) ;\n",
+         "f", "mk_zero_1", "f", "suc(zero)"),
+        ("algebra N = zero/0, pr1_1/1 ;\n"
+         "def f = comp (proj 1 1) (cons[pr1_1]) ;\ndef g = cons[zero] ;\n",
+         "f", "pr1_1_1", "f(zero)", "pr1_1(zero)"),
+        # zero_1's helper mk_zero_1 is taken by a constructor too
+        ("algebra N = zero/0, zero_1/0, mk_zero_1/0, s/1 ;\n"
+         "def h = comp cons[s] (cons[zero_1]) ;\n",
+         "h", "mk_zero_1_1", "h", "s(zero_1)"),
+    ]
+    src, trs = tmp_path / "c.grsr", tmp_path / "c.trs"
+    for text, entry, helper, term, value in cases:
+        src.write_text(text)
+        assert main(["compile", str(src), "--entry", entry, "-o", str(trs)]) == 0
+        assert capsys.readouterr().out == f"entry: {entry}\nwrote {trs}\n"
+        program = parse_program(trs.read_text())
+        assert helper in program.signature.operations
+        assert main(["check", str(trs)]) == 0
+        assert capsys.readouterr().out == "orthogonal\n"
+        assert main(["run", str(trs), term]) == 0
+        assert report_fields(capsys.readouterr().out)["value"] == value
+    # only the target is compiled, and g's program has no helper in the way
+    src.write_text(cases[1][0])
+    assert main(["compile", str(src), "--entry", "g"]) == 0
+    assert capsys.readouterr().out == (
+        "# entry: g\nconstructors: zero/0, pr1_1/1;\noperations: g/0;\nrules:\n  g -> zero;\n"
+    )
 
 
 def test_compiled_random_files_read_back_and_agree(tmp_path, capsys):

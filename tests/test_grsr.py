@@ -153,6 +153,19 @@ def test_eval_simultaneous_recursion(functions):
         assert eval_grsr(rabbits, [suc_chain(n)]) == rabbit_tree(n)
 
 
+def test_eval_scales_to_deep_and_repeating_recursions(functions):
+    """The oracle is iterative and evaluates each component once per
+    subterm: add recurses 5000 deep, and rabbits at 200 generations
+    repeats each component on each subterm Fibonacci-many times."""
+    add = functions["add"].lookup("add").expr
+    rabbits = functions["rabbits"].lookup("rabbits").expr
+    t0 = time.perf_counter()
+    sum_is_right = eval_grsr(add, [suc_chain(5000), suc_chain(2)]) == suc_chain(5002)
+    tree_is_right = eval_grsr(rabbits, [suc_chain(200)]) == rabbit_tree(200)
+    seconds = time.perf_counter() - t0
+    assert sum_is_right and tree_is_right and seconds < 2
+
+
 def test_eval_leafs(functions):
     leafs = functions["leafs"].lookup("leafs").expr
     assert eval_grsr(leafs, [App("m", (App("leafm", ()), App("leafn", ())))]) == suc_chain(2)
@@ -407,6 +420,26 @@ def test_operation_name_is_the_compiled_entry(functions):
     for form in ("ConstructorFn", "Proj", "Comp", "Case", "SimRec",
                  "multi-component rec", "alias"):
         assert seen[form] >= 5, form
+
+
+def test_operation_name_is_fresh_against_the_constructors():
+    """Helpers named like a constructor move to <name>_<k>, in the compiled
+    program and in operation_name given its constructors alike."""
+    gf = parse_grsr(
+        "algebra N = zero/0, suc/1, mk_zero/0, pr1_1/0 ;\n"
+        "def z = cons[zero] ;\ndef p = proj 1 1 ;\n"
+        "def c = rec over N { zero => cons[zero] ; suc => comp p (proj 2 1) ;"
+        " mk_zero => comp cons[suc] (cons[zero]) ; pr1_1 => cons[zero] ; } ;\n"
+    )
+    # p's own program declares no constructor; in c's, pr1_1 is one
+    for d, want in zip(gf.defs, ["mk_zero_1", "pr1_1", None]):
+        prog, entry = compile_function(d.expr)
+        cons = prog.signature.constructors
+        assert operation_name(d.expr, cons) == entry, d.name
+        assert not cons.keys() & prog.signature.operations.keys()
+        assert want is None or entry == want
+    assert operation_name(gf.defs[0].expr) == "mk_zero"
+    assert "pr1_1_1" in compile_function(gf.defs[-1].expr)[0].signature.operations
 
 
 def test_default_tier_bound_counts_each_grid_once(functions):
