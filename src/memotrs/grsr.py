@@ -202,6 +202,38 @@ def _shared_params(g: FunctionExpr, values: int, entry: str, entries: str) -> in
     return params
 
 
+def _walk(f: FunctionExpr, once: bool = False):
+    """Every pass over f, on a stack: (g, None) on entering an occurrence g,
+    (g, k) on leaving it, k the count of its parts (a comp's outer, then its
+    inners; a case's or rec's grid, row by row). With once, an object met
+    again is skipped; no expression contains itself, so it was left before."""
+    seen = set()
+    stack: list = [f]  # occurrences to enter, and (g, k) for each to leave
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:
+            yield g
+            continue
+        if once:
+            if id(g) in seen:  # f keeps every object alive, so no id is reused
+                continue
+            seen.add(id(g))
+        yield g, None
+        t = type(g)
+        if t is Comp:
+            stack.append((g, 1 + len(g.inners)))
+            stack.extend(reversed(g.inners))
+            stack.append(g.outer)
+        elif t is Case or t is SimRec:
+            parts = [h for row in g.grid for h in row]
+            stack.append((g, len(parts)))
+            stack.extend(reversed(parts))
+        elif t is ConstructorFn or t is Proj:
+            yield g, 0
+        else:
+            raise GrsrError(f"unknown function form {g!r}")
+
+
 # ---------------------------------------------------------------- tiering
 
 
@@ -220,28 +252,14 @@ class TierDerivation:
 
     __slots__ = ("expr", "signature", "premises")
 
-    def __init__(
-        self,
-        expr: FunctionExpr,
-        signature: TierSignature,
-        premises: tuple["TierDerivation", ...],
-    ):
+    def __init__(self, expr: FunctionExpr, signature: Optional[TierSignature],
+                 premises: tuple["TierDerivation", ...]):
         self.expr = expr
         self.signature = signature
         self.premises = premises
 
     def __repr__(self) -> str:
         return f"TierDerivation({self.expr.key}, {self.signature})"
-
-
-class _Node:
-    __slots__ = ("expr", "ins", "out", "kids")
-
-    def __init__(self, expr: FunctionExpr, ins: list[int], out: int, kids: list):
-        self.expr = expr
-        self.ins = ins
-        self.out = out
-        self.kids = kids
 
 
 class _TierProblem:
@@ -264,113 +282,129 @@ class _TierProblem:
         if ra != rb:
             self.parent[ra] = rb
 
+    def plan(self) -> tuple[list[int], list[tuple[int, list[int]]], Optional[str]]:
+        """What every solve shares, once all unions are made: each variable's
+        class; the classes, each with those it must exceed, in the order a
+        depth-first search along the strict edges finishes them until it errs,
+        as it would for any pins; then a strict edge inside a class or a cycle."""
+        root = [self.find(v) for v in range(len(self.parent))]
+        above: dict[int, list[int]] = {}
+        for hi, lo, note in self.edges:
+            if root[hi] == root[lo]:
+                return root, [], note
+            above.setdefault(root[hi], []).append(root[lo])
+        state: dict[int, int] = {}  # 1 visiting, 2 done
+        order: list[tuple[int, list[int]]] = []
+        for c in {*root}:
+            if c in state:
+                continue
+            state[c] = 1
+            stack = [(c, iter(above.get(c, ())))]
+            while stack:
+                d, lows = stack[-1]
+                for lo in lows:
+                    if state.get(lo) == 1:
+                        return root, order, "recursion tiers form a cycle"
+                    if lo not in state:
+                        state[lo] = 1
+                        stack.append((lo, iter(above.get(lo, ()))))
+                        break
+                else:
+                    stack.pop()
+                    state[d] = 2
+                    order.append((d, above.get(d, [])))
+        return root, order, None
 
-def _collect(f: FunctionExpr, prob: _TierProblem) -> _Node:
-    t = type(f)
-    if t is ConstructorFn:
-        v = prob.var()
-        return _Node(f, [v] * f.arity, v, [])
-    if t is Proj:
-        ins = [prob.var() for _ in range(f.arity)]
-        return _Node(f, ins, ins[f.index - 1], [])
-    if t is Comp:
-        outer = _collect(f.outer, prob)
-        inners = [_collect(g, prob) for g in f.inners]
-        ins = [prob.var() for _ in range(f.arity)]
-        out = prob.var()
-        prob.eq(out, outer.out)
-        for node, ov in zip(inners, outer.ins):
-            prob.eq(node.out, ov)
-            for a, b in zip(node.ins, ins):
-                prob.eq(a, b)
-        return _Node(f, ins, out, [outer, *inners])
-    if t is Case or t is SimRec:
-        p = prob.var()
-        qs = [prob.var() for _ in range(f.params)]
-        m = prob.var()
-        n = 0  # component values each subterm passes, none in a case
-        if t is SimRec:
-            n = f.components
-            note = f"recursion argument must sit strictly above the result in {f.key}"
-            prob.edges.append((p, m, note))
-        kids = []
-        for (con, ar), row in zip(f.algebra.constructors, f.grid):
-            for g in row:
-                node = _collect(g, prob)
-                for k in range(ar):
-                    prob.eq(node.ins[k], p)
-                for k in range(n * ar):
-                    prob.eq(node.ins[ar + k], m)
-                for k, q in enumerate(qs):
-                    prob.eq(node.ins[ar + n * ar + k], q)
-                prob.eq(node.out, m)
-                kids.append(node)
-        return _Node(f, [p, *qs], m, kids)
-    raise GrsrError(f"unknown function form {f!r}")
+
+def _collect(f: FunctionExpr) -> tuple[list, tuple]:
+    """The tier problem of f: each occurrence as (derivation with its
+    signature unset, input variables, output variable) as the walk leaves
+    them, f last, and the problem's plan. A case or rec makes its variables
+    on entering, every other form on leaving; the union-find roots rest on that."""
+    prob = _TierProblem()
+    nodes: list = []
+    done: list = []  # occurrences left and not yet taken by their parent
+    opened: list = []  # p, qs and m of each case or rec entered, not left
+    for g, k in _walk(f):
+        t = type(g)
+        if k is None:
+            if t is Case or t is SimRec:
+                p = prob.var()
+                qs = [prob.var() for _ in range(g.params)]
+                m = prob.var()
+                if t is SimRec:
+                    note = f"recursion argument must sit strictly above the result in {g.key}"
+                    prob.edges.append((p, m, note))
+                opened.append((p, qs, m))
+            continue
+        parts = done[len(done) - k:]
+        if k:
+            del done[-k:]
+        if t is ConstructorFn:
+            out = prob.var()
+            ins = [out] * g.arity
+        elif t is Proj:
+            ins = [prob.var() for _ in range(g.arity)]
+            out = ins[g.index - 1]
+        elif t is Comp:
+            ins = [prob.var() for _ in range(g.arity)]
+            out = prob.var()
+            _, outer_ins, outer_out = parts[0]
+            prob.eq(out, outer_out)
+            for (_, kins, kout), ov in zip(parts[1:], outer_ins):
+                prob.eq(kout, ov)
+                for a, b in zip(kins, ins):
+                    prob.eq(a, b)
+        else:
+            p, qs, m = opened.pop()
+            n = g.components if t is SimRec else 0  # none passed in a case
+            ars = [ar for (_, ar), row in zip(g.algebra.constructors, g.grid) for _ in row]
+            for ar, (_, kins, kout) in zip(ars, parts):
+                for i in range(ar):
+                    prob.eq(kins[i], p)
+                for i in range(n * ar):
+                    prob.eq(kins[ar + i], m)
+                for i, q in enumerate(qs):
+                    prob.eq(kins[ar + n * ar + i], q)
+                prob.eq(kout, m)
+            ins, out = [p, *qs], m
+        node = (TierDerivation(g, None, tuple([kid[0] for kid in parts])), ins, out)
+        done.append(node)
+        nodes.append(node)
+    return nodes, prob.plan()
 
 
 def _solve(
-    prob: _TierProblem, pins: Iterable[tuple[int, int]], cap: Optional[int]
+    plan: tuple, pins: Iterable[tuple[int, int]], cap: Optional[int]
 ) -> tuple[Optional[dict[int, int]], Optional[str]]:
-    """Minimal tier values per class, or a reason none exist."""
+    """Minimal tier values per class, or a reason none exist: a pin
+    conflict, else the first pin below its minimum in the plan's order,
+    else the plan's fault, else a tier above cap."""
+    root, order, fault = plan
     class_pin: dict[int, int] = {}
     for v, c in pins:
-        r = prob.find(v)
-        if r in class_pin and class_pin[r] != c:
+        r = root[v]
+        if class_pin.get(r, c) != c:
             return None, f"position forced to both tier {class_pin[r]} and {c}"
         class_pin[r] = c
-    above: dict[int, list[tuple[int, str]]] = {}
-    for hi, lo, note in prob.edges:
-        rh, rl = prob.find(hi), prob.find(lo)
-        if rh == rl:
-            return None, note
-        above.setdefault(rh, []).append((rl, note))
     val: dict[int, int] = {}
-    state: dict[int, int] = {}  # 1 visiting, 2 done
-    classes = {prob.find(v) for v in range(len(prob.parent))}
-    for c in classes:
-        bad = _settle(c, above, class_pin, val, state)
-        if bad is not None:
-            return None, bad
-    if cap is not None:
-        for c, v in val.items():
-            if v > cap:
-                return None, f"needs a tier above the bound {cap}"
-    return {v: val[prob.find(v)] for v in range(len(prob.parent))}, None
-
-
-def _settle(c: int, above: dict, class_pin: dict, val: dict, state: dict) -> Optional[str]:
-    """Set val[c], the least tier of class c above the classes it must
-    exceed and at its pin, or give why there is none. Not nested in _solve:
-    a nested function that calls itself is a reference cycle, which nothing
-    frees while a command runs with the collector paused."""
-    if state.get(c) == 2:
-        return None
-    if state.get(c) == 1:
-        return "recursion tiers form a cycle"
-    state[c] = 1
-    bound = 0
-    for lo, note in above.get(c, ()):
-        bad = _settle(lo, above, class_pin, val, state)
-        if bad is not None:
-            return bad
-        if val[lo] + 1 > bound:
-            bound = val[lo] + 1
-    if c in class_pin:
-        if class_pin[c] < bound:
-            return f"tier {class_pin[c]} pinned below a required minimum of {bound}"
-        val[c] = class_pin[c]
-    else:
-        val[c] = bound
-    state[c] = 2
-    return None
-
-
-def _derivation(node: _Node, val: dict[int, int]) -> TierDerivation:
-    sig = TierSignature(tuple(val[v] for v in node.ins), val[node.out])
-    return TierDerivation(
-        node.expr, sig, tuple(_derivation(k, val) for k in node.kids)
-    )
+    for c, lows in order:
+        bound = 0
+        for lo in lows:
+            if val[lo] >= bound:
+                bound = val[lo] + 1
+        pin = class_pin.get(c)
+        if pin is None:
+            val[c] = bound
+        elif pin < bound:
+            return None, f"tier {pin} pinned below a required minimum of {bound}"
+        else:
+            val[c] = pin
+    if fault is not None:
+        return None, fault
+    if cap is not None and max(val.values()) > cap:
+        return None, f"needs a tier above the bound {cap}"
+    return val, None
 
 
 def check_tiers_explained(
@@ -380,13 +414,15 @@ def check_tiers_explained(
     if len(sig.inputs) != f.arity:
         raise GrsrError(f"{f.key} takes {f.arity} arguments, signature has "
                         f"{len(sig.inputs)}")
-    prob = _TierProblem()
-    root = _collect(f, prob)
-    pins = list(zip([*root.ins, root.out], [*sig.inputs, sig.output]))
-    val, reason = _solve(prob, pins, None)
+    nodes, plan = _collect(f)
+    _, ins, out = nodes[-1]
+    val, reason = _solve(plan, zip([*ins, out], [*sig.inputs, sig.output]), None)
     if val is None:
         return None, reason
-    return _derivation(root, val), None
+    root = plan[0]
+    for d, ins, out in nodes:
+        d.signature = TierSignature(tuple(val[root[v]] for v in ins), val[root[out]])
+    return nodes[-1][0], None
 
 
 def infeasibility_reason(f: FunctionExpr) -> Optional[str]:
@@ -394,34 +430,13 @@ def infeasibility_reason(f: FunctionExpr) -> Optional[str]:
 
     Pin-independent: detects structural contradictions (a tier forced
     strictly above itself)."""
-    prob = _TierProblem()
-    _collect(f, prob)
-    _, reason = _solve(prob, [], None)
-    return reason
+    return _solve(_collect(f)[1], [], None)[1]
 
 
 def default_tier_bound(f: FunctionExpr) -> int:
     """One more than the number of distinct recursion grids in f, found by
     visiting each subexpression object once."""
-    seen = {id(f)}  # f keeps every object alive, so no id is reused
-    grids: set[str] = set()
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        t = type(g)
-        if t is Comp:
-            kids = (g.outer, *g.inners)
-        elif t is Case or t is SimRec:
-            if t is SimRec:
-                grids.add(g.grid_key)
-            kids = [h for row in g.grid for h in row]
-        else:
-            continue
-        for h in kids:
-            if id(h) not in seen:
-                seen.add(id(h))
-                stack.append(h)
-    return len(grids) + 1
+    return 1 + len({g.grid_key for g, k in _walk(f, True) if k is None and type(g) is SimRec})
 
 
 def infer_tiers(
@@ -438,17 +453,18 @@ def infer_tiers(
     if (t_max + 1) ** min(n_open, 64) > MAX_TIER_TUPLES:
         raise GrsrError(f"inferring tiers up to {t_max} for {f.arity} arguments would try "
                         f"{t_max + 1}^{n_open} tuples, more than {MAX_TIER_TUPLES}")
-    prob = _TierProblem()
-    root = _collect(f, prob)
-    positions = [*root.ins, root.out]
+    nodes, plan = _collect(f)
+    root = plan[0]
+    _, ins, out = nodes[-1]
+    positions = [*ins, out]
     pins = (None,) * len(positions) if pins is None else pins
     fixed = [(v, p) for v, p in zip(positions, pins) if p is not None]
     free = [v for v, p in zip(positions, pins) if p is None]
     found: list[TierSignature] = []
     for combo in product(range(t_max + 1), repeat=len(free)):
-        val, _ = _solve(prob, fixed + list(zip(free, combo)), t_max)
+        val, _ = _solve(plan, fixed + list(zip(free, combo)), t_max)
         if val is not None:
-            found.append(TierSignature(tuple(val[v] for v in root.ins), val[root.out]))
+            found.append(TierSignature(tuple(val[root[v]] for v in ins), val[root[out]]))
     return found
 
 
@@ -474,7 +490,7 @@ def _free(name: str, constructors: Collection[str]) -> str:
     return fresh_names([name], taken)[name]
 
 
-def _components(g: FunctionExpr, constructors: Collection[str] = ()) -> list[tuple[str, str]]:
+def _components(g: FunctionExpr, constructors: Collection[str]) -> list[tuple[str, str]]:
     """The (structural key, operation name) of each component a Case or
     SimRec compiles to, in a program declaring those constructors."""
     if type(g) is Case:
@@ -505,72 +521,56 @@ def operation_name(g: FunctionExpr, constructors: Collection[str] = ()) -> str:
 
 def compile_function(f: FunctionExpr) -> tuple[Program, str]:
     """Compile to an orthogonal rewrite program; returns it with the entry
-    operation's name. Structurally equal subexpressions share one operation.
-    A helper named like a constructor is renamed (operation_name), which
-    needs every constructor known: such a program is compiled twice."""
+    operation's name. Structurally equal subexpressions share one operation,
+    made where the walk first leaves one of them. Every helper is named as
+    operation_name names it among all the constructors the walk declared."""
     cons: dict[str, int] = {}
+    order: list[FunctionExpr] = []  # the first object left per structural key
+    keys: set[str] = set()
+    for g, k in _walk(f, True):
+        t = type(g)
+        if k is None:
+            if t is ConstructorFn or t is Case or t is SimRec:
+                for con, ar in g.algebra.constructors:
+                    if cons.get(con, ar) != ar:
+                        raise GrsrError(f"constructor {con} declared at two arities")
+                    cons[con] = ar
+        elif g.key not in keys:
+            order.append(g)
+            keys.add(g.key)
+            if t is SimRec:  # one grid makes every component
+                keys.update(f"{g.grid_key}@{j}" for j in range(1, g.components + 1))
     ops: dict[str, int] = {}
+    named: dict[str, str] = {}  # structural key -> operation
     rules: list[Rule] = []
-    entry = _compile(f, cons, ops, rules, {}, ())
-    if not cons.keys().isdisjoint(ops):
-        ops, rules = {}, []
-        entry = _compile(f, cons, ops, rules, {}, set(cons))
-    return Program(Signature(cons, ops), rules), entry
-
-
-def _add_algebra(cons: dict[str, int], a: Algebra) -> None:
-    for con, ar in a.constructors:
-        if cons.get(con, ar) != ar:
-            raise GrsrError(f"constructor {con} declared at two arities")
-        cons[con] = ar
-
-
-def _compile(
-    g: FunctionExpr, cons: dict, ops: dict, rules: list, named: dict, names: Collection[str]
-) -> str:
-    """The operation g compiles to, named as operation_name names it in a
-    program declaring the constructors in names. Declares the symbols and
-    appends the rules of g and of each subexpression whose structural key
-    (named maps it to its operation) is new, subexpressions first; not
-    nested in compile_function for the reason _settle is not."""
-    if g.key in named:
-        return named[g.key]
-    t = type(g)
-    if t is Case or t is SimRec:
-        _add_algebra(cons, g.algebra)
-        entry_ops = [
-            [_compile(h, cons, ops, rules, named, names) for h in row] for row in g.grid
-        ]
-        comps = _components(g, names)
-        for key, cname in comps:
-            named[key] = cname
-            ops[cname] = g.arity
-        calls = comps if t is SimRec else ()  # a case passes no component values
-        zs = _vars("z", g.params)
-        for (con, ar), row_ops in zip(g.algebra.constructors, entry_ops):
-            ys = _vars("y", ar)
-            rec_calls = tuple(App(cname, (y, *zs)) for _, cname in calls for y in ys)
-            pat = App(con, tuple(ys))
-            for (_, cname), op in zip(comps, row_ops):
-                lhs = App(cname, (pat, *zs))
-                rules.append(Rule(lhs, App(op, (*ys, *rec_calls, *zs))))
-        return named[g.key]
-    if t is Comp:
-        outer = _compile(g.outer, cons, ops, rules, named, names)
-        inner = [_compile(h, cons, ops, rules, named, names) for h in g.inners]
-    elif t is ConstructorFn:
-        _add_algebra(cons, g.algebra)
-    name = named[g.key] = operation_name(g, names)
-    ops[name] = g.arity
-    xs = tuple(_vars("x", g.arity))
-    if t is Comp:
-        rhs = App(outer, tuple(App(h, xs) for h in inner))
-    elif t is Proj:
-        rhs = xs[g.index - 1]
-    else:
-        rhs = App(g.con, xs)
-    rules.append(Rule(App(name, xs), rhs))
-    return name
+    for g in order:
+        t = type(g)
+        if t is Case or t is SimRec:
+            comps = _components(g, cons)
+            for key, cname in comps:
+                named[key] = cname
+                ops[cname] = g.arity
+            calls = comps if t is SimRec else ()  # a case passes no component values
+            zs = _vars("z", g.params)
+            for (con, ar), row in zip(g.algebra.constructors, g.grid):
+                ys = _vars("y", ar)
+                rec_calls = tuple(App(cname, (y, *zs)) for _, cname in calls for y in ys)
+                pat = App(con, tuple(ys))
+                for (_, cname), h in zip(comps, row):
+                    rules.append(Rule(App(cname, (pat, *zs)),
+                                      App(named[h.key], (*ys, *rec_calls, *zs))))
+            continue
+        name = named[g.key] = operation_name(g, cons)
+        ops[name] = g.arity
+        xs = tuple(_vars("x", g.arity))
+        if t is Comp:
+            rhs = App(named[g.outer.key], tuple(App(named[h.key], xs) for h in g.inners))
+        elif t is Proj:
+            rhs = xs[g.index - 1]
+        else:
+            rhs = App(g.con, xs)
+        rules.append(Rule(App(name, xs), rhs))
+    return Program(Signature(cons, ops), rules), named[f.key]
 
 
 def rename_operations(program: Program, mapping: dict[str, str]) -> Program:

@@ -28,10 +28,12 @@ algebras cannot both declare the same name. # starts a line comment.
 
 Function expressions nest at most MAX_NESTING deep, counting grouping
 parentheses and the depth of each referenced def where it is used; deeper
-input is refused with a ParseError before anything is built, which bounds
-the recursion of every pass over a parsed function. An arity, of a
-constructor or of a proj, above MAX_ARITY is refused the same way, since
-inferring tiers and compiling build something per argument position.
+input is refused with a ParseError before anything is built. That bounds
+the parser's own recursion; tiering and compiling walk a function on an
+explicit stack, so they take library-built functions of any depth. An
+arity, of a constructor or of a proj, above MAX_ARITY is refused the same
+way, since inferring tiers and compiling build something per argument
+position.
 """
 
 from __future__ import annotations
@@ -59,12 +61,10 @@ class GrsrDef:
     # argument, each possibly None when the @level was left off
     tier_inputs: Optional[tuple[Optional[int], ...]]
     tier_output: Optional[int]
-    line: int
 
 
 @dataclass(frozen=True)
 class GrsrFile:
-    algebras: dict[str, Algebra]
     defs: tuple[GrsrDef, ...]
 
     def lookup(self, name: str) -> GrsrDef:
@@ -112,7 +112,7 @@ class _Parser:
                 self.def_decl()
             else:
                 raise ts.error("expected 'algebra' or 'def'")
-        return GrsrFile(self.algebras, tuple(self.defs))
+        return GrsrFile(tuple(self.defs))
 
     def algebra_decl(self) -> None:
         ts = self.ts
@@ -162,7 +162,7 @@ class _Parser:
                 start,
                 1,
             )
-        self.defs.append(GrsrDef(name, expr, tier_ins, tier_out, start))
+        self.defs.append(GrsrDef(name, expr, tier_ins, tier_out))
         self.by_name[name] = expr
         self.heights[name] = self.deepest
 

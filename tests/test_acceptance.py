@@ -6,11 +6,12 @@ principles (closed forms, independent recurrences, brute-force oracles)
 rather than reusing engine output.
 """
 
+import math
 import random
+import statistics
 import time
 from io import StringIO
 
-import numpy as np
 import pytest
 
 from memotrs import (
@@ -409,7 +410,9 @@ def test_criterion_10_polytime_soundness(programs):
     # The growth degree is the slope on log-log axes; sizes start at 20,
     # where fixed per-call overheads have faded. A polynomial fit's R^2
     # would measure only the scatter of the host's clock, not growth.
-    slope = np.polyfit(np.log(ns), np.log([best[n] for n in ns]), 1)[0]
+    slope = statistics.linear_regression(
+        [math.log(n) for n in ns], [math.log(best[n]) for n in ns]
+    ).slope
     print(f"log-log slope of time against n: {slope:.3f}")
     assert slope <= 3, slope
 

@@ -158,6 +158,30 @@ def test_check_all_agreement(capsys):
     assert "DISAGREEMENT" not in out
 
 
+@pytest.mark.parametrize("engine, wrong, message", [
+    ("eval_memo", "value", "memo and shared values differ"),
+    ("eval_memo", "cost", "m differs: memo 10, shared 9"),
+    ("naive_run", "value", "naive and shared values differ"),
+])
+def test_check_all_reports_each_disagreement(engine, wrong, message, monkeypatch, capsys):
+    right = getattr(cli, engine)
+
+    def skewed(*args, **kwargs):
+        out = right(*args, **kwargs)
+        if wrong == "value":
+            out.value = App("leafn", ())
+        else:
+            out.cost += 1
+        return out
+
+    monkeypatch.setattr(cli, engine, skewed)
+    code = main(["run", str(PROGRAMS / "rabbits.trs"), "rabbits(suc^5(zero))", "--check-all"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert out.endswith(f"DISAGREEMENT: {message}\n")
+    assert out.count("DISAGREEMENT") == 1 and "agreement: ok" not in out
+
+
 def test_check_all_skips_naive_beyond_budget(capsys):
     code = main(
         [
@@ -304,6 +328,41 @@ def test_tier_lines(capsys):
     assert lines[1].startswith("one: signatures up to tier")
     assert lines[2].startswith("leafs: rejected (1) -> 1:")
     assert "strictly above" in lines[2]
+
+
+def test_tier_lines_for_nested_recursions(capsys):
+    assert main(["tier", str(PROGRAMS / "arith.grsr")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["add", "zr", "mul", "sq", "cube"]
+    assert lines[0] == "add: accepted (2, 1) -> 1"
+    assert lines[1] == "zr: signatures up to tier 2: (1) -> 0, (2) -> 0, (2) -> 1"
+    assert lines[2].startswith("mul: signatures up to tier 4: (1, 1) -> 0, (1, 2) -> 0, ")
+    assert lines[4] == ("cube: signatures up to tier 4: "
+                        "(2) -> 0, (3) -> 0, (3) -> 1, (4) -> 0, (4) -> 1, (4) -> 2")
+
+
+def test_tier_reports_a_cycle_of_recursion_tiers(tmp_path, capsys):
+    # zr's result feeds its own recursion argument, whose tier must sit
+    # above that result. In ab, the search settles the first argument's
+    # classes, one pinned below its minimum, before it meets that cycle.
+    src = tmp_path / "loop.grsr"
+    src.write_text(
+        "algebra N = zero/0, suc/1 ;\n"
+        "algebra P = pz/0, pr/2 ;\n"
+        "def zr = rec over N { zero => cons[zero] ; suc => proj 2 2 ; } ;\n"
+        "def loop = comp cons[pr] (comp zr (zr), proj 1 1) ;\n"
+        "def ab : N@0 x N@0 -> N@0 = comp (proj 2 1) (comp zr (comp zr (proj 2 1)),\n"
+        "  comp cons[pr] (comp zr (comp zr (proj 2 2)), proj 2 2)) ;\n"
+    )
+    assert main(["tier", str(src)]) == 0
+    reason = "recursion tiers form a cycle"
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        f"loop: no signatures up to tier 2: {reason}",
+        "ab: rejected (0, 0) -> 0: tier 0 pinned below a required minimum of 2",
+    ]
+    defs = parse_grsr(src.read_text())
+    for name in ("loop", "ab"):
+        assert grsr.infeasibility_reason(defs.lookup(name).expr) == reason
 
 
 def test_tier_tmax_flag(tmp_path, capsys):
@@ -773,6 +832,22 @@ def test_bench_refuses_oversized_families(capsys):
                 "\u0661..\u0663"):
         assert main(rabbits + [f"--range={bad}"]) == 2
         assert "bad range" in capsys.readouterr().err
+
+
+def test_commands_refuse_what_they_cannot_do(tmp_path, capsys):
+    bare = tmp_path / "bare.grsr"
+    bare.write_text("algebra N = zero/0, suc/1 ;\n")
+    assert main(["compile", str(bare)]) == 2
+    assert capsys.readouterr().err == "error: no definitions to compile\n"
+    # bench's sucN family applies the entry operation to suc^n(zero)
+    lists = tmp_path / "lists.trs"
+    lists.write_text("constructors: nil/0, cons/2;\noperations: id/1;\nrules:\n"
+                     "  id(nil) -> nil;\n  id(cons(x, y)) -> cons(x, y);\n")
+    assert main(["bench", str(lists), "id", "--range", "1..2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the sucN family needs constructors zero/0 and suc/1\n")
+    assert main(["bench", str(PROGRAMS / "tree.trs"), "add", "--range", "1..2"]) == 2
+    assert capsys.readouterr().err == "error: the sucN family needs a unary operation, got add\n"
 
 
 def test_bench_needs_entry_or_template(capsys):

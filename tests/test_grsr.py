@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from collections import Counter
@@ -10,6 +11,7 @@ from memotrs import (
     Case,
     Comp,
     ConstructorFn,
+    FunctionExpr,
     GrsrError,
     ParseError,
     Proj,
@@ -466,6 +468,94 @@ def test_default_tier_bound_counts_each_grid_once(functions):
     t0 = time.perf_counter()
     assert default_tier_bound(last) == 2
     assert time.perf_counter() - t0 < 0.05
+
+
+def test_arith_costs_follow_the_recursion_nesting(functions):
+    """programs/arith.grsr nests recursions: add in mul, mul in sq, mul and
+    sq in cube. The memo cost m of each compiled def, with every argument
+    n, grows as n to the depth of that nesting."""
+    arith = functions["arith"]
+    want = {  # def: (value at 3, degree, m at n = 10, 20, 40)
+        "add": (6, 1, [42, 82, 162]),
+        "mul": (9, 2, [484, 1764, 6724]),
+        "sq": (9, 2, [485, 1765, 6725]),
+        "cube": (27, 3, [4596, 34186]),  # n = 40 alone would take a second
+    }
+    for name, (value, degree, costs) in want.items():
+        prog, entry = compile_function(arith.lookup(name).expr)
+        arity = prog.signature.operations[entry]
+        assert nat_of(eval_memo(prog, {}, App(entry, (suc_chain(3),) * arity)).value) == value
+        ms = [eval_memo(prog, {}, App(entry, (suc_chain(n),) * arity)).cost
+              for n in (10, 20, 40)[:len(costs)]]
+        assert ms == costs, name
+        for lo, hi in zip(ms, ms[1:]):
+            assert abs(math.log2(hi / lo) - degree) <= 0.15, (name, lo, hi)
+
+
+# ------------------------------------------------------------- walking
+
+
+class Mystery(FunctionExpr):
+    """A function form that is none of the five."""
+
+    def __init__(self):
+        self.arity = 1
+        self.key = "mystery"
+
+
+def test_unknown_forms_are_refused():
+    odd = Mystery()
+    walks = [lambda f: infer_tiers(f, 1), infeasibility_reason, compile_function,
+             lambda f: check_tiers_explained(f, TierSignature((0,), 0))]
+    for f, calls in ((odd, walks + [operation_name]),
+                     (Comp(ConstructorFn(NAT, "suc"), [odd]), walks)):
+        for call in calls:
+            with pytest.raises(GrsrError, match="^unknown function form mystery$"):
+                call(f)
+
+
+def test_a_constructor_at_two_arities_is_refused():
+    a = Algebra("A", [("c", 0), ("s", 1)])
+    b = Algebra("B", [("c", 1), ("z", 0)])
+    with pytest.raises(GrsrError, match="^constructor c declared at two arities$"):
+        compile_function(Comp(ConstructorFn(b, "c"), [ConstructorFn(a, "c")]))
+
+
+def nested(outer: FunctionExpr, base: FunctionExpr, depth: int) -> FunctionExpr:
+    e = base
+    for _ in range(depth):
+        e = Comp(outer, [e])
+    return e
+
+
+@pytest.mark.parametrize("depth", [3, 3000])
+def test_deep_expressions_tier_and_compile(depth):
+    """Library-built expressions meet no nesting limit, so every pass over
+    one must get by without recursion."""
+    sucs = nested(ConstructorFn(NAT, "suc"), Proj(1, 1), depth)
+    assert [str(s) for s in infer_tiers(sucs, 1)] == ["(0) -> 0", "(1) -> 1"]
+    # zr maps every number to zero, by a recursion: each one nested needs
+    # its argument a tier higher
+    zr = SimRec(NAT, [[ConstructorFn(NAT, "zero")], [Proj(2, 2)]])
+    zrs = nested(zr, Proj(1, 1), depth)
+    d, reason = check_tiers_explained(zrs, TierSignature((depth,), 0))
+    assert reason is None and d.signature == TierSignature((depth,), 0)
+    count, stack = 0, [d]
+    while stack:
+        node = stack.pop()
+        count += 1
+        assert isinstance(node.signature, TierSignature)
+        stack.extend(node.premises)
+    assert count == 4 * depth + 1  # each comp, zr and zr's two entries, and proj 1 1
+    if depth < 100:  # the oracle recurses
+        validate_derivation(d)
+    assert check_tiers_explained(zrs, TierSignature((depth - 1,), 0)) == (
+        None, f"tier {depth - 1} pinned below a required minimum of {depth}")
+    assert infeasibility_reason(zrs) is None
+    assert default_tier_bound(zrs) == 2
+    prog, entry = compile_function(zrs)
+    assert len(prog.rules) == depth + 5  # the comps, zr's two, mk_zero, pr2_2, pr1_1
+    assert eval_memo(prog, {}, App(entry, (suc_chain(5),))).value == suc_chain(0)
 
 
 # -------------------------------------------------------------- parsing
