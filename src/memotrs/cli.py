@@ -343,11 +343,12 @@ def cmd_bench(args) -> int:
         raise ParseError(
             f"suc^{hi} would expand the term beyond {MAX_POWER_NODES} nodes"
         )
+    first = _family_term(args, program, lo) if lo <= hi else None  # before any output
     out = _write(args.csv) if args.csv else sys.stdout
     try:
         out.write("engine,n,m,total_steps,heap_nodes,unfolded_size_or_overflow,wall_ns\n")
         for n in range(lo, hi + 1):
-            term = _family_term(args, program, n)
+            term = first if n == lo else _family_term(args, program, n)
             text = format_term(term, max_depth=4)
             for eng in engines:
                 t0 = time.perf_counter_ns()

@@ -17,7 +17,7 @@ from itertools import product
 from typing import Collection, Iterable, Optional
 
 from .errors import GrsrError
-from .terms import App, Program, Rule, Signature, Var, fresh_names, rename
+from .terms import App, Program, Rule, Signature, Var, bounded_repr, fresh_names, rename
 
 # most tier tuples infer_tiers tries, one constraint solve each
 MAX_TIER_TUPLES = 100_000
@@ -53,19 +53,14 @@ class Algebra:
     def arity(self, con: str) -> int:
         return self.constructors[self.index(con)][1]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Algebra) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
-
     def __repr__(self) -> str:
         return f"Algebra({self.key})"
 
 
 class FunctionExpr:
     """Base of the combinator tree; every node knows its arity and a
-    canonical structural key (equality and compilation reuse it)."""
+    structural key of fixed size (equality and compilation reuse it): a
+    leaf's short text, or a digest of a composite's text over its parts' keys."""
 
     __slots__ = ("arity", "key")
 
@@ -75,8 +70,35 @@ class FunctionExpr:
     def __hash__(self) -> int:
         return hash(self.key)
 
-    def __repr__(self) -> str:
-        return self.key
+    def _repr_parts(self) -> list:
+        """What bounded_repr prints: a composite's head, its parts (rows split
+        by ";", a row's entries by ","), its tail; any other form, its key."""
+        t = type(self)
+        if t is Comp:
+            head, rows, tail = "comp(", ((self.outer,), self.inners), ")"
+        elif t is Case:
+            head, rows, tail = f"case[{self.algebra.key}](", (self.branches,), ")"
+        elif t is SimRec:
+            head, rows, tail = f"rec[{self.algebra.key}](", self.grid, f")@{self.select}"
+        else:
+            return [self.key]
+        parts: list = [head]
+        for row in rows:
+            for g in row:
+                parts += (g, ",")
+            parts[-1] = ";"
+        parts[-1] = tail
+        return parts
+
+    __repr__ = bounded_repr
+
+
+def _digest(head: str, rows: Iterable[Iterable[FunctionExpr]]) -> str:
+    """A composite's key: 128 bits of blake2b over its text, each part written
+    as its key. A collision would merge two subexpressions into one
+    operation; at 128 bits one is expected only past about 2^64 of them."""
+    text = head + ";".join(",".join(g.key for g in row) for row in rows) + ")"
+    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 class ConstructorFn(FunctionExpr):
@@ -117,7 +139,7 @@ class Comp(FunctionExpr):
         if len(arities) != 1:
             raise GrsrError(f"composition: inner arities differ: {sorted(arities)}")
         self.arity = self.inners[0].arity
-        self.key = f"comp({outer.key};{','.join(g.key for g in self.inners)})"
+        self.key = _digest("comp(", ((outer,), self.inners))
 
 
 class Case(FunctionExpr):
@@ -139,7 +161,7 @@ class Case(FunctionExpr):
         self.grid = tuple((f,) for f in self.branches)
         self.params = _shared_params(self, 0, "case branch", "case branches")
         self.arity = 1 + self.params
-        self.key = f"case[{algebra.key}]({','.join(f.key for f in self.branches)})"
+        self.key = _digest(f"case[{algebra.key}](", (self.branches,))
         self.components = self.select = 1
 
 
@@ -180,8 +202,7 @@ class SimRec(FunctionExpr):
         self.select = select
         self.params = _shared_params(self, n, "recursion entry", "recursion entries")
         self.arity = 1 + self.params
-        rows = ";".join(",".join(f.key for f in row) for row in self.grid)
-        self.grid_key = f"rec[{algebra.key}]({rows})"
+        self.grid_key = _digest(f"rec[{algebra.key}](", self.grid)
         self.key = f"{self.grid_key}@{select}"
 
 
@@ -259,13 +280,13 @@ class TierDerivation:
         self.premises = premises
 
     def __repr__(self) -> str:
-        return f"TierDerivation({self.expr.key}, {self.signature})"
+        return f"TierDerivation({self.expr!r}, {self.signature})"
 
 
 class _TierProblem:
     def __init__(self):
         self.parent: list[int] = []
-        self.edges: list[tuple[int, int, str]] = []  # hi > lo, with a note
+        self.edges: list[tuple[int, int, SimRec]] = []  # hi > lo, in that rec
 
     def var(self) -> int:
         self.parent.append(len(self.parent))
@@ -289,9 +310,9 @@ class _TierProblem:
         as it would for any pins; then a strict edge inside a class or a cycle."""
         root = [self.find(v) for v in range(len(self.parent))]
         above: dict[int, list[int]] = {}
-        for hi, lo, note in self.edges:
+        for hi, lo, g in self.edges:
             if root[hi] == root[lo]:
-                return root, [], note
+                return root, [], f"recursion argument must sit strictly above the result in {g!r}"
             above.setdefault(root[hi], []).append(root[lo])
         state: dict[int, int] = {}  # 1 visiting, 2 done
         order: list[tuple[int, list[int]]] = []
@@ -333,8 +354,7 @@ def _collect(f: FunctionExpr) -> tuple[list, tuple]:
                 qs = [prob.var() for _ in range(g.params)]
                 m = prob.var()
                 if t is SimRec:
-                    note = f"recursion argument must sit strictly above the result in {g.key}"
-                    prob.edges.append((p, m, note))
+                    prob.edges.append((p, m, g))
                 opened.append((p, qs, m))
             continue
         parts = done[len(done) - k:]
@@ -412,7 +432,7 @@ def check_tiers_explained(
 ) -> tuple[Optional[TierDerivation], Optional[str]]:
     """Derivation for f at the given signature, or None with the blocker."""
     if len(sig.inputs) != f.arity:
-        raise GrsrError(f"{f.key} takes {f.arity} arguments, signature has "
+        raise GrsrError(f"{f!r} takes {f.arity} arguments, signature has "
                         f"{len(sig.inputs)}")
     nodes, plan = _collect(f)
     _, ins, out = nodes[-1]
@@ -471,10 +491,6 @@ def infer_tiers(
 # ---------------------------------------------------------------- compiler
 
 
-def _h8(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()[:8]
-
-
 def _vars(prefix: str, n: int) -> list[Var]:
     return [Var(f"{prefix}{i}") for i in range(1, n + 1)]
 
@@ -494,10 +510,9 @@ def _components(g: FunctionExpr, constructors: Collection[str]) -> list[tuple[st
     """The (structural key, operation name) of each component a Case or
     SimRec compiles to, in a program declaring those constructors."""
     if type(g) is Case:
-        return [(g.key, _free(f"cs_{_h8(g.key)}", constructors))]
-    h = _h8(g.grid_key)
+        return [(g.key, _free(f"cs_{g.key[:8]}", constructors))]
     return [
-        (f"{g.grid_key}@{j}", _free(f"rc{j}_{h}", constructors))
+        (f"{g.grid_key}@{j}", _free(f"rc{j}_{g.grid_key[:8]}", constructors))
         for j in range(1, g.components + 1)
     ]
 
@@ -513,7 +528,7 @@ def operation_name(g: FunctionExpr, constructors: Collection[str] = ()) -> str:
     elif t is Proj:
         name = f"pr{g.arity}_{g.index}"
     elif t is Comp:
-        name = f"cp_{_h8(g.key)}"
+        name = f"cp_{g.key[:8]}"
     else:
         raise GrsrError(f"unknown function form {g!r}")
     return _free(name, constructors)

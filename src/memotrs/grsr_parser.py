@@ -26,14 +26,13 @@ once; branch order in the file is free. The tier annotation on a def is
 optional, as is each @level inside one. Constructor names are global: two
 algebras cannot both declare the same name. # starts a line comment.
 
-Function expressions nest at most MAX_NESTING deep, counting grouping
-parentheses and the depth of each referenced def where it is used; deeper
-input is refused with a ParseError before anything is built. That bounds
-the parser's own recursion; tiering and compiling walk a function on an
-explicit stack, so they take library-built functions of any depth. An
-arity, of a constructor or of a proj, above MAX_ARITY is refused the same
-way, since inferring tiers and compiling build something per argument
-position.
+Function expressions nest at most MAX_NESTING deep in the text, counting
+grouping parentheses; deeper input is refused with a ParseError before
+anything is built. That bounds the parser's own recursion only: a def used
+by name is the expression already built for it, and adds no nesting. Keys
+have a fixed size, so parsing takes space linear in the file. An arity, of
+a constructor or of a proj, above MAX_ARITY is refused the same way, since
+inferring tiers and compiling build something per argument position.
 """
 
 from __future__ import annotations
@@ -100,8 +99,6 @@ class _Parser:
         self.defs: list[GrsrDef] = []
         self.by_name: dict[str, FunctionExpr] = {}
         self.depth = 0  # nesting of the function expression being parsed
-        self.deepest = 0  # deepest nesting in the current def's body
-        self.heights: dict[str, int] = {}  # def name -> its body's nesting
 
     def file(self) -> GrsrFile:
         ts = self.ts
@@ -152,7 +149,6 @@ class _Parser:
             ts.next()
             tier_ins, tier_out = self.tier_annotation()
         ts.expect("punct", "=")
-        self.deepest = 0
         expr = self.fexpr()
         ts.expect("punct", ";")
         if tier_ins is not None and len(tier_ins) != expr.arity:
@@ -164,7 +160,6 @@ class _Parser:
             )
         self.defs.append(GrsrDef(name, expr, tier_ins, tier_out))
         self.by_name[name] = expr
-        self.heights[name] = self.deepest
 
     def tier_annotation(self) -> tuple[tuple[Optional[int], ...], Optional[int]]:
         ts = self.ts
@@ -193,21 +188,11 @@ class _Parser:
 
     def fexpr(self) -> FunctionExpr:
         self.depth += 1
-        self.nest(1, self.ts.peek())
+        if self.depth > MAX_NESTING:
+            raise self.ts.error(f"function expression nested deeper than {MAX_NESTING}")
         expr = self._fexpr()
         self.depth -= 1
         return expr
-
-    def nest(self, height: int, tok) -> None:
-        """Account for an expression of the given height at the current depth."""
-        reach = self.depth - 1 + height
-        if reach > MAX_NESTING:
-            raise ParseError(
-                f"function expression nested deeper than {MAX_NESTING}",
-                tok.line,
-                tok.col,
-            )
-        self.deepest = max(self.deepest, reach)
 
     def _fexpr(self) -> FunctionExpr:
         ts = self.ts
@@ -263,7 +248,6 @@ class _Parser:
         name = _name_token(ts, "a function expression")
         if name not in self.by_name:
             raise ParseError(f"unknown function name {name}", tok.line, tok.col)
-        self.nest(self.heights[name], tok)
         return self.by_name[name]
 
     def checked(self, build, tok) -> FunctionExpr:

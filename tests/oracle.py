@@ -724,7 +724,7 @@ def eval_grsr(f: FunctionExpr, args: Iterable[Term]) -> Term:
     component on a subterm, as rabbits does, stay polynomial."""
     args = tuple(args)
     if len(args) != f.arity:
-        raise GrsrError(f"{f.key} takes {f.arity} arguments, got {len(args)}")
+        raise GrsrError(f"{f!r} takes {f.arity} arguments, got {len(args)}")
     memo: dict = {}
     root = _goal(f, args)
     todo = [root]
@@ -782,20 +782,30 @@ def _scrutinee(algebra: Algebra, v: Term) -> App:
 
 
 def validate_derivation(d: TierDerivation) -> None:
-    """Re-check a derivation rule by rule; raises GrsrError on a bad node."""
+    """Re-check a derivation rule by rule, on an explicit stack so depth is
+    no limit; raises GrsrError on a bad node."""
+    stack = [d]
+    while stack:
+        d = stack.pop()
+        stack.extend(reversed(d.premises))
+        _validate_rule(d)
+
+
+def _validate_rule(d: TierDerivation) -> None:
+    """Check the rule at d against its premises' signatures."""
     f = d.expr
     sig = d.signature
     t = type(f)
     if len(sig.inputs) != f.arity:
-        raise GrsrError(f"derivation arity mismatch at {f.key}")
+        raise GrsrError(f"derivation arity mismatch at {f!r}")
     if t is ConstructorFn:
         if any(i != sig.output for i in sig.inputs):
-            raise GrsrError(f"constructor function must be uniform: {f.key}")
+            raise GrsrError(f"constructor function must be uniform: {f!r}")
         if d.premises:
             raise GrsrError("constructor function has no premises")
     elif t is Proj:
         if sig.output != sig.inputs[f.index - 1]:
-            raise GrsrError(f"projection must return its argument's tier: {f.key}")
+            raise GrsrError(f"projection must return its argument's tier: {f!r}")
         if d.premises:
             raise GrsrError("projection has no premises")
     elif t is Comp:
@@ -809,8 +819,6 @@ def validate_derivation(d: TierDerivation) -> None:
                 raise GrsrError("composition intermediate tier mismatch")
             if g.signature.inputs != sig.inputs:
                 raise GrsrError("composition input tier mismatch")
-        for p in d.premises:
-            validate_derivation(p)
     elif t is Case:
         p = sig.inputs[0]
         qs = sig.inputs[1:]
@@ -818,7 +826,6 @@ def validate_derivation(d: TierDerivation) -> None:
             want = (p,) * ar + qs
             if br.signature.inputs != want or br.signature.output != sig.output:
                 raise GrsrError(f"case branch for {con} typed wrongly")
-            validate_derivation(br)
     elif t is SimRec:
         p = sig.inputs[0]
         qs = sig.inputs[1:]
@@ -834,6 +841,5 @@ def validate_derivation(d: TierDerivation) -> None:
                 want = (p,) * ar + (m,) * (n * ar) + qs
                 if entry.signature.inputs != want or entry.signature.output != m:
                     raise GrsrError(f"recursion entry for {con} typed wrongly")
-                validate_derivation(entry)
     else:
         raise GrsrError(f"unknown function form {f!r}")

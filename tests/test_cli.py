@@ -326,8 +326,9 @@ def test_tier_lines(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "add: accepted (2, 1) -> 1"
     assert lines[1].startswith("one: signatures up to tier")
-    assert lines[2].startswith("leafs: rejected (1) -> 1:")
-    assert "strictly above" in lines[2]
+    assert lines[2] == (
+        "leafs: rejected (1) -> 1: recursion argument must sit strictly above the result"
+        " in rec[N{zero/0,suc/1}](proj[1,1];comp(cons[N.suc/1];proj[3,2]))@1")
 
 
 def test_tier_lines_for_nested_recursions(capsys):
@@ -850,6 +851,19 @@ def test_commands_refuse_what_they_cannot_do(tmp_path, capsys):
     assert capsys.readouterr().err == "error: the sucN family needs a unary operation, got add\n"
 
 
+def test_bench_refuses_a_family_before_any_output(tmp_path, capsys):
+    # the sucN family of a binary operation, and a template with an
+    # undeclared symbol: nothing on stdout, and no --csv file
+    tree = str(PROGRAMS / "tree.trs")
+    csv = tmp_path / "rows.csv"
+    for family in (["add"], ["--template", "tree(nope^{n}(zero))"]):
+        for out in ([], ["--csv", str(csv)]):
+            assert main(["bench", tree, *family, "--range", "1..2", *out]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: ")
+            assert not csv.exists()
+
+
 def test_bench_needs_entry_or_template(capsys):
     assert main(["bench", str(PROGRAMS / "add.trs")]) == 2
     assert "entry" in capsys.readouterr().err
@@ -978,20 +992,25 @@ def test_grsr_nesting_is_bounded(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-def test_grsr_nesting_counts_referenced_defs(tmp_path, capsys):
-    # each def adds its nesting where it is used: g is 201 deep, so 55
-    # compositions around it reach the limit and 56 go past it
-    head = f"algebra N = zero/0, suc/1 ;\ndef g = {comp_chain(200)} ;\n"
-    ok = tmp_path / "ok.grsr"
-    ok.write_text(head + f"def h = {comp_chain(MAX_NESTING - 201, 'g')} ;\n")
-    assert main(["compile", str(ok)]) == 0
-    over = tmp_path / "over.grsr"
-    over.write_text(head + f"def h = {comp_chain(MAX_NESTING - 200, 'g')} ;\n")
-    assert main(["tier", str(over)]) == 2
-    col = len("def h = ") + len("comp cons[suc] (") * (MAX_NESTING - 200) + 1
-    assert f"3:{col}: function expression nested deeper" in capsys.readouterr().err
+def test_grsr_referenced_defs_add_no_nesting(tmp_path, capsys):
+    # a def used by name is the expression already built for it, one level
+    # where it is used: 56 compositions around the 201-deep g, or a chain of
+    # 1,000 defs each composing the one before, are not refused
+    head = "algebra N = zero/0, suc/1 ;\n"
+    around = tmp_path / "around.grsr"
+    around.write_text(head + f"def g = {comp_chain(200)} ;\n"
+                      f"def h = {comp_chain(MAX_NESTING - 200, 'g')} ;\n")
+    chain = tmp_path / "chain.grsr"
+    chain.write_text(head + "def d0 = proj 1 1 ;\n" + "".join(
+        f"def d{i + 1} = comp cons[suc] (d{i}) ;\n" for i in range(1000)))
+    for path, last in ((around, "h"), (chain, "d1000")):
+        assert main(["tier", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"{last}: signatures up to tier 1: (0) -> 0, (1) -> 1"
+        assert main(["compile", str(path)]) == 0
+        assert f"  {last}(x1) -> mk_suc(" in capsys.readouterr().out
     grouped = tmp_path / "grouped.grsr"
-    grouped.write_text(head.split("\n")[0] + "\ndef p = " + "(" * MAX_NESTING + "proj 1 1"
+    grouped.write_text(head + "def p = " + "(" * MAX_NESTING + "proj 1 1"
                        + ")" * MAX_NESTING + " ;\n")
     assert main(["tier", str(grouped)]) == 2
     assert "2:265: function expression nested deeper" in capsys.readouterr().err

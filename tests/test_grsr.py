@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -30,6 +31,7 @@ from memotrs import (
     rename_operations,
 )
 from memotrs import grsr
+from memotrs.terms import REPR_CHARS
 from helpers import nat_of, rabbit_tree, random_grsr, suc_chain
 from oracle import eval_grsr, validate_derivation
 
@@ -459,12 +461,9 @@ def test_default_tier_bound_counts_each_grid_once(functions):
     both = Comp(ConstructorFn(r, "m"),
                 [rabbits.lookup("adults").expr, rabbits.lookup("babies").expr])
     assert default_tier_bound(both) == 2
-    # each def uses the one before it twice, so the last one's tree doubles
-    # twenty times; each subexpression object is visited once
-    lines = ["algebra N = zero/0, suc/1 ;", "algebra P = nil/0, p/2 ;",
-             "def d0 = rec over N { zero => cons[nil] ; suc => proj 2 2 ; } ;"]
-    lines += [f"def d{i + 1} = comp cons[p] (d{i}, d{i}) ;" for i in range(20)]
-    last = parse_grsr("\n".join(lines)).defs[-1].expr
+    # the last def's tree doubles twenty times; each subexpression object
+    # is visited once
+    last = parse_grsr(doubling_defs(20)).defs[-1].expr
     t0 = time.perf_counter()
     assert default_tier_bound(last) == 2
     assert time.perf_counter() - t0 < 0.05
@@ -547,8 +546,7 @@ def test_deep_expressions_tier_and_compile(depth):
         assert isinstance(node.signature, TierSignature)
         stack.extend(node.premises)
     assert count == 4 * depth + 1  # each comp, zr and zr's two entries, and proj 1 1
-    if depth < 100:  # the oracle recurses
-        validate_derivation(d)
+    validate_derivation(d)
     assert check_tiers_explained(zrs, TierSignature((depth - 1,), 0)) == (
         None, f"tier {depth - 1} pinned below a required minimum of {depth}")
     assert infeasibility_reason(zrs) is None
@@ -556,6 +554,54 @@ def test_deep_expressions_tier_and_compile(depth):
     prog, entry = compile_function(zrs)
     assert len(prog.rules) == depth + 5  # the comps, zr's two, mk_zero, pr2_2, pr1_1
     assert eval_memo(prog, {}, App(entry, (suc_chain(5),))).value == suc_chain(0)
+
+
+def doubling_defs(n: int) -> str:
+    """A file of n + 1 defs, each using the one before it twice, so the
+    last one's tree doubles n times."""
+    lines = ["algebra N = zero/0, suc/1 ;", "algebra P = nil/0, p/2 ;",
+             "def d0 = rec over N { zero => cons[nil] ; suc => proj 2 2 ; } ;"]
+    lines += [f"def d{i + 1} = comp cons[p] (d{i}, d{i}) ;" for i in range(n)]
+    return "\n".join(lines)
+
+
+def test_keys_have_a_fixed_size():
+    one = Comp(ConstructorFn(NAT, "suc"), [Proj(1, 1)])
+    deep = nested(ConstructorFn(NAT, "suc"), Proj(1, 1), 3000)
+    doubled = parse_grsr(doubling_defs(20)).defs[-1].expr
+    assert len(deep.key) <= len(one.key) and len(doubled.key) <= len(one.key)
+    assert deep != nested(ConstructorFn(NAT, "suc"), Proj(1, 1), 2999)
+    assert repr(one) == "comp(cons[N.suc/1];proj[1,1])"
+
+
+def test_doubling_defs_and_deep_chains_take_little_memory():
+    tracemalloc.start()
+    try:
+        prog, entry = compile_function(parse_grsr(doubling_defs(20)).defs[-1].expr)
+        compiled = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        nested(ConstructorFn(NAT, "suc"), Proj(1, 1), 3000)
+        built = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert compiled < 5e6 and built < 5e6, (compiled, built)
+    assert len(prog.rules) == 25  # d0's two, mk_nil, pr2_2, mk_p, a comp per d<i>
+    t0 = time.perf_counter()
+    prog, entry = compile_function(parse_grsr(doubling_defs(60)).defs[-1].expr)
+    assert time.perf_counter() - t0 < 1 and len(prog.rules) == 65
+
+
+def test_long_notes_are_cut():
+    # add(add(x, y), y) recurses on add's result, whose tier is y's; add's
+    # zero case returns the parameter by a 4,096-leaf tree of pairs
+    pair, pairs = ConstructorFn(Algebra("P", [("nil", 0), ("p", 2)]), "p"), Proj(1, 1)
+    for _ in range(12):
+        pairs = Comp(pair, [pairs, pairs])
+    add = SimRec(NAT, [[pairs], [Comp(ConstructorFn(NAT, "suc"), [Proj(3, 2)])]])
+    reason = infeasibility_reason(Comp(add, [add, Proj(2, 2)]))
+    head = "recursion argument must sit strictly above the result in "
+    assert reason.startswith(head + "rec[N{zero/0,suc/1}](comp(cons[P.p/2];comp(")
+    assert reason.endswith("...") and len(reason) == len(head) + REPR_CHARS + 3
 
 
 # -------------------------------------------------------------- parsing
