@@ -48,6 +48,8 @@ class CostedOutcome:
 
 @dataclass
 class MemoStats:
+    """eval_memo's counts, each a total over every call it was passed to."""
+
     updates: int = 0
     reads: int = 0
     work: int = 0
@@ -112,5 +114,5 @@ def eval_memo(
     if stats is not None:
         stats.updates += applies
         stats.reads += reads
-        stats.work = steps
+        stats.work += steps
     return CostedOutcome(out, value, applies)

@@ -320,12 +320,14 @@ def _family_term(args, program: Program, n: int) -> Term:
 
 
 def _range_bounds(text: str) -> tuple[int, int]:
-    """The bounds of A..B, each read as a number in a term is read."""
+    """The bounds A <= B of A..B, each read as a number in a term is read."""
     lo_text, dots, hi_text = text.partition("..")
     bounds = (lo_text, hi_text)
     if not dots or not all(t.isascii() and t.isdigit() for t in bounds):
         raise ParseError(f"bad range {text!r}, expected A..B")
     lo, hi = (read_nat(TokenStream(tokenize(t))) for t in bounds)
+    if lo > hi:
+        raise ParseError(f"bad range {text!r}, {lo} is above {hi}")
     return lo, hi
 
 
@@ -343,7 +345,7 @@ def cmd_bench(args) -> int:
         raise ParseError(
             f"suc^{hi} would expand the term beyond {MAX_POWER_NODES} nodes"
         )
-    first = _family_term(args, program, lo) if lo <= hi else None  # before any output
+    first = _family_term(args, program, lo)  # before any output
     out = _write(args.csv) if args.csv else sys.stdout
     try:
         out.write("engine,n,m,total_steps,heap_nodes,unfolded_size_or_overflow,wall_ns\n")

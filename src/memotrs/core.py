@@ -48,10 +48,10 @@ def compile_term(
     subterms are one VAL push each. A variable in an input is free, and
     raises StuckError before any code runs; a symbol the signature does not
     declare at that arity raises as validate_term does. vals, passed by the
-    shared engine's loader, gives the VAL push of each node id it has
-    merged into a heap, so those nodes are pushed as their locations."""
+    shared engine's loader, maps a node id to its heap location, None for a
+    node that is not a value; without it a value pushes the node itself."""
     code: list = []
-    vals = {} if vals is None else vals  # id -> VAL push of a node met before
+    vals = {} if vals is None else vals  # id -> value pushed for a node met before
     stack: list = [(t, False)]
     while stack:
         node, done = stack.pop()
@@ -70,11 +70,13 @@ def compile_term(
                 code.append((CALL, sym, k))
             elif slots is None and all(ins[0] == VAL for ins in ops):
                 # its arguments are values
-                code[len(code) - k :] = [vals.setdefault(id(node), (VAL, node, None))]
+                code[len(code) - k :] = [(VAL, vals.setdefault(id(node), node), None)]
             else:
                 code.append((CON, sym, k))
-        elif id(node) in vals:  # a shared value is pushed, not walked again
-            code.append(vals[id(node)])
+            continue
+        v = vals.get(id(node))
+        if v is not None:  # a shared value is pushed, not walked again
+            code.append((VAL, v, None))
         elif type(node) is Var:
             if slots is None:
                 raise StuckError(f"free variable {node.name} in evaluated term", node)

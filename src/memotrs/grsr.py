@@ -273,7 +273,7 @@ class TierDerivation:
 
     __slots__ = ("expr", "signature", "premises")
 
-    def __init__(self, expr: FunctionExpr, signature: Optional[TierSignature],
+    def __init__(self, expr: FunctionExpr, signature: TierSignature,
                  premises: tuple["TierDerivation", ...]):
         self.expr = expr
         self.signature = signature
@@ -338,10 +338,10 @@ class _TierProblem:
 
 
 def _collect(f: FunctionExpr) -> tuple[list, tuple]:
-    """The tier problem of f: each occurrence as (derivation with its
-    signature unset, input variables, output variable) as the walk leaves
-    them, f last, and the problem's plan. A case or rec makes its variables
-    on entering, every other form on leaving; the union-find roots rest on that."""
+    """The tier problem of f: each occurrence as (expression, part count,
+    input variables, output variable) as the walk leaves them, f last, and
+    the problem's plan. A case or rec makes its variables on entering,
+    every other form on leaving; the union-find roots rest on that."""
     prob = _TierProblem()
     nodes: list = []
     done: list = []  # occurrences left and not yet taken by their parent
@@ -358,8 +358,7 @@ def _collect(f: FunctionExpr) -> tuple[list, tuple]:
                 opened.append((p, qs, m))
             continue
         parts = done[len(done) - k:]
-        if k:
-            del done[-k:]
+        del done[len(done) - k:]
         if t is ConstructorFn:
             out = prob.var()
             ins = [out] * g.arity
@@ -369,9 +368,9 @@ def _collect(f: FunctionExpr) -> tuple[list, tuple]:
         elif t is Comp:
             ins = [prob.var() for _ in range(g.arity)]
             out = prob.var()
-            _, outer_ins, outer_out = parts[0]
+            _, _, outer_ins, outer_out = parts[0]
             prob.eq(out, outer_out)
-            for (_, kins, kout), ov in zip(parts[1:], outer_ins):
+            for (_, _, kins, kout), ov in zip(parts[1:], outer_ins):
                 prob.eq(kout, ov)
                 for a, b in zip(kins, ins):
                     prob.eq(a, b)
@@ -379,7 +378,7 @@ def _collect(f: FunctionExpr) -> tuple[list, tuple]:
             p, qs, m = opened.pop()
             n = g.components if t is SimRec else 0  # none passed in a case
             ars = [ar for (_, ar), row in zip(g.algebra.constructors, g.grid) for _ in row]
-            for ar, (_, kins, kout) in zip(ars, parts):
+            for ar, (_, _, kins, kout) in zip(ars, parts):
                 for i in range(ar):
                     prob.eq(kins[i], p)
                 for i in range(n * ar):
@@ -388,9 +387,8 @@ def _collect(f: FunctionExpr) -> tuple[list, tuple]:
                     prob.eq(kins[ar + n * ar + i], q)
                 prob.eq(kout, m)
             ins, out = [p, *qs], m
-        node = (TierDerivation(g, None, tuple([kid[0] for kid in parts])), ins, out)
-        done.append(node)
-        nodes.append(node)
+        done.append((g, k, ins, out))
+        nodes.append(done[-1])
     return nodes, prob.plan()
 
 
@@ -435,14 +433,18 @@ def check_tiers_explained(
         raise GrsrError(f"{f!r} takes {f.arity} arguments, signature has "
                         f"{len(sig.inputs)}")
     nodes, plan = _collect(f)
-    _, ins, out = nodes[-1]
+    _, _, ins, out = nodes[-1]
     val, reason = _solve(plan, zip([*ins, out], [*sig.inputs, sig.output]), None)
     if val is None:
         return None, reason
     root = plan[0]
-    for d, ins, out in nodes:
-        d.signature = TierSignature(tuple(val[root[v]] for v in ins), val[root[out]])
-    return nodes[-1][0], None
+    done: list[TierDerivation] = []  # derivations not yet taken by their parent
+    for g, k, ins, out in nodes:
+        premises = tuple(done[len(done) - k:])
+        del done[len(done) - k:]
+        signed = TierSignature(tuple(val[root[v]] for v in ins), val[root[out]])
+        done.append(TierDerivation(g, signed, premises))
+    return done[0], None
 
 
 def infeasibility_reason(f: FunctionExpr) -> Optional[str]:
@@ -475,7 +477,7 @@ def infer_tiers(
                         f"{t_max + 1}^{n_open} tuples, more than {MAX_TIER_TUPLES}")
     nodes, plan = _collect(f)
     root = plan[0]
-    _, ins, out = nodes[-1]
+    _, _, ins, out = nodes[-1]
     positions = [*ins, out]
     pins = (None,) * len(positions) if pins is None else pins
     fixed = [(v, p) for v, p in zip(positions, pins) if p is not None]

@@ -23,7 +23,9 @@ Function expressions:
 
 Each case or rec block must cover every constructor of its algebra exactly
 once; branch order in the file is free. The tier annotation on a def is
-optional, as is each @level inside one. Constructor names are global: two
+optional, as is each @level inside one. Its algebra names are only checked
+to be declared, not matched against the def: `def add : R@2 x R@1 -> R@1`
+over a recursion on N is accepted. Constructor names are global: two
 algebras cannot both declare the same name. # starts a line comment.
 
 Function expressions nest at most MAX_NESTING deep in the text, counting
@@ -138,8 +140,7 @@ class _Parser:
 
     def def_decl(self) -> None:
         ts = self.ts
-        start = ts.peek().line
-        ts.expect("name", "def")
+        start = ts.expect("name", "def")
         name = _name_token(ts, "a function name")
         if name in self.by_name:
             raise ts.error(f"def {name} is already declared")
@@ -155,7 +156,7 @@ class _Parser:
             raise ParseError(
                 f"def {name} takes {expr.arity} arguments but its annotation "
                 f"lists {len(tier_ins)}",
-                start,
+                start.line,
                 1,
             )
         self.defs.append(GrsrDef(name, expr, tier_ins, tier_out))

@@ -11,6 +11,9 @@ Program files have three sections, in order:
 Identifiers not declared in the signature are variables (rules only).
 `suc^5(zero)` abbreviates five nested applications of a unary symbol and is
 accepted anywhere a term is. `#` starts a line comment.
+
+A token keeps its offset into the text. Its line and column are worked out
+from that offset, in time linear in it, so only error messages read them.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from .terms import (
 )
 
 _TOKEN_RE = re.compile(
-    r"(?P<ws>[ \t\r]+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<nl>\n)"
+    r"[ \t\r\n]+|#[^\n]*"  # whitespace and comments, skipped
     r"|(?P<arrow>->)"
     r"|(?P<darrow>=>)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<nat>[0-9]+)"
     r"|(?P<punct>[(),;:/^{}\[\]@=*])"
+    r"|(?P<bad>.)"
 )
 
 # most nodes the sym^N shorthands of one term may expand to (~100 MB of App)
@@ -44,13 +46,16 @@ MAX_TEXT_CHARS = 10**7
 
 
 class Token:
-    __slots__ = ("kind", "text", "line", "col")
+    __slots__ = ("kind", "text", "pos", "src")
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
+    def __init__(self, kind: str, text: str, pos: int, src: str):
         self.kind = kind
         self.text = text
-        self.line = line
-        self.col = col
+        self.pos = pos
+        self.src = src
+
+    line = property(lambda tok: tok.src.count("\n", 0, tok.pos) + 1)
+    col = property(lambda tok: tok.pos - tok.src.rfind("\n", 0, tok.pos))
 
     def __repr__(self) -> str:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
@@ -58,24 +63,14 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tok = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(tok)
-        else:
-            tokens.append(Token(kind, tok, line, col))
-            col += len(tok)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind is not None:
+            tok = Token(kind, m.group(), m.start(), text)
+            if kind == "bad":
+                raise ParseError(f"unexpected character {tok.text!r}", tok.line, tok.col)
+            tokens.append(tok)
+    tokens.append(Token("eof", "", len(text), text))
     return tokens
 
 

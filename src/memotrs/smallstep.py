@@ -132,7 +132,7 @@ def _drive(
     program: Program, heap: Heap, code: tuple, step_budget: Optional[int], observe
 ) -> tuple[Configuration, RunStats]:
     """run(); observe(initial weight, heap nodes, cache) makes execute's emit."""
-    delta = program_delta(program) if program.rules else 0
+    delta = program_delta(program)
     w0 = _weight(code, heap.node_count, program.signature)
     if step_budget is None:
         step_budget = (1 + delta) * 10**7 + w0
@@ -217,5 +217,4 @@ def initial_expression(program: Program, heap: Heap, term: Term) -> tuple[Heap, 
                     locs = heap.merge_run(syms[k:][::-1], below)
                     built.update(zip(map(id, reversed(run[k:])), locs))
             built.update(dict.fromkeys(map(id, run[:k])))  # from the lowest call up
-    vals = {i: (VAL, loc, None) for i, loc in built.items() if loc is not None}
-    return heap, compile_term(sig, term, vals=vals)
+    return heap, compile_term(sig, term, vals=built)

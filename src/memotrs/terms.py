@@ -321,7 +321,7 @@ class Program:
     operation with rules to its rules, in program order.
     """
 
-    __slots__ = ("signature", "rules", "by_op", "_delta", "_code")
+    __slots__ = ("signature", "rules", "by_op", "_code")
 
     def __init__(self, signature: Signature, rules: Iterable[Rule]):
         self.signature = signature
@@ -330,7 +330,6 @@ class Program:
         for error, message in _problems(signature, self.rules, by_op):
             raise error(message)
         self.by_op = {op: tuple(group) for op, group in by_op.items()}
-        self._delta: Optional[int] = None
         self._code = None  # decision trees over compiled bodies, see core._Trees
 
     def __repr__(self) -> str:
@@ -338,12 +337,8 @@ class Program:
 
 
 def program_delta(p: Program) -> int:
-    """Largest right-hand-side size across all rules."""
-    if not p.rules:
-        raise RuleError("program has no rules")
-    if p._delta is None:
-        p._delta = max(term_size(r.rhs) for r in p.rules)
-    return p._delta
+    """Largest right-hand-side size across all rules, 0 without rules."""
+    return max((term_size(r.rhs) for r in p.rules), default=0)
 
 
 def program_diagnostics(signature: Signature, rules: Iterable[Rule]) -> list[str]:

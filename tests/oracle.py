@@ -441,7 +441,7 @@ def applicable_step_kinds(cfg: Configuration, program: Program) -> list[str]:
 
 
 def default_step_budget(program: Program, expr: Expr) -> int:
-    delta = program_delta(program) if program.rules else 0
+    delta = program_delta(program)
     return (1 + delta) * 10**7 + expression_weight(expr)
 
 

@@ -288,6 +288,18 @@ def test_stats_fields(programs):
     assert stats.work >= stats.updates
 
 
+def test_stats_are_totals_over_the_calls(programs):
+    p = programs["rabbits"]
+    first, second, both = MemoStats(), MemoStats(), MemoStats()
+    warm = eval_memo(p, {}, rabbits_call(6), stats=first)
+    eval_memo(p, warm.cache, rabbits_call(8), stats=second)
+    eval_memo(p, {}, rabbits_call(6), stats=both)
+    eval_memo(p, warm.cache, rabbits_call(8), stats=both)
+    assert second.work > 0
+    assert both == MemoStats(first.updates + second.updates, first.reads + second.reads,
+                             first.work + second.work)
+
+
 def test_runs_are_deterministic(programs):
     p = programs["rabbits"]
     a = eval_memo(p, {}, rabbits_call(9))

@@ -864,6 +864,18 @@ def test_bench_refuses_a_family_before_any_output(tmp_path, capsys):
             assert not csv.exists()
 
 
+def test_bench_refuses_a_reversed_range(tmp_path, capsys):
+    rabbits = str(PROGRAMS / "rabbits.trs")
+    csv = tmp_path / "rows.csv"
+    for family in (["rabbits"], ["--template", "rabbits(suc^{n}(zero))"]):
+        for out in ([], ["--csv", str(csv)]):
+            assert main(["bench", rabbits, *family, "--range", "5..2", *out]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: bad range '5..2', 5 is above 2\n"
+            assert not csv.exists()
+
+
 def test_bench_needs_entry_or_template(capsys):
     assert main(["bench", str(PROGRAMS / "add.trs")]) == 2
     assert "entry" in capsys.readouterr().err

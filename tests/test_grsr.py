@@ -36,6 +36,7 @@ from helpers import nat_of, rabbit_tree, random_grsr, suc_chain
 from oracle import eval_grsr, validate_derivation
 
 NAT = Algebra("N", [("zero", 0), ("suc", 1)])
+PAIRS = Algebra("P", [("nil", 0), ("pair", 2)])
 
 
 def leaf_count(t):
@@ -107,6 +108,28 @@ def test_simrec_shape_checks():
     with pytest.raises(GrsrError):
         # suc row arity must be ar*(1+n)+params = 2, not 3
         SimRec(NAT, [[ConstructorFn(NAT, "zero")], [Proj(3, 1)]])
+
+
+def test_shape_refusals_name_the_fault():
+    zero, pair = ConstructorFn(NAT, "zero"), ConstructorFn(PAIRS, "pair")
+    cases = [
+        (lambda: Algebra("E", []), "algebra E has no constructors"),
+        (lambda: Algebra("R", [("z", 0), ("z", 1)]), "algebra R repeats constructor z"),
+        (lambda: Algebra("M", [("z", 0), ("s", -1)]), "negative arity for s"),
+        (lambda: Comp(zero, []), "composition needs at least one inner function"),
+        (lambda: Comp(pair, [Proj(1, 1), Proj(2, 1)]),
+         "composition: inner arities differ: [1, 2]"),
+        (lambda: SimRec(NAT, [[Proj(1, 1)], [Proj(3, 2), Proj(3, 2)]]),
+         "recursion rows disagree on component count"),
+        (lambda: SimRec(NAT, [[], []]), "recursion needs at least one component"),
+        (lambda: SimRec(NAT, [[Proj(1, 1)], [zero]]),
+         "recursion entry for suc has too few arguments"),
+        (lambda: Case(NAT, [Proj(1, 1), zero]), "case branch for suc has too few arguments"),
+    ]
+    for build, message in cases:
+        with pytest.raises(GrsrError) as e:
+            build()
+        assert str(e.value) == message
 
 
 def test_structural_keys_drive_equality():
@@ -187,6 +210,30 @@ def test_add_accepts_its_annotation(functions):
     assert d is not None
     validate_derivation(d)
     assert d.signature == TierSignature((2, 1), 1)
+
+
+def test_only_a_returned_derivation_is_built(functions, monkeypatch):
+    made = []
+
+    class Counted(TierDerivation):
+        __slots__ = ()
+
+        def __init__(self, expr, signature, premises):
+            made.append(expr)
+            super().__init__(expr, signature, premises)
+
+    monkeypatch.setattr(grsr, "TierDerivation", Counted)
+    for name, entry in (("add", "add"), ("rabbits", "rabbits"), ("arith", "cube")):
+        f = functions[name].lookup(entry).expr
+        occurrences = [g for g, k in grsr._walk(f) if k is not None]
+        for sig in infer_tiers(f, 3):
+            made.clear()
+            d = check_tiers_explained(f, sig)[0]
+            assert made == occurrences and type(d) is Counted
+        made.clear()
+        assert infeasibility_reason(f) is None and infer_tiers(f, 2)
+        assert check_tiers_explained(f, TierSignature((0,) * f.arity, 0))[0] is None
+        assert made == []
 
 
 def test_add_rejects_flat_tiers(functions):
@@ -664,6 +711,29 @@ def test_parse_reports_positions():
     with pytest.raises(ParseError) as e:
         parse_grsr("algebra N = zero/0, suc/1 ;\ndef f = proj 2 3 ;\n")
     assert e.value.line == 2
+
+
+def test_parse_refusals_name_the_fault_and_its_position():
+    head = "algebra N = zero/0, suc/1 ;\n"
+    cases = [
+        ("algebra 3 = zero/0 ;", 1, 9, "expected an algebra name"),
+        (head + "fun f = proj 1 1 ;", 2, 1, "expected 'algebra' or 'def'"),
+        (head + "# again\n\talgebra N = z/0 ;", 3, 12, "algebra N is already declared"),
+        (head + "def f = proj 1 1 ;  # once\n  def f = proj 1 1 ;", 3, 9,
+         "def f is already declared"),
+        (head + "def f : M@1 -> N@0 = proj 1 1 ;", 2, 10, "unknown algebra M"),
+        (head + "def f =\n  comp ; ;", 3, 8, "expected a function expression"),
+        (head + "algebra L = nil/0, pair/2 ;\n"
+         "def f = case over N { zero => proj 1 1 ;\n nil => proj 1 1 ; } ;", 4, 2,
+         "nil is not a constructor of N"),
+        (head + "def f : N@2 x N@1 -> N@1 =\n  proj 1 1 ;", 2, 1,
+         "def f takes 1 arguments but its annotation lists 2"),
+    ]
+    for text, line, column, message in cases:
+        with pytest.raises(ParseError) as e:
+            parse_grsr(text)
+        assert (e.value.line, e.value.column) == (line, column), text
+        assert str(e.value) == f"{line}:{column}: {message}"
 
 
 def test_forward_references_are_rejected():

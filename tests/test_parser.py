@@ -20,13 +20,15 @@ from memotrs import (
     initial_expression,
     minimal_shared_size,
     naive_run,
+    parse_grsr,
     parse_program,
     parse_term,
     run,
     term_size,
     vars_of,
 )
-from memotrs.parser import MAX_POWER_NODES
+from memotrs.parser import MAX_POWER_NODES, Token
+from conftest import PROGRAMS
 from memotrs.terms import rename
 from helpers import rabbit_tree, random_program, random_value, store_value, suc_chain
 
@@ -77,6 +79,35 @@ def test_error_positions_multiline():
         parse_program(text)
     assert "duplicate" in str(e.value)
     assert e.value.line == 2 and e.value.column == 3
+
+
+def test_empty_argument_lists():
+    assert parse_term("zero()", NAT) == App("zero", ())
+    with pytest.raises(ParseError) as e:
+        parse_term("add(zero,\n\t suc^2())", NAT)
+    assert (e.value.line, e.value.column) == (2, 3)
+    assert str(e.value) == "2:3: suc^2 needs one argument"
+
+
+def test_unexpected_character_position():
+    with pytest.raises(ParseError) as e:
+        parse_term("suc( # a comment\n  zero) !", NAT)
+    assert str(e.value) == "2:9: unexpected character '!'"
+
+
+def test_a_successful_parse_reads_no_position(monkeypatch):
+    """A token's line and column are worked out from its offset, in time
+    linear in it, so only an error message may read them."""
+
+    def unread(tok):
+        raise AssertionError(f"position of {tok.text!r} read")
+
+    monkeypatch.setattr(Token, "line", property(unread))
+    monkeypatch.setattr(Token, "col", property(unread))
+    for path in sorted(PROGRAMS.glob("*.trs")):
+        parse_program(path.read_text())
+    for path in sorted(PROGRAMS.glob("*.grsr")):
+        parse_grsr(path.read_text())
 
 
 def test_sections_must_appear_in_order():

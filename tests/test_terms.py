@@ -208,6 +208,9 @@ def test_minimal_shared_size():
     assert minimal_shared_size([App("m", (leaf, leaf))]) == 2
     # joint sharing across several terms
     assert minimal_shared_size([suc_chain(2), suc_chain(3)]) == 4
+    # a variable is one subterm per name, whichever object holds it
+    x, y = Var("x"), Var("y")
+    assert minimal_shared_size([App("m", (x, Var("x"))), App("m", (x, y))]) == 4
 
 
 def test_shared_size_handles_wide_dags():
@@ -222,6 +225,7 @@ def test_program_delta(programs):
     assert program_delta(programs["rabbits"]) == 5
     assert program_delta(programs["id"]) == 1
     assert program_delta(programs["tree"]) == 3
+    assert program_delta(Program(Signature({"zero": 0}, {"f": 1}), [])) == 0
 
 
 def test_validate_term_and_is_value():
