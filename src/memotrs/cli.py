@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import functools
 import gc
+import io
 import math
 import sys
 import time
@@ -173,12 +174,23 @@ def _read(path: str) -> str:
         raise ParseError(f"cannot read {path}: {e.strerror}")
 
 
+class _Output(io.FileIO):
+    """A file for writing; a failed write, on closing too, raises ParseError."""
+
+    def write(self, data) -> int:
+        try:
+            return super().write(data)
+        except OSError as e:
+            raise ParseError(f"cannot write {self.name}: {e.strerror}")
+
+
 def _write(path: str):
     """path opened for writing text."""
     try:
-        return open(path, "w", newline="")
+        raw = _Output(path, "w")
     except OSError as e:
         raise ParseError(f"cannot write {path}: {e.strerror}")
+    return io.TextIOWrapper(io.BufferedWriter(raw), newline="")
 
 
 def cmd_run(args) -> int:
@@ -346,8 +358,7 @@ def cmd_bench(args) -> int:
             f"suc^{hi} would expand the term beyond {MAX_POWER_NODES} nodes"
         )
     first = _family_term(args, program, lo)  # before any output
-    out = _write(args.csv) if args.csv else sys.stdout
-    try:
+    with _write(args.csv) if args.csv else contextlib.nullcontext(sys.stdout) as out:
         out.write("engine,n,m,total_steps,heap_nodes,unfolded_size_or_overflow,wall_ns\n")
         for n in range(lo, hi + 1):
             term = first if n == lo else _family_term(args, program, n)
@@ -366,9 +377,6 @@ def cmd_bench(args) -> int:
                     f"{eng},{n},{report.cost_m},{report.total_steps},"
                     f"{row_heap},{report.unfolded_size},{report.wall_ns}\n"
                 )
-    finally:
-        if args.csv:
-            out.close()
     return 0
 
 

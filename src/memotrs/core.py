@@ -6,9 +6,9 @@ arguments, and (RET, None, None) ends a body, storing its value under the
 call's key. Postfix order is leftmost-innermost order, so no redex is ever
 searched for. In a rule body a slot is the occurrence the matched call
 bound the variable to; an input holds no variables. `compile_term` is the
-one compiler of inputs for all engines: a VAL of an input holds a term
-for the memo and naive engines, and for the shared engine the heap
-location its loader merged the term into. A CON or CALL of a rule
+one walker of inputs for all engines: a VAL of an input holds a term for
+the memo and naive engines, and for the shared engine the heap location
+the same walk merges the term into. A CON or CALL of a rule
 body whose arguments are all variables compiles, without their pushes, to
 one (FCON, sym, get) or (FCALL, sym, get), where get(binding) gives the
 arguments (Proebsting's superoperators, POPL 1995). The naive engine still
@@ -33,7 +33,8 @@ import sys
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .errors import StuckError
+from .errors import HeapError, StuckError
+from .heap import Heap
 from .terms import App, Program, Rule, Signature, Term, Var, validate_term
 
 VAR, VAL, RET, CON, CALL, FCON, FCALL = range(7)
@@ -41,52 +42,88 @@ APPLY, READ, STORE, MERGE = "apply", "read", "store", "merge"
 
 
 def compile_term(
-    sig: Signature, t: Term, slots: Optional[dict] = None, vals: Optional[dict] = None
+    sig: Signature, t: Term, slots: Optional[dict] = None, heap: Optional[Heap] = None
 ) -> tuple:
     """Postfix code of t: of a rule body whose variables have the given
     slots, or without them of an input term, whose constructor-only
-    subterms are one VAL push each. A variable in an input is free, and
-    raises StuckError before any code runs; a symbol the signature does not
-    declare at that arity raises as validate_term does. vals, passed by the
-    shared engine's loader, maps a node id to its heap location, None for a
-    node that is not a value; without it a value pushes the node itself."""
-    code: list = []
-    vals = {} if vals is None else vals  # id -> value pushed for a node met before
-    stack: list = [(t, False)]
+    subterms are one VAL push each: of the node itself or, given a heap,
+    of the location the node is merged into. Nodes are merged children
+    first, last argument first, and a node object met again keeps the
+    value it got the first time. A variable in an input is free, and
+    raises StuckError, or HeapError given a heap; a symbol the signature
+    does not declare at that arity raises as validate_term does, before
+    any merge of a node holding it.
+
+    The one walk goes in pre-order from right to left and emits the code
+    reversed, so a node's finish finds its arguments' code after its own
+    instruction. In an input a maximal run of unary nodes is walked down
+    at once, and its constructor bottom folds into one value by one
+    Heap.merge_run, so merging is linear in the input's distinct nodes."""
+    cons, ops = sig.constructors, sig.operations
+    unary = {s: (CON if s in cons else CALL, s, 1) for s, k in {**cons, **ops}.items() if k == 1}
+    rev: list = [(RET, None, None)]  # the code, last instruction first
+    vals: dict = {}  # id(node) -> the value pushed for an input's value node
+    stack: list = [t]  # nodes to walk, and (node or run, its symbols, index in rev)
     while stack:
-        node, done = stack.pop()
-        if done:
-            sym, k = node.sym, len(node.args)
-            con = sym in sig.constructors
-            if (sig.constructors if con else sig.operations).get(sym) != k:
-                validate_term(sig, t)  # raises the signature's complaint
-            ops = code[len(code) - k :]
-            if slots is not None and all(ins[0] == VAR for ins in ops):
-                # operands read from the binding tuple; a slice of one is a tuple
-                at = [ins[1] for ins in ops] or [0]
-                get = itemgetter(*at) if k > 1 else itemgetter(slice(at[0], at[0] + k))
-                code[len(code) - k :] = [(FCON if con else FCALL, sym, get)]
-            elif not con:
-                code.append((CALL, sym, k))
-            elif slots is None and all(ins[0] == VAL for ins in ops):
-                # its arguments are values
-                code[len(code) - k :] = [(VAL, vals.setdefault(id(node), node), None)]
-            else:
-                code.append((CON, sym, k))
+        node = stack.pop()
+        if type(node) is tuple:  # a finish: rev[i] holds node's instruction
+            node, syms, i = node
+            if syms is not None:  # a run of unary nodes, from its top down
+                if not unary.keys() >= set(syms):
+                    validate_term(sig, t)  # raises the signature's complaint
+                k = j = len(syms)
+                while k and rev[i + k - 1][0] == CON:
+                    k -= 1
+                if k < j and len(rev) == i + j + 1 and rev[-1][0] == VAL:  # over a value
+                    run = node[k:][::-1]  # the constructors, from the bottom up
+                    locs = run if heap is None else heap.merge_run(syms[k:][::-1], rev[-1][1])
+                    vals.update(zip(map(id, run), locs))
+                    rev[i + k :] = [(VAL, locs[-1], None)]
+                continue
+            op, sym, k = rev[i]
+            con = op == CON
+            if (cons if con else ops).get(sym) != k:
+                validate_term(sig, t)
+            if len(rev) != i + k + 1:  # an argument is more than one push
+                continue
+            args = rev[:i:-1]
+            if slots is not None:
+                if all(ins[0] == VAR for ins in args):
+                    # operands read from the binding tuple; a slice of one is a tuple
+                    at = [ins[1] for ins in args] or [0]
+                    get = itemgetter(*at) if k > 1 else itemgetter(slice(at[0], at[0] + k))
+                    rev[i:] = [(FCON if con else FCALL, sym, get)]
+            elif con and all(ins[0] == VAL for ins in args):  # its arguments are values
+                v = node if heap is None else heap.merge(sym, tuple([ins[1] for ins in args]))
+                vals[id(node)] = v
+                rev[i:] = [(VAL, v, None)]
             continue
         v = vals.get(id(node))
         if v is not None:  # a shared value is pushed, not walked again
-            code.append((VAL, v, None))
+            rev.append((VAL, v, None))
         elif type(node) is Var:
-            if slots is None:
+            if slots is not None:
+                rev.append((VAR, slots[node.name], None))
+            elif heap is None:
                 raise StuckError(f"free variable {node.name} in evaluated term", node)
-            code.append((VAR, slots[node.name], None))
+            else:
+                raise HeapError(f"term is not ground: variable {node.name}")
+        elif slots is None and len(node.args) == 1:
+            run = [node]
+            node = node.args[0]
+            while type(node) is App and len(node.args) == 1 and id(node) not in vals:
+                run.append(node)
+                node = node.args[0]
+            syms = [n.sym for n in run]
+            stack.append((run, syms, len(rev)))
+            rev += map(unary.get, syms)  # None for a symbol that is not unary
+            stack.append(node)
         else:
-            stack.append((node, True))
-            for a in reversed(node.args):
-                stack.append((a, False))
-    code.append((RET, None, None))
-    return tuple(code)
+            stack.append((node, None, len(rev)))
+            rev.append((CON if node.sym in cons else CALL, node.sym, len(node.args)))
+            stack += node.args  # the last argument is walked first
+    rev.reverse()
+    return tuple(rev)
 
 
 def _decision_tree(sig: Signature, op: str, rules: tuple[Rule, ...]) -> object:

@@ -44,7 +44,7 @@ from typing import Optional
 
 from .errors import GrsrError, ParseError
 from .grsr import Algebra, Case, Comp, ConstructorFn, FunctionExpr, Proj, SimRec
-from .parser import TokenStream, read_nat, tokenize
+from .parser import Token, TokenStream, read_nat, tokenize
 
 MAX_NESTING = 256
 MAX_ARITY = 10_000
@@ -83,14 +83,15 @@ def _arity(ts: TokenStream) -> int:
     return n
 
 
-def _name_token(ts: TokenStream, what: str) -> str:
+def _name_token(ts: TokenStream, what: str) -> Token:
+    """The next token, a name; a refusal of the name raises at this token."""
     tok = ts.peek()
     if tok.kind != "name":
         raise ts.error(f"expected {what}")
     if tok.text in _KEYWORDS:
         raise ts.error(f"{tok.text!r} is a keyword, not {what}")
     ts.next()
-    return tok.text
+    return tok
 
 
 class _Parser:
@@ -116,17 +117,19 @@ class _Parser:
     def algebra_decl(self) -> None:
         ts = self.ts
         ts.expect("name", "algebra")
-        name = _name_token(ts, "an algebra name")
+        tok = _name_token(ts, "an algebra name")
+        name = tok.text
         if name in self.algebras:
-            raise ts.error(f"algebra {name} is already declared")
+            raise ParseError(f"algebra {name} is already declared", tok.line, tok.col)
         ts.expect("punct", "=")
         cons: list[tuple[str, int]] = []
         while True:
-            con = _name_token(ts, "a constructor name")
+            tok = _name_token(ts, "a constructor name")
+            con = tok.text
             if con in self.con_owner:
-                raise ts.error(
+                raise ParseError(
                     f"constructor {con} already belongs to algebra "
-                    f"{self.con_owner[con]}"
+                    f"{self.con_owner[con]}", tok.line, tok.col
                 )
             ts.expect("punct", "/")
             cons.append((con, _arity(ts)))
@@ -141,9 +144,10 @@ class _Parser:
     def def_decl(self) -> None:
         ts = self.ts
         start = ts.expect("name", "def")
-        name = _name_token(ts, "a function name")
+        tok = _name_token(ts, "a function name")
+        name = tok.text
         if name in self.by_name:
-            raise ts.error(f"def {name} is already declared")
+            raise ParseError(f"def {name} is already declared", tok.line, tok.col)
         tier_ins: Optional[tuple[Optional[int], ...]] = None
         tier_out: Optional[int] = None
         if ts.at_punct(":"):
@@ -157,7 +161,7 @@ class _Parser:
                 f"def {name} takes {expr.arity} arguments but its annotation "
                 f"lists {len(tier_ins)}",
                 start.line,
-                1,
+                start.col,
             )
         self.defs.append(GrsrDef(name, expr, tier_ins, tier_out))
         self.by_name[name] = expr
@@ -182,10 +186,10 @@ class _Parser:
 
     def algebra_ref(self) -> Algebra:
         ts = self.ts
-        name = _name_token(ts, "an algebra name")
-        if name not in self.algebras:
-            raise ts.error(f"unknown algebra {name}")
-        return self.algebras[name]
+        tok = _name_token(ts, "an algebra name")
+        if tok.text not in self.algebras:
+            raise ParseError(f"unknown algebra {tok.text}", tok.line, tok.col)
+        return self.algebras[tok.text]
 
     def fexpr(self) -> FunctionExpr:
         self.depth += 1
@@ -209,10 +213,10 @@ class _Parser:
             ts.next()
             ts.expect("punct", "[")
             con = _name_token(ts, "a constructor name")
-            if con not in self.con_owner:
-                raise ts.error(f"unknown constructor {con}")
+            if con.text not in self.con_owner:
+                raise ParseError(f"unknown constructor {con.text}", con.line, con.col)
             ts.expect("punct", "]")
-            return ConstructorFn(self.algebras[self.con_owner[con]], con)
+            return ConstructorFn(self.algebras[self.con_owner[con.text]], con.text)
         if tok.text == "proj":
             ts.next()
             arity = _arity(ts)
@@ -246,7 +250,7 @@ class _Parser:
                 ts.next()
                 select = read_nat(ts)
             return self.checked(lambda: SimRec(algebra, grid, select), tok)
-        name = _name_token(ts, "a function expression")
+        name = _name_token(ts, "a function expression").text
         if name not in self.by_name:
             raise ParseError(f"unknown function name {name}", tok.line, tok.col)
         return self.by_name[name]
@@ -267,8 +271,8 @@ class _Parser:
         ts.expect("punct", "{")
         rows: dict[str, list[FunctionExpr]] = {}
         while not ts.at_punct("}"):
-            tok = ts.peek()
-            con = _name_token(ts, "a constructor name")
+            tok = _name_token(ts, "a constructor name")
+            con = tok.text
             if con not in {c for c, _ in algebra.constructors}:
                 raise ParseError(
                     f"{con} is not a constructor of {algebra.name}",

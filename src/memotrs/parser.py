@@ -19,7 +19,7 @@ from that offset, in time linear in it, so only error messages read them.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import MemotrsError, ParseError
 from .heap import Heap

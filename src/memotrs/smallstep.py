@@ -13,25 +13,25 @@ leftmost-innermost redex:
             location
     merge   constructor on locations: merge into the heap, keep the location
 
-Here no expression is built. `initial_expression` merges a ground term's
-constructor-only subterms into the heap, and `core.compile_term`, the
-compiler all engines share, turns the rest into postfix code whose values
-are those locations. `run` drives that code through `core.execute`: postfix
-order is leftmost-innermost order, and a call frame is an annotation. The
-expressions and the literal one-step machine live beside the tests, which
-hold `run` to it trace for trace.
+Here no expression is built. `initial_expression` loads a ground term
+with `core.compile_term`, the compiler all engines share: given the heap,
+its one walk merges the term's constructor-only subterms and turns the
+rest into postfix code whose values are their locations. `run` drives
+that code through `core.execute`: postfix order is leftmost-innermost
+order, and a call frame is an annotation. The expressions and the literal
+one-step machine live beside the tests, which hold `run` to it trace for
+trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Callable, Optional
 
 from .core import CALL, CON, RET, VAL, compile_term, execute
 from .errors import BudgetExceededError, HeapError
 from .heap import Heap
-from .terms import App, Program, Signature, Term, program_delta, validate_term
+from .terms import App, Program, Signature, Term, program_delta
 
 
 RefCache = dict[tuple[str, tuple[int, ...]], int]
@@ -56,7 +56,6 @@ class RunStats:
 
 
 TraceFn = Callable[[int, str, int, int, int], None]
-_SYM = attrgetter("sym")
 
 
 def _weight(code: tuple, n: int, sig: Signature) -> int:
@@ -155,66 +154,7 @@ def _drive(
 
 
 def initial_expression(program: Program, heap: Heap, term: Term) -> tuple[Heap, tuple]:
-    """Load a ground term for run: its constructor-only subterms are merged
-    into heap, and compile_term makes the rest code that pushes their
-    locations. Returns heap, extended, with the code.
-
-    New nodes are numbered children first, last argument first, and a node
-    object met again keeps the location it got the first time. Merging is
-    one pass, linear in the term's distinct nodes: each maximal run of
-    unary nodes is walked down once, and the constructors at its bottom are
-    merged by one Heap.merge_run. A symbol the signature does not declare
-    at that arity raises as validate_term does, before any merge of a node
-    holding it."""
-    sig = program.signature
-    constructors = sig.constructors
-    arity = {**sig.operations, **constructors}
-    unary = {sym for sym, n in arity.items() if n == 1}
-    built: dict[int, Optional[int]] = {}  # id(node) -> its location, None if not a value
-    stack: list = [term]  # nodes to load; a list is a run waiting for its bottom
-    while stack:
-        node = stack.pop()
-        if type(node) is list:
-            run = node
-            below = built[id(run[-1].args[0])]
-        elif id(node) in built:
-            continue
-        else:
-            run = []  # the unary nodes above the first one built or not unary
-            while type(node) is App:
-                args = node.args
-                if len(args) != 1 or id(node) in built:
-                    break
-                run.append(node)
-                node = args[0]
-            if id(node) in built:
-                below = built[id(node)]
-            elif type(node) is not App:
-                raise HeapError(f"term is not ground: variable {node.name}")
-            else:
-                todo = [a for a in node.args if id(a) not in built]
-                if todo:  # load the arguments, then come back to node and run
-                    if run:
-                        stack.append(run)
-                    stack.append(node)
-                    stack += todo
-                    continue
-                sym = node.sym
-                if arity.get(sym) != len(node.args):
-                    validate_term(sig, term)  # raises the signature's complaint
-                kids = tuple([built[id(a)] for a in node.args])
-                below = heap.merge(sym, kids) if sym in constructors and None not in kids else None
-                built[id(node)] = below
-        k = len(run)
-        if k:
-            syms = list(map(_SYM, run))
-            if not unary.issuperset(syms):
-                validate_term(sig, term)
-            if below is not None:  # merge the run's constructor bottom at once
-                while k and syms[k - 1] in constructors:
-                    k -= 1
-                if k < len(run):
-                    locs = heap.merge_run(syms[k:][::-1], below)
-                    built.update(zip(map(id, reversed(run[k:])), locs))
-            built.update(dict.fromkeys(map(id, run[:k])))  # from the lowest call up
-    return heap, compile_term(sig, term, vals=built)
+    """Load a ground term for run: compile_term merges its constructor-only
+    subterms into heap and makes the rest code that pushes their
+    locations. Returns heap, extended, with the code."""
+    return heap, compile_term(program.signature, term, heap=heap)

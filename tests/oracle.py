@@ -14,8 +14,9 @@ the morphism into the heap. The library's `run` and its compiled decision
 trees are held to these by the tests.
 
 `initial_expression_by_node` loads a term one node at a time into an
-expression, the oracle for `smallstep.initial_expression`, which walks
-unary runs at once and returns code.
+expression, the oracle for `core.compile_term` given a heap (what
+`smallstep.initial_expression` calls), which walks unary runs at once and
+returns code.
 `unfused` gives a program whose rule bodies run without fused
 instructions, each turned back into its VAR pushes and CON or CALL by
 `expand_fused`: the oracle for the fused code the engines run.
@@ -462,9 +463,9 @@ def initial_call(program: Program, op: str, values: list[Term]) -> tuple[Heap, E
 def initial_expression_by_node(
     program: Program, heap: Heap, term: Term
 ) -> tuple[Heap, Expr]:
-    """The loader one node at a time, the reference for
-    `smallstep.initial_expression`: one stack entry and one `Heap.merge`
-    per node, children first, last argument first."""
+    """The loader one node at a time, the reference for `compile_term`
+    given a heap: one stack entry and one `Heap.merge` per node, children
+    first, last argument first."""
     constructors = program.signature.constructors
     built: dict[int, object] = {}  # id(node) -> its location, or its Expr
     stack: list[tuple[Term, bool]] = [(term, False)]

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import gc
 import os
 import random
@@ -457,6 +458,24 @@ def test_unwritable_outputs_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"error: cannot write {bad}: No such file or directory\n"
         )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("argv", [
+    ["run", "add.trs", "add(suc^3(zero), zero)", "--trace", "/dev/full"],
+    # a trace that fails during the run, while the --dot file is open
+    ["run", "rabbits.trs", "rabbits(suc^300(zero))", "--trace", "/dev/full", "--dot", os.devnull],
+    ["run", "add.trs", "add(suc^3(zero), zero)", "--dot", "/dev/full"],
+    ["compile", "add.grsr", "-o", "/dev/full"],
+    ["bench", "rabbits.trs", "rabbits", "--csv", "/dev/full"],
+], ids=["trace", "long-trace", "dot", "output", "csv"])
+def test_failed_writes_exit_2(argv, capsys):
+    """A write or close that fails after the file opened exits 2, as a path
+    that cannot be opened does, and names the file that failed."""
+    argv = [argv[0], str(PROGRAMS / argv[1]), *argv[2:]]
+    assert main(argv) == 2
+    full = os.strerror(errno.ENOSPC)
+    assert capsys.readouterr().err == f"error: cannot write /dev/full: {full}\n"
 
 
 def test_unwritable_dot_is_refused_before_the_first_step(tmp_path, capsys, monkeypatch):

@@ -718,15 +718,21 @@ def test_parse_refusals_name_the_fault_and_its_position():
     cases = [
         ("algebra 3 = zero/0 ;", 1, 9, "expected an algebra name"),
         (head + "fun f = proj 1 1 ;", 2, 1, "expected 'algebra' or 'def'"),
-        (head + "# again\n\talgebra N = z/0 ;", 3, 12, "algebra N is already declared"),
-        (head + "def f = proj 1 1 ;  # once\n  def f = proj 1 1 ;", 3, 9,
+        # a refused name is reported where the name stands
+        (head + "# again\n\talgebra N = z/0 ;", 3, 10, "algebra N is already declared"),
+        (head + "def f = proj 1 1 ;  # once\n  def f = proj 1 1 ;", 3, 7,
          "def f is already declared"),
-        (head + "def f : M@1 -> N@0 = proj 1 1 ;", 2, 10, "unknown algebra M"),
+        (head + "def f : M@1 -> N@0 = proj 1 1 ;", 2, 9, "unknown algebra M"),
+        (head + "def f = case over Q { zero => proj 1 1 ; } ;", 2, 19, "unknown algebra Q"),
+        (head + "algebra M = zero/0 ;", 2, 13, "constructor zero already belongs to algebra N"),
+        (head + "def f = cons[zer] ;", 2, 14, "unknown constructor zer"),
         (head + "def f =\n  comp ; ;", 3, 8, "expected a function expression"),
         (head + "algebra L = nil/0, pair/2 ;\n"
          "def f = case over N { zero => proj 1 1 ;\n nil => proj 1 1 ; } ;", 4, 2,
          "nil is not a constructor of N"),
         (head + "def f : N@2 x N@1 -> N@1 =\n  proj 1 1 ;", 2, 1,
+         "def f takes 1 arguments but its annotation lists 2"),
+        (head + "   def f : N@2 x N@1 -> N@1 =\n  proj 1 1 ;", 2, 4,  # at its def
          "def f takes 1 arguments but its annotation lists 2"),
     ]
     for text, line, column, message in cases:

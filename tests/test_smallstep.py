@@ -7,12 +7,14 @@ import pytest
 
 from memotrs import (
     App,
+    ArityError,
     BudgetExceededError,
     Heap,
     HeapError,
     MemoStats,
     Program,
     Signature,
+    StuckError,
     Var,
     eval_memo,
     initial_expression,
@@ -454,7 +456,10 @@ def test_loaded_code_is_compile_terms():
 
 def assert_loads_like_reference(program, heap, term):
     """initial_expression and the node-by-node loader agree on the heap
-    they leave, the code of the expression, its weight, and HeapError."""
+    they leave, the code of the expression, its weight, and HeapError.
+    compile_term without a heap gives that code, a value pushed as the
+    input's node itself, or StuckError for the variable: the shared engine
+    runs the code the memo and naive engines run."""
     mine, ref = heap.copy(), heap.copy()
     try:
         _, want = initial_expression_by_node(program, ref, term)
@@ -462,6 +467,9 @@ def assert_loads_like_reference(program, heap, term):
         with pytest.raises(HeapError) as got:
             initial_expression(program, mine, term)
         assert str(got.value) == str(e)
+        free = str(e).removeprefix("term is not ground: variable ")
+        with pytest.raises(StuckError, match=f"^free variable {free} in evaluated term$"):
+            compile_term(program.signature, term)
     else:
         got_heap, got = initial_expression(program, mine, term)
         assert got_heap is mine
@@ -471,6 +479,19 @@ def assert_loads_like_reference(program, heap, term):
         except BudgetExceededError as e:
             stats = e.stats
         assert stats.initial_weight == expression_weight(want)
+        nodes, todo = {}, [term]
+        while todo:  # the input's node objects
+            t = todo.pop()
+            if id(t) not in nodes:
+                nodes[id(t)] = t
+                todo += t.args
+        terms = compile_term(program.signature, term)
+        assert [(op, b) for op, _, b in terms] == [(op, b) for op, _, b in got]
+        for (op, node, _), (_, loc, _) in zip(terms, got):
+            if op == VAL:
+                assert nodes.get(id(node)) is node and got_heap.unfold(loc) == node
+            else:
+                assert node == loc
     assert mine.entries == ref.entries
     assert mine.index == ref.index
 
@@ -526,7 +547,7 @@ def test_loader_matches_node_by_node_reference():
     assert loaded > 200 and errors > 5
 
 
-def test_loader_sharing_cases():
+def test_loader_sharing_cases(programs):
     zero = App("zero")
 
     def suc(t, n=1):
@@ -559,9 +580,13 @@ def test_loader_sharing_cases():
             assert_loads_like_reference(LOAD_PROGRAM, heap, term)
     _, code = initial_expression(LOAD_PROGRAM, Heap(), suc(f(suc(zero))))
     assert code == expression_code(ECon("suc", (ECall("f", (ELoc(1),)),)))
+    heap = Heap()  # a run's symbols are checked before its constructors merge
+    with pytest.raises(ArityError, match="^zero declared with arity 0, applied to 1$"):
+        initial_expression(programs["id"], heap, App("id", (App("zero", (suc(zero, 2),)),)))
+    assert heap.entries == [("zero", ())]
 
 
-def test_loader_takes_deep_runs():
+def test_loader_takes_deep_runs(programs):
     n = 200_000
     chain = suc_chain(n)
     heap, code = initial_expression(LOAD_PROGRAM, Heap(), chain)
@@ -569,6 +594,9 @@ def test_loader_takes_deep_runs():
     heap, code = initial_expression(LOAD_PROGRAM, heap, App("f", (chain,)))
     assert code == ((VAL, n, None), (CALL, "f", 1), (RET, None, None))
     assert heap.node_count == n + 1
+    call = App("id", (chain,))  # the memo and naive engines compile it alike
+    assert eval_memo(programs["id"], {}, call).value is chain
+    assert naive_run(programs["id"], call).value is chain
 
 
 def test_loader_is_linear_in_distinct_nodes():
