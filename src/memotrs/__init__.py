@@ -30,7 +30,6 @@ from .grsr import (
     FunctionExpr,
     Proj,
     SimRec,
-    TierDerivation,
     TierSignature,
     check_tiers_explained,
     compile_function,

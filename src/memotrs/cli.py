@@ -16,6 +16,7 @@ import functools
 import gc
 import io
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -264,8 +265,8 @@ def _tier_line(d: GrsrDef, tmax_flag: Optional[int]) -> str:
     )
     if fully:
         sig = TierSignature(tuple(d.tier_inputs), d.tier_output)
-        derivation, reason = check_tiers_explained(f, sig)
-        if derivation is not None:
+        reason = check_tiers_explained(f, sig)
+        if reason is None:
             return f"{d.name}: accepted {sig}"
         return f"{d.name}: rejected {sig}: {reason}"
     tmax = tmax_flag if tmax_flag is not None else default_tier_bound(f)
@@ -456,13 +457,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _discard_stdout() -> None:
+    """Point a failed standard output at the null device, so what it still
+    buffers goes nowhere when the interpreter flushes it at exit, which would
+    otherwise fail again and turn the exit code into 120."""
+    try:
+        fd = sys.stdout.fileno()
+    except io.UnsupportedOperation:  # a stream in memory, not the process's
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     # what the engines build holds no reference cycle: no collection is due
     collecting = gc.isenabled()
     gc.disable()
     try:
         args = _build_parser().parse_args(argv)
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        finally:
+            sys.stdout.flush()  # a write that fails, fails here and not at exit
+    except OSError as e:
+        # _read and _write name their own paths, so this is standard output
+        print(f"error: cannot write <stdout>: {e.strerror}", file=sys.stderr)
+        _discard_stdout()
+        return 2
     except StuckError as e:
         print(f"stuck: {e}", file=sys.stderr)
         return 3

@@ -5,6 +5,9 @@ Functions are built from constructor functions and projections via three
 schemes. Tier checking assigns numeric levels to argument and result
 positions; simultaneous recursion requires its recursion argument to sit
 strictly above its result, which is what keeps accepted functions feasible.
+check_tiers_explained solves the constraints of every occurrence once and
+returns None (accepted) or the reason not; tests/oracle.py builds the
+derivation the solved tiers give and checks it rule by rule.
 compile() turns a function into an orthogonal rewrite program, one operation
 per structurally distinct subexpression.
 """
@@ -268,21 +271,6 @@ class TierSignature:
         return f"({ins}) -> {self.output}"
 
 
-class TierDerivation:
-    """A tier assignment for every sub-expression occurrence."""
-
-    __slots__ = ("expr", "signature", "premises")
-
-    def __init__(self, expr: FunctionExpr, signature: TierSignature,
-                 premises: tuple["TierDerivation", ...]):
-        self.expr = expr
-        self.signature = signature
-        self.premises = premises
-
-    def __repr__(self) -> str:
-        return f"TierDerivation({self.expr!r}, {self.signature})"
-
-
 class _TierProblem:
     def __init__(self):
         self.parent: list[int] = []
@@ -340,7 +328,8 @@ class _TierProblem:
 def _collect(f: FunctionExpr) -> tuple[list, tuple]:
     """The tier problem of f: each occurrence as (expression, part count,
     input variables, output variable) as the walk leaves them, f last, and
-    the problem's plan. A case or rec makes its variables on entering,
+    the problem's plan. The checks read f's variables; tests/oracle.py
+    derives from them all. A case or rec makes its variables on entering,
     every other form on leaving; the union-find roots rest on that."""
     prob = _TierProblem()
     nodes: list = []
@@ -425,26 +414,14 @@ def _solve(
     return val, None
 
 
-def check_tiers_explained(
-    f: FunctionExpr, sig: TierSignature
-) -> tuple[Optional[TierDerivation], Optional[str]]:
-    """Derivation for f at the given signature, or None with the blocker."""
+def check_tiers_explained(f: FunctionExpr, sig: TierSignature) -> Optional[str]:
+    """None when f is accepted at the given signature, else the blocker."""
     if len(sig.inputs) != f.arity:
         raise GrsrError(f"{f!r} takes {f.arity} arguments, signature has "
                         f"{len(sig.inputs)}")
     nodes, plan = _collect(f)
     _, _, ins, out = nodes[-1]
-    val, reason = _solve(plan, zip([*ins, out], [*sig.inputs, sig.output]), None)
-    if val is None:
-        return None, reason
-    root = plan[0]
-    done: list[TierDerivation] = []  # derivations not yet taken by their parent
-    for g, k, ins, out in nodes:
-        premises = tuple(done[len(done) - k:])
-        del done[len(done) - k:]
-        signed = TierSignature(tuple(val[root[v]] for v in ins), val[root[out]])
-        done.append(TierDerivation(g, signed, premises))
-    return done[0], None
+    return _solve(plan, zip([*ins, out], [*sig.inputs, sig.output]), None)[1]
 
 
 def infeasibility_reason(f: FunctionExpr) -> Optional[str]:

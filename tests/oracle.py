@@ -23,8 +23,12 @@ instructions, each turned back into its VAR pushes and CON or CALL by
 
 For the function algebra, `eval_grsr` evaluates a function by its
 denotation, iteratively and once per function and arguments, the oracle
-for `compile_function`, and `validate_derivation` re-checks a tier
-derivation rule by rule, the oracle for `check_tiers_explained`.
+for `compile_function`. A `TierDerivation` signs every occurrence of an
+expression with its tiers; `derive` builds the one the library's tier
+solver finds (its per-occurrence variables and least class values), and
+`validate_derivation` re-checks a derivation rule by rule without the
+solver, the oracle for `check_tiers_explained`, which only answers
+accepted or the reason not.
 """
 
 from __future__ import annotations
@@ -49,12 +53,13 @@ from memotrs import (
     SimRec,
     StuckError,
     Term,
-    TierDerivation,
+    TierSignature,
     Var,
     program_delta,
     terms_equal,
 )
 from memotrs.core import APPLY, CALL, CON, FCALL, FCON, MERGE, READ, RET, STORE, VAL, VAR, _Trees
+from memotrs.grsr import _collect, _solve
 from memotrs.heap import Node
 from memotrs.smallstep import RefCache
 from memotrs.terms import bounded_repr, call_repr_parts
@@ -780,6 +785,44 @@ def _scrutinee(algebra: Algebra, v: Term) -> App:
     if len(v.args) != algebra.arity(v.sym):
         raise GrsrError(f"malformed value: {v.sym} applied at the wrong arity")
     return v
+
+
+class TierDerivation:
+    """A tier assignment for every sub-expression occurrence."""
+
+    __slots__ = ("expr", "signature", "premises")
+
+    def __init__(self, expr: FunctionExpr, signature: TierSignature,
+                 premises: tuple["TierDerivation", ...]):
+        self.expr = expr
+        self.signature = signature
+        self.premises = premises
+
+    def __repr__(self) -> str:
+        return f"TierDerivation({self.expr!r}, {self.signature})"
+
+
+def derive(f: FunctionExpr, sig: TierSignature) -> Optional[TierDerivation]:
+    """The derivation of f at sig that the tier solver's least values give,
+    or None where it finds none: each occurrence signed with the values of
+    its variables' classes (grsr._collect and grsr._solve), as the walk
+    leaves it. validate_derivation checks it without the solver."""
+    if len(sig.inputs) != f.arity:
+        raise GrsrError(f"{f!r} takes {f.arity} arguments, signature has "
+                        f"{len(sig.inputs)}")
+    nodes, plan = _collect(f)
+    _, _, ins, out = nodes[-1]
+    val, _ = _solve(plan, zip([*ins, out], [*sig.inputs, sig.output]), None)
+    if val is None:
+        return None
+    root = plan[0]
+    done: list[TierDerivation] = []  # derivations not yet taken by their parent
+    for g, k, ins, out in nodes:
+        premises = tuple(done[len(done) - k:])
+        del done[len(done) - k:]
+        signed = TierSignature(tuple(val[root[v]] for v in ins), val[root[out]])
+        done.append(TierDerivation(g, signed, premises))
+    return done[0]
 
 
 def validate_derivation(d: TierDerivation) -> None:

@@ -46,6 +46,7 @@ from oracle import (
     applicable_step_kinds,
     canonical_tree,
     configuration_size,
+    derive,
     eval_grsr,
     expression_code,
     expression_weight,
@@ -247,13 +248,11 @@ def test_criterion_07_tiering(functions):
     """add and rabbits carry their declared stratified signatures; the
     leaf counter admits none with tiers up to five."""
     add = functions["add"].lookup("add").expr
-    d = check_tiers_explained(add, TierSignature((2, 1), 1))[0]
-    assert d is not None
-    validate_derivation(d)
+    assert check_tiers_explained(add, TierSignature((2, 1), 1)) is None
+    validate_derivation(derive(add, TierSignature((2, 1), 1)))
     rabbits = functions["rabbits"].lookup("rabbits").expr
-    d = check_tiers_explained(rabbits, TierSignature((1,), 0))[0]
-    assert d is not None
-    validate_derivation(d)
+    assert check_tiers_explained(rabbits, TierSignature((1,), 0)) is None
+    validate_derivation(derive(rabbits, TierSignature((1,), 0)))
     leafs = functions["leafs"].lookup("leafs").expr
     assert infer_tiers(leafs, 5) == []
 

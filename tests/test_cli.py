@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import errno
 import gc
+import io
 import os
 import random
 import subprocess
@@ -476,6 +478,44 @@ def test_failed_writes_exit_2(argv, capsys):
     assert main(argv) == 2
     full = os.strerror(errno.ENOSPC)
     assert capsys.readouterr().err == f"error: cannot write /dev/full: {full}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("flags, argv", [
+    ([], ["run", "add.trs", "add(suc^3(zero), zero)"]),
+    ([], ["check", "add.trs"]),
+    ([], ["tier", "add.grsr"]),
+    ([], ["compile", "add.grsr"]),
+    # rows past the stream's buffer, so a write fails before the last flush
+    ([], ["bench", "rabbits.trs", "rabbits", "--range", "1..300"]),
+    (["-u"], ["tier", "add.grsr"]),
+], ids=["run", "check", "tier", "compile", "bench", "unbuffered"])
+def test_failed_stdout_exits_2(flags, argv):
+    """A command whose standard output cannot be written exits 2, as the
+    process ends and a shell sees it, also once the interpreter has flushed
+    what the stream still held."""
+    argv = [argv[0], str(PROGRAMS / argv[1]), *argv[2:]]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(PROGRAMS.parent / "src")
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, *flags, "-m", "memotrs.cli", *argv],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_failed_stdout_without_a_descriptor_exits_2(capsys):
+    """In process, standard output may be a stream in memory, with no
+    descriptor to point elsewhere; a write that fails still exits 2."""
+
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    with contextlib.redirect_stdout(Full()):
+        assert main(["check", str(PROGRAMS / "add.trs")]) == 2
+    full = os.strerror(errno.ENOSPC)
+    assert capsys.readouterr().err == f"error: cannot write <stdout>: {full}\n"
 
 
 def test_unwritable_dot_is_refused_before_the_first_step(tmp_path, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -17,7 +18,6 @@ from memotrs import (
     ParseError,
     Proj,
     SimRec,
-    TierDerivation,
     TierSignature,
     check_tiers_explained,
     compile_function,
@@ -33,7 +33,7 @@ from memotrs import (
 from memotrs import grsr
 from memotrs.terms import REPR_CHARS
 from helpers import nat_of, rabbit_tree, random_grsr, suc_chain
-from oracle import eval_grsr, validate_derivation
+from oracle import TierDerivation, derive, eval_grsr, validate_derivation
 
 NAT = Algebra("N", [("zero", 0), ("suc", 1)])
 PAIRS = Algebra("P", [("nil", 0), ("pair", 2)])
@@ -206,41 +206,22 @@ def test_eval_leafs(functions):
 
 def test_add_accepts_its_annotation(functions):
     add = functions["add"].lookup("add").expr
-    d = check_tiers_explained(add, TierSignature((2, 1), 1))[0]
-    assert d is not None
+    assert check_tiers_explained(add, TierSignature((2, 1), 1)) is None
+    d = derive(add, TierSignature((2, 1), 1))
     validate_derivation(d)
     assert d.signature == TierSignature((2, 1), 1)
 
 
-def test_only_a_returned_derivation_is_built(functions, monkeypatch):
-    made = []
-
-    class Counted(TierDerivation):
-        __slots__ = ()
-
-        def __init__(self, expr, signature, premises):
-            made.append(expr)
-            super().__init__(expr, signature, premises)
-
-    monkeypatch.setattr(grsr, "TierDerivation", Counted)
-    for name, entry in (("add", "add"), ("rabbits", "rabbits"), ("arith", "cube")):
-        f = functions[name].lookup(entry).expr
-        occurrences = [g for g, k in grsr._walk(f) if k is not None]
-        for sig in infer_tiers(f, 3):
-            made.clear()
-            d = check_tiers_explained(f, sig)[0]
-            assert made == occurrences and type(d) is Counted
-        made.clear()
-        assert infeasibility_reason(f) is None and infer_tiers(f, 2)
-        assert check_tiers_explained(f, TierSignature((0,) * f.arity, 0))[0] is None
-        assert made == []
-
-
 def test_add_rejects_flat_tiers(functions):
     add = functions["add"].lookup("add").expr
-    d, reason = check_tiers_explained(add, TierSignature((1, 1), 1))
-    assert d is None
+    reason = check_tiers_explained(add, TierSignature((1, 1), 1))
     assert "below a required minimum" in reason
+    assert derive(add, TierSignature((1, 1), 1)) is None
+    # tierable defs refuse all-zero tiers with a reason
+    for name, entry in (("add", "add"), ("rabbits", "rabbits"), ("arith", "cube")):
+        f = functions[name].lookup(entry).expr
+        assert infeasibility_reason(f) is None and infer_tiers(f, 2)
+        assert check_tiers_explained(f, TierSignature((0,) * f.arity, 0)) is not None
 
 
 def test_add_inference(functions):
@@ -330,8 +311,8 @@ def test_constructor_tiers_are_uniform():
 
 def test_rabbits_signature(functions):
     rabbits = functions["rabbits"].lookup("rabbits").expr
-    d = check_tiers_explained(rabbits, TierSignature((1,), 0))[0]
-    assert d is not None
+    assert check_tiers_explained(rabbits, TierSignature((1,), 0)) is None
+    d = derive(rabbits, TierSignature((1,), 0))
     validate_derivation(d)
 
 
@@ -340,8 +321,9 @@ def test_leafs_is_untierable(functions):
     assert infer_tiers(leafs, 5) == []
     reason = infeasibility_reason(leafs)
     assert reason is not None and "strictly above" in reason
-    d, why = check_tiers_explained(leafs, TierSignature((1,), 1))
-    assert d is None and "strictly above" in why
+    why = check_tiers_explained(leafs, TierSignature((1,), 1))
+    assert "strictly above" in why
+    assert derive(leafs, TierSignature((1,), 1)) is None
 
 
 def test_signature_arity_must_match(functions):
@@ -352,7 +334,7 @@ def test_signature_arity_must_match(functions):
 
 def test_validate_derivation_rejects_corruption(functions):
     add = functions["add"].lookup("add").expr
-    d = check_tiers_explained(add, TierSignature((2, 1), 1))[0]
+    d = derive(add, TierSignature((2, 1), 1))
     bad = TierDerivation(add, TierSignature((1, 1), 1), d.premises)
     with pytest.raises(GrsrError):
         validate_derivation(bad)
@@ -361,6 +343,45 @@ def test_validate_derivation_rejects_corruption(functions):
     )
     with pytest.raises(GrsrError):
         validate_derivation(lied)
+
+
+def test_tier_entry_points_agree_on_random_files(functions):
+    """At every tuple up to default_tier_bound, where there are at most 256,
+    infer_tiers finds exactly the signatures check_tiers_explained accepts
+    whose derivation stays within the bound; each accepted one derives and
+    validates rule by rule, and none refused derives."""
+    files = [*functions.values(), *(parse_grsr(random_grsr(seed)) for seed in range(70))]
+    validated = beyond = 0
+    for gf in files:
+        for d in gf.defs:
+            f = d.expr
+            b = default_tier_bound(f)
+            if (b + 1) ** (f.arity + 1) > 256:
+                continue
+            within = set()
+            for *ins, out in product(range(b + 1), repeat=f.arity + 1):
+                sig = TierSignature(tuple(ins), out)
+                tree = derive(f, sig)
+                if check_tiers_explained(f, sig) is not None:
+                    assert tree is None, (d.name, sig)
+                    continue
+                validate_derivation(tree)
+                validated += 1
+                if highest_tier(tree) <= b:
+                    within.add(sig)
+                else:
+                    beyond += 1
+            assert set(infer_tiers(f, b)) == within, d.name
+    assert validated > 500 and beyond > 0
+
+
+def highest_tier(d: TierDerivation) -> int:
+    top, stack = 0, [d]
+    while stack:
+        d = stack.pop()
+        top = max(top, d.signature.output, *d.signature.inputs)
+        stack.extend(d.premises)
+    return top
 
 
 # ----------------------------------------------------------- compiling
@@ -584,8 +605,9 @@ def test_deep_expressions_tier_and_compile(depth):
     # its argument a tier higher
     zr = SimRec(NAT, [[ConstructorFn(NAT, "zero")], [Proj(2, 2)]])
     zrs = nested(zr, Proj(1, 1), depth)
-    d, reason = check_tiers_explained(zrs, TierSignature((depth,), 0))
-    assert reason is None and d.signature == TierSignature((depth,), 0)
+    assert check_tiers_explained(zrs, TierSignature((depth,), 0)) is None
+    d = derive(zrs, TierSignature((depth,), 0))
+    assert d.signature == TierSignature((depth,), 0)
     count, stack = 0, [d]
     while stack:
         node = stack.pop()
@@ -595,7 +617,7 @@ def test_deep_expressions_tier_and_compile(depth):
     assert count == 4 * depth + 1  # each comp, zr and zr's two entries, and proj 1 1
     validate_derivation(d)
     assert check_tiers_explained(zrs, TierSignature((depth - 1,), 0)) == (
-        None, f"tier {depth - 1} pinned below a required minimum of {depth}")
+        f"tier {depth - 1} pinned below a required minimum of {depth}")
     assert infeasibility_reason(zrs) is None
     assert default_tier_bound(zrs) == 2
     prog, entry = compile_function(zrs)

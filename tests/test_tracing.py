@@ -69,3 +69,16 @@ def test_shared_answer_is_read_without_unfolding(capsys, tmp_path):
     assert names.count("heap.unfold") == 1
     assert names.count("parser.format_term") == 3
     capsys.readouterr()
+
+
+def test_traced_tier_sees_each_tier_entry_point(capsys, tmp_path):
+    # add is annotated, one has signatures, leafs without its annotation none
+    text = (ROOT / "programs" / "leafs.grsr").read_text()
+    unannotated = tmp_path / "leafs.grsr"
+    unannotated.write_text(text.replace("def leafs : R@1 -> N@1 =", "def leafs ="))
+    names = {span[0] for span in traced_run(["tier", str(unannotated)]).spans}
+    assert {"grsr.check_tiers", "grsr.infer_tiers", "grsr.infeasibility_reason",
+            "grsr.default_tier_bound"} <= names
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" up to")[0] for line in lines] == [
+        "add: accepted (2, 1) -> 1", "one: signatures", "leafs: no signatures"]
