@@ -173,6 +173,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise ParseError(f"cannot read {path}: {e}")
 
 
 class _Output(io.FileIO):

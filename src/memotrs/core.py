@@ -25,6 +25,10 @@ compiled at each leaf of its rule, and the occurrences are its binding.
 Orthogonal programs are left-linear and non-overlapping, so the tree never
 backtracks nor compares two values, and a missing subtree (None) is a
 stuck call.
+
+A run is observed only through its step log (see `execute`): one list
+append per step of an object the loop already holds, handed over every
+LOG_BATCH steps, so no callback runs per step.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from .terms import App, Program, Rule, Signature, Term, Var, validate_term
 
 VAR, VAL, RET, CON, CALL, FCON, FCALL = range(7)
 APPLY, READ, STORE, MERGE = "apply", "read", "store", "merge"
+LOG_BATCH = 4096  # steps per batch of the step log
 
 
 def compile_term(
@@ -58,27 +63,46 @@ def compile_term(
     reversed, so a node's finish finds its arguments' code after its own
     instruction. In an input a maximal run of unary nodes is walked down
     at once, and its constructor bottom folds into one value by one
-    Heap.merge_run, so merging is linear in the input's distinct nodes."""
+    Heap.merge_run, so merging is linear in the input's distinct nodes.
+    Where the node below the run is known to be a value at the run's top
+    (a node met before, or a constant), the run folds there and no
+    instruction of its constructor bottom is made; otherwise it is
+    emitted whole, and folds at its finish if the node below turned out
+    to be one value."""
     cons, ops = sig.constructors, sig.operations
     unary = {s: (CON if s in cons else CALL, s, 1) for s, k in {**cons, **ops}.items() if k == 1}
+    unary_cons = {s for s, ins in unary.items() if ins[0] == CON}
     rev: list = [(RET, None, None)]  # the code, last instruction first
     vals: dict = {}  # id(node) -> the value pushed for an input's value node
     stack: list = [t]  # nodes to walk, and (node or run, its symbols, index in rev)
+
+    def fold(run: list, syms: list, v) -> None:
+        """Emit a run of unary nodes over the value v: its constructor
+        bottom merges into one value, the rest is code."""
+        if not unary.keys() >= set(syms):
+            validate_term(sig, t)  # raises the signature's complaint
+        j = len(syms)
+        # the run's constructor bottom ends at its lowest operation symbol
+        k = j - [*map(unary_cons.__contains__, reversed(syms)), False].index(False)
+        if k < j:
+            run = run[k:][::-1]  # the constructors, from the bottom up
+            locs = run if heap is None else heap.merge_run(syms[k:][::-1], v)
+            vals.update(zip(map(id, run), locs))
+            v = locs[-1]
+        rev.extend(map(unary.get, syms[:k]))
+        rev.append((VAL, v, None))
+
     while stack:
         node = stack.pop()
         if type(node) is tuple:  # a finish: rev[i] holds node's instruction
             node, syms, i = node
-            if syms is not None:  # a run of unary nodes, from its top down
-                if not unary.keys() >= set(syms):
-                    validate_term(sig, t)  # raises the signature's complaint
-                k = j = len(syms)
-                while k and rev[i + k - 1][0] == CON:
-                    k -= 1
-                if k < j and len(rev) == i + j + 1 and rev[-1][0] == VAL:  # over a value
-                    run = node[k:][::-1]  # the constructors, from the bottom up
-                    locs = run if heap is None else heap.merge_run(syms[k:][::-1], rev[-1][1])
-                    vals.update(zip(map(id, run), locs))
-                    rev[i + k :] = [(VAL, locs[-1], None)]
+            if syms is not None:  # a run, walked before its bottom's value was known
+                if len(rev) == i + len(syms) + 1 and rev[-1][0] == VAL:
+                    v = rev[-1][1]
+                    del rev[i:]
+                    fold(node, syms, v)
+                elif not unary.keys() >= set(syms):
+                    validate_term(sig, t)
                 continue
             op, sym, k = rev[i]
             con = op == CON
@@ -115,9 +139,15 @@ def compile_term(
                 run.append(node)
                 node = node.args[0]
             syms = [n.sym for n in run]
-            stack.append((run, syms, len(rev)))
-            rev += map(unary.get, syms)  # None for a symbol that is not unary
-            stack.append(node)
+            v = vals.get(id(node))
+            if v is None and type(node) is App and not node.args and cons.get(node.sym) == 0:
+                v = vals[id(node)] = node if heap is None else heap.merge(node.sym, ())
+            if v is None:  # the bottom's code decides at the run's finish
+                stack.append((run, syms, len(rev)))
+                rev += map(unary.get, syms)  # None for a symbol that is not unary
+                stack.append(node)
+            else:  # over a value: no instruction of the run's constructor bottom is made
+                fold(run, syms, v)
         else:
             stack.append((node, None, len(rev)))
             rev.append((CON if node.sym in cons else CALL, node.sym, len(node.args)))
@@ -202,7 +232,7 @@ def execute(
     cache: Optional[dict] = None,
     push_cost: Optional[Callable] = None,
     limit: Optional[int] = None,
-    emit: Optional[Callable] = None,
+    log: Optional[Callable] = None,
 ) -> tuple[object, tuple[int, int, int, int, int]]:
     """Run code to one value; returns it and (applies, reads, stores,
     merges, steps). The engines differ only in the domain passed here.
@@ -219,7 +249,18 @@ def execute(
     took after its CALL step are kept once it returns: an equal call later
     charges its CALL step and then those, in place of running its body
     again, and so goes over limit just where running it would have.
-    emit(step, kind, change of weight) observes each step.
+
+    log, when given, receives the step log in batches: a list holding, for
+    each step in order, an object the loop already has at hand. An apply
+    logs its decision-tree leaf, whose body weight is the change of
+    weight; a read logs READ and a store STORE; a merge logs the value
+    build returned (each changes the weight by -1). Steps the naive engine
+    charges without one of these kinds (pushes, RETs, stored call counts)
+    log -(their number of steps). So the step index of an entry is the
+    running sum of its steps, and the heap location a machine merge logs
+    is a new node iff it is at or above the heap's size so far. log is
+    called every LOG_BATCH steps, and once when the run ends, however it
+    ends, each time with a new list.
     """
     limit = sys.maxsize if limit is None else limit
     if program._code is None:  # kept on the program from its first run on
@@ -234,6 +275,19 @@ def execute(
     key = None
     pc = 0
     applies = reads = stores = merges = steps = 0
+    # a step at bound raises over at limit, or passes a batch to log
+    bound = limit if log is None else min(limit, LOG_BATCH)
+    entries: list = []
+    add = None if log is None else entries.append
+
+    def at_bound(counts: tuple) -> int:
+        if counts[-1] >= limit:
+            raise over(counts)
+        batch = entries.copy()
+        entries.clear()
+        log(batch)
+        return min(limit, counts[-1] + LOG_BATCH)
+
     try:
         while True:
             op, a, b = code[pc]
@@ -246,6 +300,8 @@ def execute(
                         if steps + nodes > limit:
                             raise over((applies, reads, stores, merges, steps))
                         steps += nodes
+                        if add is not None:
+                            add(-nodes)
             elif op >= CON:
                 if b == 1:
                     args = (stack.pop(),)
@@ -256,17 +312,19 @@ def execute(
             elif op == RET:
                 if not frames:
                     return stack[-1], (applies, reads, stores, merges, steps)
-                if steps >= limit:
-                    raise over((applies, reads, stores, merges, steps))
+                if steps >= bound:
+                    bound = at_bound((applies, reads, stores, merges, steps))
                 steps += 1
                 if cache is not None:
                     stores += 1
                     cache[key] = stack[-1]
-                    if emit is not None:
-                        emit(steps, STORE, -1)
+                    if add is not None:
+                        add(STORE)
                 elif counted is not None:
                     call, steps_at, applies_at = key
                     counted[call] = (stack[-1], steps - steps_at, applies - applies_at)
+                    if add is not None:
+                        add(-1)
                 code, pc, binding, key = frames.pop()
                 continue
             else:
@@ -276,16 +334,19 @@ def execute(
                     if steps + nodes > limit:
                         raise over((applies, reads, stores, merges, steps))
                     steps += nodes
+                    if add is not None:
+                        add(-nodes)
                 push(v)
                 continue
-            if steps >= limit:
-                raise over((applies, reads, stores, merges, steps))
+            if steps >= bound:
+                bound = at_bound((applies, reads, stores, merges, steps))
             steps += 1
             if op == CON or op == FCON:
                 merges += 1
-                push(build(a, args))
-                if emit is not None:
-                    emit(steps, MERGE, -1)
+                v = build(a, args)
+                push(v)
+                if add is not None:
+                    add(v)
                 continue
             call = None
             if cache is not None:
@@ -294,8 +355,8 @@ def execute(
                 if hit is not None:
                     reads += 1
                     push(hit)
-                    if emit is not None:
-                        emit(steps, READ, -1)
+                    if add is not None:
+                        add(READ)
                     continue
             elif counted is not None:
                 call = (a, args)
@@ -307,6 +368,8 @@ def execute(
                     steps += nodes
                     applies += fired
                     push(value)
+                    if add is not None:
+                        add(-1 - nodes)
                     continue
                 call = (call, steps, applies)  # the counts its RET subtracts
             node = trees[a]
@@ -323,10 +386,10 @@ def execute(
                 raise StuckError(f"no rule matches {a}/{len(args)} call", witness(a, args))
             applies += 1
             frames.append((code, pc, binding, key))
-            code, body_weight = node
+            code = node[0]
             pc, binding, key = 0, occ, call
-            if emit is not None:
-                emit(steps, APPLY, body_weight)
+            if add is not None:
+                add(node)
     except StuckError:
         if push_cost is not None:
             # a naive inference counts a symbol when evaluation reaches it
@@ -338,3 +401,6 @@ def execute(
             if steps + reached > limit:
                 raise over((applies, reads, stores, merges, steps)) from None
         raise
+    finally:
+        if entries:
+            log(entries)

@@ -121,15 +121,21 @@ class Heap:
     def unfolded_size(self, loc: int, limit: Optional[int] = None) -> int:
         """Size of the unfolded tree, computed arithmetically (never
         materialized). With limit, sizes saturate there: the result is
-        min(size, limit), and every sum stays a small integer."""
-        need = self._reachable([loc])
+        min(size, limit), and every sum stays a small integer.
+
+        One ascending pass sizes every location up to loc, reachable or
+        not: children sit below their parents, so each is sized before it
+        is added, and no marking sweep is needed."""
         entries = self.entries
-        sizes = [0] * (loc + 1)
-        for l in need:
+        if not 0 <= loc < len(entries):
+            raise HeapError(f"unknown location {loc}")
+        sizes: list[int] = []
+        size_of = sizes.append
+        for _, args in entries[: loc + 1]:
             size = 1
-            for a in entries[l][1]:
+            for a in args:
                 size += sizes[a]
-            sizes[l] = size if limit is None or size < limit else limit
+            size_of(size if limit is None or size < limit else limit)
         return sizes[loc]
 
     def to_dot(self, roots: Iterable[int]) -> str:

@@ -835,29 +835,42 @@ def validate_derivation(d: TierDerivation) -> None:
         _validate_rule(d)
 
 
+def _parts(f: FunctionExpr) -> tuple:
+    """The sub-expressions that f's premises sign, in order: a
+    composition's outer then inner functions, a case's or recursion's grid
+    entries row by row, none for a leaf."""
+    t = type(f)
+    if t is Comp:
+        return (f.outer, *f.inners)
+    if t is Case or t is SimRec:
+        return tuple(g for row in f.grid for g in row)
+    return ()
+
+
 def _validate_rule(d: TierDerivation) -> None:
-    """Check the rule at d against its premises' signatures."""
+    """Check the rule at d against its premises, which must sign the parts
+    of its expression, one each."""
     f = d.expr
     sig = d.signature
     t = type(f)
     if len(sig.inputs) != f.arity:
         raise GrsrError(f"derivation arity mismatch at {f!r}")
+    parts = _parts(f)
+    if len(d.premises) != len(parts):
+        raise GrsrError(f"{len(parts)} premises wanted, {len(d.premises)} given at {f!r}")
+    for g, premise in zip(parts, d.premises):
+        if premise.expr != g:
+            raise GrsrError(f"premise signs {premise.expr!r}, not {g!r}, at {f!r}")
     if t is ConstructorFn:
         if any(i != sig.output for i in sig.inputs):
             raise GrsrError(f"constructor function must be uniform: {f!r}")
-        if d.premises:
-            raise GrsrError("constructor function has no premises")
     elif t is Proj:
         if sig.output != sig.inputs[f.index - 1]:
             raise GrsrError(f"projection must return its argument's tier: {f!r}")
-        if d.premises:
-            raise GrsrError("projection has no premises")
     elif t is Comp:
         outer, *inners = d.premises
         if outer.signature.output != sig.output:
             raise GrsrError("composition output tier mismatch")
-        if len(inners) != len(f.inners):
-            raise GrsrError("composition premise count mismatch")
         for g, ov in zip(inners, outer.signature.inputs):
             if g.signature.output != ov:
                 raise GrsrError("composition intermediate tier mismatch")
@@ -877,11 +890,10 @@ def _validate_rule(d: TierDerivation) -> None:
         if not p > m:
             raise GrsrError("recursion argument tier must exceed the result tier")
         n = f.components
-        idx = 0
+        entries = iter(d.premises)
         for (con, ar), row in zip(f.algebra.constructors, f.grid):
             for _ in row:
-                entry = d.premises[idx]
-                idx += 1
+                entry = next(entries)
                 want = (p,) * ar + (m,) * (n * ar) + qs
                 if entry.signature.inputs != want or entry.signature.output != m:
                     raise GrsrError(f"recursion entry for {con} typed wrongly")

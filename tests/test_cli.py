@@ -518,6 +518,25 @@ def test_failed_stdout_without_a_descriptor_exits_2(capsys):
     assert capsys.readouterr().err == f"error: cannot write <stdout>: {full}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "{file}", "zero"],
+    ["check", "{file}"],
+    ["tier", "{file}"],
+    ["compile", "{file}"],
+    ["bench", "{file}", "f"],
+], ids=lambda argv: argv[0])
+def test_file_that_is_not_utf8_is_bad_input(tmp_path, capsys, argv):
+    """A program file that does not decode as UTF-8 exits 2 naming the
+    file, as an unreadable one does, instead of a traceback."""
+    bad = tmp_path / "bad.trs"
+    bad.write_bytes(b"constructors: zero/0 ;\xff\n")
+    assert main([a.format(file=bad) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read {bad}: 'utf-8' codec can't decode "
+                            "byte 0xff in position 22: invalid start byte\n")
+
+
 def test_unwritable_dot_is_refused_before_the_first_step(tmp_path, capsys, monkeypatch):
     bad = str(tmp_path / "missing" / "x")
     trace = tmp_path / "t.csv"

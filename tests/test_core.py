@@ -18,7 +18,9 @@ from memotrs import (
     run,
     term_size,
 )
-from memotrs.core import CALL, CON, FCALL, FCON, RET, VAR, _Trees, compile_term, execute
+from memotrs.core import (
+    APPLY, CALL, CON, FCALL, FCON, MERGE, READ, RET, STORE, VAR, _Trees, compile_term, execute,
+)
 from memotrs.terms import term_view, validate_term
 from helpers import random_program, random_value
 from oracle import expand_fused, unfused
@@ -35,17 +37,37 @@ class Over(Exception):
     """A term engine's run out of budget, with its counts."""
 
 
+def _steps(log: list) -> tuple[list, int]:
+    """(step index, kind, change of weight) of each step in a term engine's
+    step log that has a kind, and the steps logged; a negative entry is that
+    many naive steps without one."""
+    steps, i = [], 0
+    for e in log:
+        if type(e) is int:
+            assert e < 0  # a term engine merges terms, never locations
+            i -= e
+            continue
+        i += 1
+        if type(e) is tuple:
+            steps.append((i, APPLY, e[1]))
+        else:
+            steps.append((i, e, -1) if e is READ or e is STORE else (i, MERGE, -1))
+    return steps, i
+
+
 def _by_terms(program: Program, call: App, budget=None, **domain) -> tuple:
     """A term engine's value, or its counts where the budget ran out, and
-    every step it emits."""
-    steps: list = []
+    every step with a kind that it logs."""
+    log: list = []
     try:
         value, counts = execute(
             program, compile_term(program.signature, call), term_view, App, App, Over,
-            limit=budget, emit=lambda *step: steps.append(step), **domain
+            limit=budget, log=log.extend, **domain
         )
     except Over as e:
         value, counts = "over", e.args[0]
+    steps, logged = _steps(log)
+    assert logged == counts[-1] or value == "over"  # a finished run logs every step
     return value, counts, steps
 
 
@@ -61,7 +83,8 @@ def _by_machine(program: Program, call: App, budget=None) -> tuple:
 
 def test_fused_code_runs_as_its_expansion():
     """On each engine, a program's fused bodies give the value, the counts
-    (applies, reads, stores, merges, steps) and the emitted steps of the
+    (applies, reads, stores, merges, steps) and the logged steps (index,
+    kind and change of weight) of the
     same bodies with each fused instruction expanded, without a budget and
     at each budget up to the steps the run takes."""
     rng = random.Random(5)

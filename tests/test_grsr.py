@@ -345,6 +345,25 @@ def test_validate_derivation_rejects_corruption(functions):
         validate_derivation(lied)
 
 
+def test_validate_derivation_checks_what_each_premise_signs(functions):
+    """Each premise must sign its part of the node's expression, and a node
+    has one premise per part; a derivation whose tiers all fit but that
+    signs another part, or leaves parts out, is refused with GrsrError."""
+    add = functions["add"].lookup("add").expr
+    comp = Comp(ConstructorFn(add.algebra, "suc"), [Proj(1, 1)])
+    at = TierSignature((1,), 1)
+    validate_derivation(derive(comp, at))
+    proj = TierDerivation(Proj(1, 1), at, ())
+    with pytest.raises(GrsrError, match=r"^premise signs proj\[1,1\], not cons\[N\.suc/1\]"):
+        validate_derivation(TierDerivation(comp, at, (proj, proj)))
+    d = derive(add, TierSignature((2, 1), 1))
+    validate_derivation(d)
+    with pytest.raises(GrsrError, match="^2 premises wanted, 0 given"):
+        validate_derivation(TierDerivation(add, d.signature, ()))
+    with pytest.raises(GrsrError, match="^2 premises wanted, 1 given"):
+        validate_derivation(TierDerivation(add, d.signature, d.premises[:1]))
+
+
 def test_tier_entry_points_agree_on_random_files(functions):
     """At every tuple up to default_tier_bound, where there are at most 256,
     infer_tiers finds exactly the signatures check_tiers_explained accepts

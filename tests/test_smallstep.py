@@ -1,6 +1,8 @@
+import gc
 import io
 import random
 import time
+import tracemalloc
 from operator import itemgetter
 
 import pytest
@@ -24,7 +26,7 @@ from memotrs import (
     run,
     run_traced,
 )
-from memotrs.core import CALL, CON, FCALL, RET, VAL, VAR, compile_term
+from memotrs.core import CALL, CON, FCALL, LOG_BATCH, RET, VAL, VAR, compile_term
 from memotrs.terms import REPR_CHARS, vars_of
 from helpers import (
     complete_tree,
@@ -390,6 +392,90 @@ def test_trace_rows_and_determinism(programs):
     assert last[1] == "store" and last[2] == "0"
     again, _ = one()
     assert again == text
+
+
+def _trace_of_rows(rows: list) -> str:
+    return "step,kind,weight,heap_size,cache_size\n" + "".join(
+        f"{i},{k},{w},{h},{c}\n" for i, k, w, h, c in rows
+    )
+
+
+def _run_both(p, heap, code, budget) -> tuple:
+    """run_traced's text and run's on_step rows, and how each run ended."""
+    buf, rows, ends = io.StringIO(), [], []
+    for go in (lambda: run_traced(p, heap, code, buf, budget),
+               lambda: run(p, heap, code, budget, lambda *row: rows.append(row))):
+        try:
+            cfg, stats = go()
+            ends.append(("value", cfg.loc, cfg.heap.entries, stats))
+        except (BudgetExceededError, StuckError) as e:
+            ends.append((type(e), str(e)))
+    return buf.getvalue(), rows, ends
+
+
+def test_trace_is_the_replayed_step_log():
+    """Over random programs, run_traced writes exactly the rows that run
+    hands on_step, on runs longer than a log batch too, and on stuck and
+    over-budget runs that stop inside one."""
+    rng = random.Random(17)
+    long = stopped = 0
+    for seed in range(24):
+        p = random_program(seed)
+        sig = p.signature
+        for op, arity in sorted(sig.operations.items()):
+            args = [random_value(rng, sig.constructors, 3) for _ in range(arity)]
+            if "b" in sig.constructors:  # recursion on a long first argument
+                for _ in range(2501):
+                    args[0] = App("b", (args[0],))
+            heap, code = initial_expression(p, Heap(), App(op, tuple(args)))
+            # without op's rule for a, the recursion gets stuck at the chain's bottom
+            stuck = Program(sig, [r for r in p.rules
+                                  if r.lhs.sym != op or r.lhs.args[0] != App("a")])
+            text, rows, ends = _run_both(p, heap, code, None)
+            total = len(rows)
+            assert text == _trace_of_rows(rows) and ends[0] == ends[1]
+            assert ends[0][0] == "value" and ends[0][3].total == total
+            long += total > LOG_BATCH
+            cases = [(stuck, None)]
+            if total > LOG_BATCH + 1:
+                cases.append((p, rng.randrange(LOG_BATCH + 1, total)))
+            for q, budget in cases:
+                text, rows, ends = _run_both(q, heap, code, budget)
+                assert text == _trace_of_rows(rows) and ends[0] == ends[1], (seed, op)
+                stopped += ends[0][0] != "value" and len(rows) > LOG_BATCH \
+                    and len(rows) % LOG_BATCH > 0
+    assert long >= 10 and stopped >= 10
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_traced_run_holds_a_fixed_amount_more_than_untraced(programs):
+    """The step log goes out a batch at a time: over 10^5 steps, a traced
+    run's peak memory is within a fixed amount of the untraced run's,
+    where a log kept whole would add about 8 bytes a step and then its
+    rendered text (over 7 MB)."""
+    p = programs["rabbits"]
+    heap, code = initial_expression(p, Heap(), App("rabbits", (suc_chain(14_300),)))
+    run(p, heap, code)  # the decision trees are built once, outside the measure
+    peaks = []
+    collecting = gc.isenabled()
+    gc.disable()  # as the CLI runs, and faster under tracemalloc
+    try:
+        for go in (lambda: run(p, heap, code), lambda: run_traced(p, heap, code, _Discard())):
+            tracemalloc.start()
+            try:
+                _, stats = go()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+    finally:
+        if collecting:
+            gc.enable()
+    assert stats.total > 100_000
+    assert peaks[1] - peaks[0] < 2**20, peaks
 
 
 # ------------------------------------------------------------- loading
