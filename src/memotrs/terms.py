@@ -187,27 +187,66 @@ def term_size(t: Term, limit: Optional[int] = None) -> int:
 
 
 def minimal_shared_size(terms: Iterable[Term]) -> int:
-    """Number of distinct subterms across all given terms jointly.
+    """Number of distinct subterms across all given terms jointly: the node
+    count of their maximally shared DAG, one node per variable name.
 
     Nodes are numbered bottom-up, first by object, then by symbol and the
     numbers of their children, so equal subtrees are never compared node by
-    node."""
+    node. A run of unary nodes is walked down in one loop, to its first
+    node that is numbered or of another arity, and numbered bottom-up in
+    one more; a node with two or more arguments goes back on the stack
+    above its unnumbered children, and is numbered when it comes up again.
+    Iterative, so depth is no limit."""
     roots = list(terms)  # keeps every node alive, so no id is reused
     number: dict[int, int] = {}  # id(node) -> number of its class
     classes: dict[object, int] = {}  # variable name or (sym, *child numbers)
-    stack: list[tuple[Term, bool]] = [(t, False) for t in roots]
+    numbered = number.get
+    find = classes.setdefault
+    stack: list = roots.copy()  # nodes, and unary runs waiting for their bottom
     while stack:
-        node, done = stack.pop()
-        if done:
-            key = (node.sym, *[number[id(a)] for a in node.args])
-            number[id(node)] = classes.setdefault(key, len(classes))
-        elif id(node) in number:
+        node = stack.pop()
+        kind = type(node)
+        if kind is list:  # a unary run, top first, whose bottom is numbered
+            n = number[id(node[-1].args[0])]
+            for a in reversed(node):
+                n = number[id(a)] = find((a.sym, n), len(classes))
             continue
-        elif type(node) is Var:
-            number[id(node)] = classes.setdefault(node.name, len(classes))
+        if id(node) in number:
+            continue
+        if kind is Var:
+            number[id(node)] = find(node.name, len(classes))
+            continue
+        args = node.args
+        k = len(args)
+        if k == 1:
+            run = [node]
+            node = args[0]
+            while type(node) is App and len(node.args) == 1 and id(node) not in number:
+                run.append(node)
+                node = node.args[0]
+            stack.append(run)
+            if id(node) not in number:  # the run's bottom is numbered first
+                stack.append(node)
+        elif k == 0:
+            number[id(node)] = find((node.sym,), len(classes))
+        elif k == 2:
+            a, b = args
+            na, nb = numbered(id(a)), numbered(id(b))
+            if na is None or nb is None:
+                stack.append(node)
+                if nb is None:
+                    stack.append(b)
+                if na is None:
+                    stack.append(a)
+                continue
+            number[id(node)] = find((node.sym, na, nb), len(classes))
         else:
-            stack.append((node, True))
-            stack.extend((a, False) for a in node.args)
+            ns = [numbered(id(a)) for a in args]
+            if None in ns:
+                stack.append(node)
+                stack += [a for a, n in zip(reversed(args), reversed(ns)) if n is None]
+                continue
+            number[id(node)] = find((node.sym, *ns), len(classes))
     return len(classes)
 
 

@@ -16,7 +16,9 @@ trees are held to these by the tests.
 `initial_expression_by_node` loads a term one node at a time into an
 expression, the oracle for `core.compile_term` given a heap (what
 `smallstep.initial_expression` calls), which walks unary runs at once and
-returns code.
+returns code. `minimal_shared_size_by_node` counts distinct subterms
+one node at a time, the reference for `terms.minimal_shared_size`, which
+numbers a unary run at once.
 `unfused` gives a program whose rule bodies run without fused
 instructions, each turned back into its VAR pushes and CON or CALL by
 `expand_fused`: the oracle for the fused code the engines run.
@@ -492,6 +494,31 @@ def initial_expression_by_node(
         built[id(node)] = cls(node.sym, tuple(ELoc(k) if type(k) is int else k for k in kids))
     root = built[id(term)]
     return heap, ELoc(root) if type(root) is int else root
+
+
+def minimal_shared_size_by_node(terms: Iterable[Term]) -> int:
+    """The number of distinct subterms across all given terms jointly, one
+    stack entry per node: the reference for `terms.minimal_shared_size`,
+    which walks unary runs at once. Nodes are numbered bottom-up, first by
+    object, then by symbol and the numbers of their children; a variable
+    is numbered by its name."""
+    roots = list(terms)  # keeps every node alive, so no id is reused
+    number: dict[int, int] = {}  # id(node) -> number of its class
+    classes: dict[object, int] = {}  # variable name or (sym, *child numbers)
+    stack: list[tuple[Term, bool]] = [(t, False) for t in roots]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            key = (node.sym, *[number[id(a)] for a in node.args])
+            number[id(node)] = classes.setdefault(key, len(classes))
+        elif id(node) in number:
+            continue
+        elif type(node) is Var:
+            number[id(node)] = classes.setdefault(node.name, len(classes))
+        else:
+            stack.append((node, True))
+            stack.extend((a, False) for a in node.args)
+    return len(classes)
 
 
 def unfold_expression(heap: Heap, e: Expr) -> Term:

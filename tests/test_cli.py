@@ -185,6 +185,54 @@ def test_check_all_reports_each_disagreement(engine, wrong, message, monkeypatch
     assert out.count("DISAGREEMENT") == 1 and "agreement: ok" not in out
 
 
+def _suc_over(n, bottom):
+    for _ in range(n):
+        bottom = App("suc", (bottom,))
+    return bottom
+
+
+ZERO = App("zero", ())
+
+
+@pytest.mark.parametrize("engine, value", [
+    # the answer is suc^300(zero); each value below is some other term
+    ("eval_memo", _suc_over(300, App("leafm", ()))),  # only its bottom differs
+    ("eval_memo", _suc_over(299, ZERO)),  # a value the run's heap holds
+    ("eval_memo", _suc_over(301, ZERO)),
+    ("eval_memo", App("add", (_suc_over(300, ZERO), ZERO))),  # operation at the head
+    ("naive_run", _suc_over(300, App("leafs", (ZERO,)))),  # operation at the bottom
+    ("naive_run", App("add", (ZERO,))),  # not at its arity
+    ("naive_run", _suc_over(300, App("none", ()))),  # not declared
+])
+def test_check_all_compares_values_as_locations(engine, value, monkeypatch, capsys):
+    right = getattr(cli, engine)
+
+    def skewed(*args, **kwargs):
+        out = right(*args, **kwargs)
+        out.value = value
+        return out
+
+    monkeypatch.setattr(cli, engine, skewed)
+    argv = ["run", str(PROGRAMS / "leafs.trs"), "add(suc^200(zero), suc^100(zero))",
+            "--check-all"]
+    assert main(argv) == 1
+    out = capsys.readouterr().out
+    which = "memo" if engine == "eval_memo" else "naive"
+    assert out.endswith(f"DISAGREEMENT: {which} and shared values differ\n")
+    assert out.count("DISAGREEMENT") == 1
+
+
+def test_check_all_reports_the_shared_runs_heap_size(capsys):
+    for program, term in (("leafs.trs", "add(suc^200(zero), suc^100(zero))"),
+                          ("rabbits.trs", "rabbits(suc^9(zero))")):
+        argv = ["run", str(PROGRAMS / program), term]
+        sizes = []
+        for extra in ([], ["--check-all"]):
+            assert main(argv + extra) == 0
+            sizes.append(report_fields(capsys.readouterr().out)["heap size"])
+        assert sizes[0] == sizes[1]
+
+
 def test_check_all_skips_naive_beyond_budget(capsys):
     code = main(
         [

@@ -9,6 +9,7 @@ from memotrs import (
     AmbiguityError,
     App,
     ArityError,
+    Heap,
     LinearityError,
     MemotrsError,
     Program,
@@ -28,9 +29,10 @@ from memotrs import (
     validate_term,
 )
 from memotrs.cli import MAX_BUDGET_BITS
+from memotrs.core import compile_term
 from memotrs.terms import REPR_CHARS, SIZE_CAP
 from helpers import complete_tree, enum_values, random_value, subst, suc_chain
-from oracle import match_term
+from oracle import match_term, minimal_shared_size_by_node
 
 NAT = Signature({"zero": 0, "suc": 1}, {})
 FOREST = Signature(
@@ -219,6 +221,62 @@ def test_shared_size_handles_wide_dags():
     for _ in range(60):
         t = App("m", (t, t))
     assert minimal_shared_size([t]) == 61
+
+
+# constructors of _random_roots; s, t and f1 build unary runs
+RUNS = Signature({"c": 0, "d": 0, "s": 1, "t": 1, "f1": 1, "f2": 2, "f3": 3}, {})
+
+
+def _random_roots(rng, ground):
+    """Several roots over a pool of nodes: unary runs of up to 300 nodes,
+    nodes of arities 0-3, objects shared among them, and equal subterms
+    built twice as distinct objects. Unless ground, two objects hold the
+    variable x and one y."""
+    pool = [App("c", ()), App("d", ())]
+    if not ground:
+        pool += [Var("x"), Var("x"), Var("y")]
+    for _ in range(rng.randrange(1, 25)):
+        if rng.random() < 0.4:
+            t = rng.choice(pool)
+            syms = rng.choice([["s"], ["s", "t"], ["s", "f1"]])
+            # lengths repeat, so equal runs are built more than once
+            for _ in range(rng.choice([1, 2, 5, 60, 300])):
+                t = App(rng.choice(syms), (t,))
+        else:
+            k = rng.randrange(4)
+            sym = {0: "c", 1: "f1", 2: "f2", 3: "f3"}[k]
+            t = App(sym, tuple(rng.choice(pool) for _ in range(k)))
+        pool.append(t)
+    return rng.sample(pool, rng.randrange(1, 4))
+
+
+def test_minimal_shared_size_agrees_with_the_reference_and_the_heap():
+    rng = random.Random(23)
+    for i in range(400):
+        ground = i % 2 == 0
+        roots = _random_roots(rng, ground)
+        size = minimal_shared_size(roots)
+        assert size == minimal_shared_size_by_node(roots)
+        assert minimal_shared_size(reversed(roots)) == size
+        if ground:
+            # loaded into one maximally shared heap, the roots are its nodes
+            heap = Heap()
+            for t in roots:
+                compile_term(RUNS, t, heap=heap)
+            assert heap.node_count == size
+
+
+def test_minimal_shared_size_on_deep_terms():
+    # a suc chain, and a binary spine turning left and right over one leaf
+    deep = suc_chain(200_000)
+    leaf = App("leaf", ())
+    spine = App("zero", ())
+    for i in range(200_000):
+        spine = App("p", (spine, leaf) if i % 2 else (leaf, spine))
+    for t, distinct in ((deep, 200_001), (spine, 200_002)):
+        start = time.perf_counter()
+        assert minimal_shared_size([t]) == distinct
+        assert time.perf_counter() - start < 1.0
 
 
 def test_program_delta(programs):
