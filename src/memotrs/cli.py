@@ -54,13 +54,13 @@ from .parser import (
     parse_program_loose,
     parse_term,
     read_nat,
-    tokenize,
 )
 from .smallstep import initial_expression, run, run_traced
 from .terms import (
     App,
     Program,
     Term,
+    fresh_names,
     minimal_shared_size,
     program_diagnostics,
     term_size,
@@ -322,12 +322,16 @@ def cmd_compile(args) -> int:
     else:
         target = gf.defs[-1]
     program, entry = compile_function(target.expr)
+    sig = program.signature
     mapping: dict[str, str] = {}
     for d in gf.defs:
-        name = operation_name(d.expr, program.signature.constructors)
-        if name in program.signature.operations and name not in mapping:
+        name = operation_name(d.expr, sig.constructors)
+        if name in sig.operations and name not in mapping:
             mapping[name] = d.name
-    mapping = {k: v for k, v in mapping.items() if k != v}
+    # a def named like a constructor leaves that name to the constructor
+    taken = {*sig.constructors, *sig.operations, *mapping.values()}
+    fresh = fresh_names(sig.constructors.keys() & mapping.values(), taken)
+    mapping = {k: fresh.get(v, v) for k, v in mapping.items() if k != v}
     program = rename_operations(program, mapping)
     entry = mapping.get(entry, entry)
     text = f"# entry: {entry}\n" + format_program(program)
@@ -361,7 +365,7 @@ def _range_bounds(text: str) -> tuple[int, int]:
     bounds = (lo_text, hi_text)
     if not dots or not all(t.isascii() and t.isdigit() for t in bounds):
         raise ParseError(f"bad range {text!r}, expected A..B")
-    lo, hi = (read_nat(TokenStream(tokenize(t))) for t in bounds)
+    lo, hi = (read_nat(TokenStream(t)) for t in bounds)
     if lo > hi:
         raise ParseError(f"bad range {text!r}, {lo} is above {hi}")
     return lo, hi

@@ -35,6 +35,10 @@ by name is the expression already built for it, and adds no nesting. Keys
 have a fixed size, so parsing takes space linear in the file. An arity, of
 a constructor or of a proj, above MAX_ARITY is refused the same way, since
 inferring tiers and compiling build something per argument position.
+
+The tokens are parser.TokenStream's: their texts, read by index. The parser
+keeps the index of a token an error may name, and the error's line and
+column are worked out from it only when it is raised.
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import GrsrError, ParseError
+from .errors import GrsrError
 from .grsr import Algebra, Case, Comp, ConstructorFn, FunctionExpr, Proj, SimRec
-from .parser import Token, TokenStream, read_nat, tokenize
+from .parser import TokenStream, read_nat
 
 MAX_NESTING = 256
 MAX_ARITY = 10_000
@@ -76,21 +80,21 @@ class GrsrFile:
 
 
 def _arity(ts: TokenStream) -> int:
-    tok = ts.peek()
+    at = ts.pos
     n = read_nat(ts)
     if n > MAX_ARITY:
-        raise ParseError(f"arity {n} is larger than {MAX_ARITY}", tok.line, tok.col)
+        raise ts.error(f"arity {n} is larger than {MAX_ARITY}", at)
     return n
 
 
-def _name_token(ts: TokenStream, what: str) -> Token:
+def _name(ts: TokenStream, what: str) -> str:
     """The next token, a name; a refusal of the name raises at this token."""
     tok = ts.peek()
-    if tok.kind != "name":
+    if not tok.isidentifier():
         raise ts.error(f"expected {what}")
-    if tok.text in _KEYWORDS:
-        raise ts.error(f"{tok.text!r} is a keyword, not {what}")
-    ts.next()
+    if tok in _KEYWORDS:
+        raise ts.error(f"{tok!r} is a keyword, not {what}")
+    ts.pos += 1
     return tok
 
 
@@ -105,10 +109,10 @@ class _Parser:
 
     def file(self) -> GrsrFile:
         ts = self.ts
-        while ts.peek().kind != "eof":
-            if ts.at_name("algebra"):
+        while ts.peek():
+            if ts.at("algebra"):
                 self.algebra_decl()
-            elif ts.at_name("def"):
+            elif ts.at("def"):
                 self.def_decl()
             else:
                 raise ts.error("expected 'algebra' or 'def'")
@@ -116,52 +120,49 @@ class _Parser:
 
     def algebra_decl(self) -> None:
         ts = self.ts
-        ts.expect("name", "algebra")
-        tok = _name_token(ts, "an algebra name")
-        name = tok.text
+        ts.expect("algebra")
+        at = ts.pos
+        name = _name(ts, "an algebra name")
         if name in self.algebras:
-            raise ParseError(f"algebra {name} is already declared", tok.line, tok.col)
-        ts.expect("punct", "=")
+            raise ts.error(f"algebra {name} is already declared", at)
+        ts.expect("=")
         cons: list[tuple[str, int]] = []
         while True:
-            tok = _name_token(ts, "a constructor name")
-            con = tok.text
+            at = ts.pos
+            con = _name(ts, "a constructor name")
             if con in self.con_owner:
-                raise ParseError(
+                raise ts.error(
                     f"constructor {con} already belongs to algebra "
-                    f"{self.con_owner[con]}", tok.line, tok.col
+                    f"{self.con_owner[con]}", at
                 )
-            ts.expect("punct", "/")
+            ts.expect("/")
             cons.append((con, _arity(ts)))
             self.con_owner[con] = name
-            if ts.at_punct(","):
-                ts.next()
-                continue
-            break
-        ts.expect("punct", ";")
+            if not ts.accept(","):
+                break
+        ts.expect(";")
         self.algebras[name] = Algebra(name, cons)
 
     def def_decl(self) -> None:
         ts = self.ts
-        start = ts.expect("name", "def")
-        tok = _name_token(ts, "a function name")
-        name = tok.text
+        start = ts.pos
+        ts.expect("def")
+        at = ts.pos
+        name = _name(ts, "a function name")
         if name in self.by_name:
-            raise ParseError(f"def {name} is already declared", tok.line, tok.col)
+            raise ts.error(f"def {name} is already declared", at)
         tier_ins: Optional[tuple[Optional[int], ...]] = None
         tier_out: Optional[int] = None
-        if ts.at_punct(":"):
-            ts.next()
+        if ts.accept(":"):
             tier_ins, tier_out = self.tier_annotation()
-        ts.expect("punct", "=")
+        ts.expect("=")
         expr = self.fexpr()
-        ts.expect("punct", ";")
+        ts.expect(";")
         if tier_ins is not None and len(tier_ins) != expr.arity:
-            raise ParseError(
+            raise ts.error(
                 f"def {name} takes {expr.arity} arguments but its annotation "
                 f"lists {len(tier_ins)}",
-                start.line,
-                start.col,
+                start,
             )
         self.defs.append(GrsrDef(name, expr, tier_ins, tier_out))
         self.by_name[name] = expr
@@ -169,27 +170,26 @@ class _Parser:
     def tier_annotation(self) -> tuple[tuple[Optional[int], ...], Optional[int]]:
         ts = self.ts
         ins = [self.tier_atom()]
-        while ts.at_name("x"):
-            ts.next()
+        while ts.accept("x"):
             ins.append(self.tier_atom())
-        ts.expect("arrow")
+        ts.expect("->", "arrow")
         out = self.tier_atom()
         return tuple(ins), out
 
     def tier_atom(self) -> Optional[int]:
         ts = self.ts
         self.algebra_ref()
-        if ts.at_punct("@"):
-            ts.next()
+        if ts.accept("@"):
             return read_nat(ts)
         return None
 
     def algebra_ref(self) -> Algebra:
         ts = self.ts
-        tok = _name_token(ts, "an algebra name")
-        if tok.text not in self.algebras:
-            raise ParseError(f"unknown algebra {tok.text}", tok.line, tok.col)
-        return self.algebras[tok.text]
+        at = ts.pos
+        name = _name(ts, "an algebra name")
+        if name not in self.algebras:
+            raise ts.error(f"unknown algebra {name}", at)
+        return self.algebras[name]
 
     def fexpr(self) -> FunctionExpr:
         self.depth += 1
@@ -201,66 +201,57 @@ class _Parser:
 
     def _fexpr(self) -> FunctionExpr:
         ts = self.ts
-        tok = ts.peek()
-        if tok.kind == "punct" and tok.text == "(":
-            ts.next()
+        at = ts.pos
+        if ts.accept("("):
             inner = self.fexpr()
-            ts.expect("punct", ")")
+            ts.expect(")")
             return inner
-        if tok.kind != "name":
-            raise ts.error("expected a function expression")
-        if tok.text == "cons":
-            ts.next()
-            ts.expect("punct", "[")
-            con = _name_token(ts, "a constructor name")
-            if con.text not in self.con_owner:
-                raise ParseError(f"unknown constructor {con.text}", con.line, con.col)
-            ts.expect("punct", "]")
-            return ConstructorFn(self.algebras[self.con_owner[con.text]], con.text)
-        if tok.text == "proj":
-            ts.next()
+        if ts.accept("cons"):
+            ts.expect("[")
+            con_at = ts.pos
+            con = _name(ts, "a constructor name")
+            if con not in self.con_owner:
+                raise ts.error(f"unknown constructor {con}", con_at)
+            ts.expect("]")
+            return ConstructorFn(self.algebras[self.con_owner[con]], con)
+        if ts.accept("proj"):
             arity = _arity(ts)
             index = read_nat(ts)
-            return self.checked(lambda: Proj(arity, index), tok)
-        if tok.text == "comp":
-            ts.next()
+            return self.checked(lambda: Proj(arity, index), at)
+        if ts.accept("comp"):
             outer = self.fexpr()
-            ts.expect("punct", "(")
+            ts.expect("(")
             inners = [self.fexpr()]
-            while ts.at_punct(","):
-                ts.next()
+            while ts.accept(","):
                 inners.append(self.fexpr())
-            ts.expect("punct", ")")
-            return self.checked(lambda: Comp(outer, inners), tok)
-        if tok.text == "case":
-            ts.next()
-            ts.expect("name", "over")
+            ts.expect(")")
+            return self.checked(lambda: Comp(outer, inners), at)
+        if ts.accept("case"):
+            ts.expect("over")
             algebra = self.algebra_ref()
             branches = self.branch_block(algebra, multi=False)
             return self.checked(
-                lambda: Case(algebra, [row[0] for row in branches]), tok
+                lambda: Case(algebra, [row[0] for row in branches]), at
             )
-        if tok.text == "rec":
-            ts.next()
-            ts.expect("name", "over")
+        if ts.accept("rec"):
+            ts.expect("over")
             algebra = self.algebra_ref()
             grid = self.branch_block(algebra, multi=True)
             select = 1
-            if ts.at_name("select"):
-                ts.next()
+            if ts.accept("select"):
                 select = read_nat(ts)
-            return self.checked(lambda: SimRec(algebra, grid, select), tok)
-        name = _name_token(ts, "a function expression").text
+            return self.checked(lambda: SimRec(algebra, grid, select), at)
+        name = _name(ts, "a function expression")
         if name not in self.by_name:
-            raise ParseError(f"unknown function name {name}", tok.line, tok.col)
+            raise ts.error(f"unknown function name {name}", at)
         return self.by_name[name]
 
-    def checked(self, build, tok) -> FunctionExpr:
-        """Surface combinator shape errors with the source position."""
+    def checked(self, build, at: int) -> FunctionExpr:
+        """Surface combinator shape errors at the token at index at."""
         try:
             return build()
         except GrsrError as e:
-            raise ParseError(str(e), tok.line, tok.col) from e
+            raise self.ts.error(str(e), at) from e
 
     def branch_block(
         self, algebra: Algebra, multi: bool
@@ -268,27 +259,22 @@ class _Parser:
         """Parse { con => fexpr[, fexpr]*; ... }, one row per constructor,
         reordered to the algebra's declaration order."""
         ts = self.ts
-        ts.expect("punct", "{")
+        ts.expect("{")
         rows: dict[str, list[FunctionExpr]] = {}
-        while not ts.at_punct("}"):
-            tok = _name_token(ts, "a constructor name")
-            con = tok.text
+        while not ts.at("}"):
+            at = ts.pos
+            con = _name(ts, "a constructor name")
             if con not in {c for c, _ in algebra.constructors}:
-                raise ParseError(
-                    f"{con} is not a constructor of {algebra.name}",
-                    tok.line,
-                    tok.col,
-                )
+                raise ts.error(f"{con} is not a constructor of {algebra.name}", at)
             if con in rows:
-                raise ParseError(f"duplicate branch for {con}", tok.line, tok.col)
-            ts.expect("darrow")
+                raise ts.error(f"duplicate branch for {con}", at)
+            ts.expect("=>", "darrow")
             row = [self.fexpr()]
-            while multi and ts.at_punct(","):
-                ts.next()
+            while multi and ts.accept(","):
                 row.append(self.fexpr())
-            ts.expect("punct", ";")
+            ts.expect(";")
             rows[con] = row
-        ts.expect("punct", "}")
+        ts.expect("}")
         missing = [c for c, _ in algebra.constructors if c not in rows]
         if missing:
             raise ts.error(f"missing branches for {', '.join(missing)}")
@@ -296,4 +282,4 @@ class _Parser:
 
 
 def parse_grsr(text: str) -> GrsrFile:
-    return _Parser(TokenStream(tokenize(text))).file()
+    return _Parser(TokenStream(text)).file()

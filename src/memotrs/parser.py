@@ -12,13 +12,16 @@ Identifiers not declared in the signature are variables (rules only).
 `suc^5(zero)` abbreviates five nested applications of a unary symbol and is
 accepted anywhere a term is. `#` starts a line comment.
 
-A token keeps its offset into the text. Its line and column are worked out
-from that offset, in time linear in it, so only error messages read them.
+Tokens are the texts one regex pass finds, and a token's kind follows
+from its text. A position is worked out only for an error, by scanning the
+text again up to the token the error names, so a parse that succeeds reads
+none.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import Optional
 
 from .errors import MemotrsError, ParseError
@@ -27,15 +30,13 @@ from .terms import (
     App, Program, Rule, Signature, Term, Var, fresh_names, rename, term_view, vars_of
 )
 
+# whitespace and comments match without the group, so findall yields ""
+# for them; any other character is a token of its own, refused by tokenize
 _TOKEN_RE = re.compile(
-    r"[ \t\r\n]+|#[^\n]*"  # whitespace and comments, skipped
-    r"|(?P<arrow>->)"
-    r"|(?P<darrow>=>)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<nat>[0-9]+)"
-    r"|(?P<punct>[(),;:/^{}\[\]@=*])"
-    r"|(?P<bad>.)"
+    r"[ \t\r\n]+|#[^\n]*"
+    r"|(->|=>|[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[(),;:/^{}\[\]@=*]|.)"
 )
+_SIGNS = frozenset(["->", "=>", *"(),;:/^{}[]@=*"])
 
 # most nodes the sym^N shorthands of one term may expand to (~100 MB of App)
 MAX_POWER_NODES = 10**6
@@ -45,187 +46,199 @@ MAX_NAT_DIGITS = 18
 MAX_TEXT_CHARS = 10**7
 
 
-class Token:
-    __slots__ = ("kind", "text", "pos", "src")
-
-    def __init__(self, kind: str, text: str, pos: int, src: str):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-        self.src = src
-
-    line = property(lambda tok: tok.src.count("\n", 0, tok.pos) + 1)
-    col = property(lambda tok: tok.pos - tok.src.rfind("\n", 0, tok.pos))
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
-
-
-def tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind is not None:
-            tok = Token(kind, m.group(), m.start(), text)
-            if kind == "bad":
-                raise ParseError(f"unexpected character {tok.text!r}", tok.line, tok.col)
-            tokens.append(tok)
-    tokens.append(Token("eof", "", len(text), text))
+def tokenize(text: str) -> list[str]:
+    """The token texts of text, in order. A character that starts no token
+    is refused, the first one in the text, before any parse error."""
+    tokens = list(filter(None, _TOKEN_RE.findall(text)))
+    # past the signs, a token is a name or a number, or a refused character
+    bad = [
+        tok for tok in set(tokens).difference(_SIGNS)
+        if not (tok.isascii() and (tok.isidentifier() or tok.isdigit()))
+    ]
+    if bad:
+        i = min(map(tokens.index, bad))
+        raise ParseError(f"unexpected character {tokens[i]!r}", *token_position(text, i))
     return tokens
 
 
+def token_position(text: str, index: int) -> tuple[int, int]:
+    """Line and column of the token at index in text's tokens, or of the end
+    of text past the last one; found by tokenizing text again up to it."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(text) if m.lastindex)
+    offset = next(islice(starts, index, None), len(text))
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 class TokenStream:
-    def __init__(self, tokens: list[Token]):
-        self._tokens = tokens
-        self._pos = 0
+    """The tokens of a text, then "" for its end, and the index of the next."""
 
-    def peek(self) -> Token:
-        return self._tokens[self._pos]
+    __slots__ = ("text", "tokens", "pos")
 
-    def next(self) -> Token:
-        tok = self._tokens[self._pos]
-        if tok.kind != "eof":
-            self._pos += 1
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = tokenize(text)
+        self.tokens.append("")
+        self.pos = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.pos]
+
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos] == text
+
+    def accept(self, text: str) -> bool:
+        """Whether the next token is text, stepping over it if so."""
+        if self.tokens[self.pos] != text:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, text: str, want: Optional[str] = None) -> None:
+        """Step over the token text, or refuse what is there instead, as
+        not want (by default text itself)."""
+        if self.tokens[self.pos] != text:
+            raise self.expected(text if want is None else want)
+        self.pos += 1
+
+    def name(self) -> str:
+        tok = self.tokens[self.pos]
+        if not tok.isidentifier():
+            raise self.expected("name")
+        self.pos += 1
         return tok
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
+    def expected(self, want: str) -> ParseError:
+        got = self.tokens[self.pos] or "end of input"
+        return self.error(f"expected {want!r}, found {got!r}")
 
-    def at_name(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "name" and tok.text == text
-
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            got = tok.text if tok.text else "end of input"
-            raise ParseError(f"expected {want!r}, found {got!r}", tok.line, tok.col)
-        return self.next()
-
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
+    def error(self, message: str, index: Optional[int] = None) -> ParseError:
+        """message at the token at index, by default the next one."""
+        at = self.pos if index is None else index
+        return ParseError(message, *token_position(self.text, at))
 
 
 def read_nat(ts: TokenStream) -> int:
     """The next number. Its digits are counted before int(), which is slow
     on long digit strings and refuses them past 4,300 digits."""
-    tok = ts.expect("nat")
-    digits = tok.text.lstrip("0") or "0"
+    at = ts.pos
+    tok = ts.tokens[at]
+    if not tok.isdigit():
+        raise ts.expected("nat")
+    ts.pos = at + 1
+    digits = tok.lstrip("0") or "0"
     if len(digits) > MAX_NAT_DIGITS:
         shown = digits if len(digits) <= 20 else digits[:20] + "..."
-        raise ParseError(
-            f"number {shown} has more than {MAX_NAT_DIGITS} digits", tok.line, tok.col
-        )
+        raise ts.error(f"number {shown} has more than {MAX_NAT_DIGITS} digits", at)
     return int(digits)
 
 
 def parse_term_tokens(ts: TokenStream, sig: Signature, allow_vars: bool) -> Term:
     """Parse one term over sig; with allow_vars an undeclared nullary name
-    is a variable. Iterative, so deeply nested input cannot overflow."""
+    is a variable. Iterative, so deeply nested input cannot overflow. The
+    tokens are read by index here, and ts.pos is set where the term ends or
+    an error is raised."""
+    constructors, operations = sig.constructors, sig.operations
 
-    def make(sym: str, args: tuple[Term, ...], tok: Token) -> Term:
-        ar = sig.constructors.get(sym, sig.operations.get(sym))
+    def make(sym: str, args: tuple[Term, ...], at: int) -> Term:
+        ar = constructors.get(sym, operations.get(sym))
         if ar is None:
             if not args and allow_vars:
                 return Var(sym)
-            raise ParseError(f"undeclared symbol: {sym}", tok.line, tok.col)
+            raise ts.error(f"undeclared symbol: {sym}", at)
         if ar != len(args):
-            raise ParseError(
-                f"{sym} declared with arity {ar}, applied to {len(args)}",
-                tok.line,
-                tok.col,
-            )
+            raise ts.error(f"{sym} declared with arity {ar}, applied to {len(args)}", at)
         return App(sym, args)
 
+    tokens = ts.tokens
+    i = ts.pos
     result: Optional[Term] = None
-    frames: list[list] = []  # [sym, power, args, name token]
+    frames: list[list] = []  # [sym, power, args, index of sym]
     room = MAX_POWER_NODES  # nodes the powers read so far leave to expand
     while True:
         if result is None:
-            tok = ts.expect("name")
-            sym = tok.text
+            sym = tokens[i]
+            if not sym.isidentifier():
+                ts.pos = i
+                raise ts.expected("name")
+            at = i
+            i += 1
             power: Optional[int] = None
-            if ts.at_punct("^"):
-                ts.next()
+            if tokens[i] == "^":
+                ts.pos = i + 1
                 power = read_nat(ts)
+                i = ts.pos
                 if power > room:
-                    raise ParseError(
+                    raise ts.error(
                         f"{sym}^{power} would expand the term beyond "
-                        f"{MAX_POWER_NODES} nodes",
-                        tok.line,
-                        tok.col,
+                        f"{MAX_POWER_NODES} nodes", at
                     )
                 room -= power
-            if ts.at_punct("("):
-                ts.next()
-                if ts.at_punct(")"):
-                    ts.next()
+            if tokens[i] == "(":
+                i += 1
+                if tokens[i] == ")":
+                    i += 1
                     if power is not None:
-                        raise ParseError(
-                            f"{sym}^{power} needs one argument", tok.line, tok.col
-                        )
-                    result = make(sym, (), tok)
+                        raise ts.error(f"{sym}^{power} needs one argument", at)
+                    result = make(sym, (), at)
                 else:
-                    frames.append([sym, power, [], tok])
+                    frames.append([sym, power, [], at])
                     continue
             else:
                 if power is not None:
-                    raise ParseError(
-                        f"{sym}^{power} needs a parenthesized argument",
-                        tok.line,
-                        tok.col,
-                    )
-                result = make(sym, (), tok)
+                    raise ts.error(f"{sym}^{power} needs a parenthesized argument", at)
+                result = make(sym, (), at)
         if not frames:
+            ts.pos = i
             return result
         frame = frames[-1]
-        if ts.at_punct(","):
-            ts.next()
+        tok = tokens[i]
+        if tok == ",":
+            i += 1
             frame[2].append(result)
             result = None
             continue
-        ts.expect("punct", ")")
+        if tok != ")":
+            ts.pos = i
+            raise ts.expected(")")
+        i += 1
         frame[2].append(result)
         frames.pop()
-        sym, power, args, tok = frame
+        sym, power, args, at = frame
         if power is not None:
             if len(args) != 1:
-                raise ParseError(f"{sym}^{power} takes one argument", tok.line, tok.col)
-            probe = make(sym, (args[0],), tok)  # arity check on the repeated symbol
+                raise ts.error(f"{sym}^{power} takes one argument", at)
+            probe = make(sym, (args[0],), at)  # arity check on the repeated symbol
             result = probe if power else args[0]
             for _ in range(power - 1):
                 result = App(sym, (result,))
         else:
-            result = make(sym, tuple(args), tok)
+            result = make(sym, tuple(args), at)
 
 
 def parse_term(text: str, sig: Signature) -> Term:
     """Parse a standalone ground term, validating its symbols against sig."""
-    ts = TokenStream(tokenize(text))
+    ts = TokenStream(text)
     t = parse_term_tokens(ts, sig, False)
-    ts.expect("eof")
+    if ts.peek():
+        raise ts.expected("eof")
     return t
 
 
 def _parse_decls(ts: TokenStream) -> dict[str, int]:
     decls: dict[str, int] = {}
-    if ts.at_punct(";"):
-        ts.next()
+    if ts.accept(";"):
         return decls
     while True:
-        tok = ts.expect("name")
-        ts.expect("punct", "/")
+        at = ts.pos
+        name = ts.name()
+        ts.expect("/")
         ar = read_nat(ts)
-        if tok.text in decls:
-            raise ParseError(f"duplicate declaration of {tok.text}", tok.line, tok.col)
-        decls[tok.text] = ar
-        if ts.at_punct(","):
-            ts.next()
+        if name in decls:
+            raise ts.error(f"duplicate declaration of {name}", at)
+        decls[name] = ar
+        if ts.accept(","):
             continue
-        ts.expect("punct", ";")
+        ts.expect(";")
         return decls
 
 
@@ -234,26 +247,25 @@ def parse_program_loose(text: str) -> tuple[Signature, list[Rule]]:
 
     Symbols and applied arities are still checked during term parsing; rule
     shape, linearity, and ambiguity are not. Used by diagnostics."""
-    ts = TokenStream(tokenize(text))
-    ts.expect("name", "constructors")
-    ts.expect("punct", ":")
+    ts = TokenStream(text)
+    ts.expect("constructors")
+    ts.expect(":")
     constructors = _parse_decls(ts)
-    ts.expect("name", "operations")
-    ts.expect("punct", ":")
+    ts.expect("operations")
+    ts.expect(":")
     operations = _parse_decls(ts)
     sig = Signature(constructors, operations)
-    ts.expect("name", "rules")
-    ts.expect("punct", ":")
+    ts.expect("rules")
+    ts.expect(":")
     rules: list[Rule] = []
-    while ts.peek().kind != "eof":
-        lhs_tok = ts.peek()
+    while ts.peek():
+        at = ts.pos
         lhs = parse_term_tokens(ts, sig, allow_vars=True)
-        ts.expect("arrow")
+        ts.expect("->", "arrow")
         rhs = parse_term_tokens(ts, sig, allow_vars=True)
-        ts.expect("punct", ";")
+        ts.expect(";")
         if not isinstance(lhs, App):
-            raise ParseError("left-hand side must be an operation call",
-                             lhs_tok.line, lhs_tok.col)
+            raise ts.error("left-hand side must be an operation call", at)
         rules.append(Rule(lhs, rhs))
     return sig, rules
 
@@ -391,8 +403,10 @@ def format_program(p: Program) -> str:
     ]
     declared = {*sig.constructors, *sig.operations}
     for rule in p.rules:
-        names = vars_of(rule.lhs)
-        fresh = fresh_names(names & declared, declared | names)
-        lhs, rhs = rename(rule.lhs, {}, fresh), rename(rule.rhs, {}, fresh)
+        lhs, rhs = rule.lhs, rule.rhs
+        names = vars_of(lhs)
+        if not names.isdisjoint(declared):
+            fresh = fresh_names(names & declared, declared | names)
+            lhs, rhs = rename(lhs, {}, fresh), rename(rhs, {}, fresh)
         lines.append(f"  {format_term(lhs)} -> {format_term(rhs)};")
     return "\n".join(lines) + "\n"

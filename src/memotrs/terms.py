@@ -9,6 +9,7 @@ from .errors import (
     AmbiguityError,
     ArityError,
     LinearityError,
+    MemotrsError,
     RuleError,
     SignatureError,
 )
@@ -251,7 +252,18 @@ def minimal_shared_size(terms: Iterable[Term]) -> int:
 
 
 def vars_of(t: Term) -> set[str]:
-    return {node.name for node in _postorder(t, lambda a: True) if type(node) is Var}
+    """The names of t's variables; a shared node is entered once."""
+    names: set[str] = set()
+    entered: set[int] = set()
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if type(node) is Var:
+            names.add(node.name)
+        elif node.args and id(node) not in entered:
+            entered.add(id(node))
+            stack += node.args
+    return names
 
 
 def rename(t: Term, syms: dict[str, str], names: dict[str, str]) -> Term:
@@ -309,21 +321,38 @@ class Signature:
 
 def validate_term(sig: Signature, t: Term) -> None:
     """Check every symbol is declared and applied at its arity."""
-    seen: set[int] = set()
+    problem = _symbols_and_vars(sig, t)[0]
+    if problem is not None:
+        raise problem
+
+
+def _symbols_and_vars(sig: Signature, t: Term) -> tuple[Optional[MemotrsError], set[str]]:
+    """The first symbol of t that sig does not declare at its arity, as the
+    error to raise, or None; and the names of t's variables. One walk, in
+    which a shared node is entered once."""
+    problem = None
+    names: set[str] = set()
+    entered: set[int] = set()
     stack = [t]
     while stack:
         node = stack.pop()
-        if id(node) in seen:
+        if type(node) is Var:
+            names.add(node.name)
             continue
-        seen.add(id(node))
-        if isinstance(node, Var):
-            continue
-        ar = sig.arity(node.sym)
-        if ar != len(node.args):
-            raise ArityError(
-                f"{node.sym} declared with arity {ar}, applied to {len(node.args)}"
-            )
-        stack.extend(node.args)
+        args = node.args
+        if args:
+            if id(node) in entered:
+                continue
+            entered.add(id(node))
+        if problem is None:
+            sym = node.sym
+            ar = sig.constructors.get(sym, sig.operations.get(sym))
+            if ar is None:
+                problem = SignatureError(f"undeclared symbol: {sym}")
+            elif ar != len(args):
+                problem = ArityError(f"{sym} declared with arity {ar}, applied to {len(args)}")
+        stack += args
+    return problem, names
 
 
 class Rule:
@@ -437,12 +466,11 @@ def _problems(signature: Signature, rules: Iterable[Rule], by_op: dict):
         for v in sorted(v for v, k in counts.items() if k > 1):
             yield LinearityError, f"linearity: variable {v} repeated in {format_term(lhs)}"
             ok = False
-        try:
-            validate_term(signature, rhs)
-        except (ArityError, SignatureError) as e:
-            yield type(e), f"right-hand side of {format_term(lhs)}: {e}"
+        problem, names = _symbols_and_vars(signature, rhs)
+        if problem is not None:
+            yield type(problem), f"right-hand side of {format_term(lhs)}: {problem}"
             ok = False
-        free = vars_of(rhs) - set(counts)
+        free = names - set(counts)
         if free:
             yield RuleError, (
                 f"scope: right-hand variable(s) {sorted(free)} of {format_term(lhs)} "

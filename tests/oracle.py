@@ -31,10 +31,16 @@ solver finds (its per-occurrence variables and least class values), and
 `validate_derivation` re-checks a derivation rule by rule without the
 solver, the oracle for `check_tiers_explained`, which only answers
 accepted or the reason not.
+
+`tokenize` is the reference tokenizer: one `Token` per token, which keeps
+its kind and offset, and reads its line and column from them. The library's
+tokenizer returns only the token texts, and finds a position again only
+for an error.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -49,6 +55,7 @@ from memotrs import (
     GrsrError,
     Heap,
     HeapError,
+    ParseError,
     Program,
     Proj,
     Rule,
@@ -67,6 +74,50 @@ from memotrs.smallstep import RefCache
 from memotrs.terms import bounded_repr, call_repr_parts
 
 from helpers import store_value
+
+# ------------------------------------------------------------ tokenizing
+
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]+|#[^\n]*"  # whitespace and comments, skipped
+    r"|(?P<arrow>->)"
+    r"|(?P<darrow>=>)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<nat>[0-9]+)"
+    r"|(?P<punct>[(),;:/^{}\[\]@=*])"
+    r"|(?P<bad>.)"
+)
+
+
+class Token:
+    __slots__ = ("kind", "text", "pos", "src")
+
+    def __init__(self, kind: str, text: str, pos: int, src: str):
+        self.kind = kind
+        self.text = text
+        self.pos = pos
+        self.src = src
+
+    line = property(lambda tok: tok.src.count("\n", 0, tok.pos) + 1)
+    col = property(lambda tok: tok.pos - tok.src.rfind("\n", 0, tok.pos))
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
+
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens of text, each with its kind and offset, then an "eof"
+    token at the end; the first bad character raises ParseError."""
+    tokens: list[Token] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is not None:
+            tok = Token(kind, m.group(), m.start(), text)
+            if kind == "bad":
+                raise ParseError(f"unexpected character {tok.text!r}", tok.line, tok.col)
+            tokens.append(tok)
+    tokens.append(Token("eof", "", len(text), text))
+    return tokens
+
 
 # ------------------------------------------------- rule-by-rule matching
 

@@ -816,6 +816,28 @@ def test_helpers_named_like_constructors_get_fresh_names(tmp_path, capsys):
     )
 
 
+def test_defs_named_like_constructors_get_fresh_names(tmp_path, capsys):
+    """A def's operation takes the def's name, but one named like a
+    constructor moves to the first free <name>_<k>, as a helper does."""
+    src, trs = tmp_path / "c.grsr", tmp_path / "c.trs"
+    src.write_text(
+        "algebra N = zero/0, suc/1, suc_1/0 ;\n"
+        "def suc = comp cons[suc] (proj 1 1) ;\n"
+        "def twice = comp suc (suc) ;\n"
+    )
+    assert main(["tier", str(src)]) == 0
+    capsys.readouterr()
+    for entry, op, value in (("suc", "suc_2", "suc(zero)"),
+                             ("twice", "twice", "suc(suc(zero))")):
+        assert main(["compile", str(src), "--entry", entry, "-o", str(trs)]) == 0
+        assert capsys.readouterr().out == f"entry: {op}\nwrote {trs}\n"
+        program = parse_program(trs.read_text())
+        assert "suc_2" in program.signature.operations
+        assert "suc" not in program.signature.operations
+        assert main(["run", str(trs), f"{op}(zero)"]) == 0
+        assert report_fields(capsys.readouterr().out)["value"] == value
+
+
 def test_compiled_random_files_read_back_and_agree(tmp_path, capsys):
     """Every def tier accepts compiles to text that parses, formats back to
     itself, is orthogonal and evaluates as the definition does, though the

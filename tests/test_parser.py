@@ -27,10 +27,12 @@ from memotrs import (
     term_size,
     vars_of,
 )
-from memotrs.parser import MAX_POWER_NODES, Token
+from memotrs import MemotrsError, cli, parser
+from memotrs.parser import MAX_POWER_NODES
 from conftest import PROGRAMS
 from memotrs.terms import rename
 from helpers import rabbit_tree, random_program, random_value, store_value, suc_chain
+import oracle
 
 NAT = Signature({"zero": 0, "suc": 1}, {"add": 2})
 
@@ -96,18 +98,106 @@ def test_unexpected_character_position():
 
 
 def test_a_successful_parse_reads_no_position(monkeypatch):
-    """A token's line and column are worked out from its offset, in time
-    linear in it, so only an error message may read them."""
+    """A token's position is found by tokenizing the text again up to it,
+    in time linear in its offset, so only an error message may ask."""
 
-    def unread(tok):
-        raise AssertionError(f"position of {tok.text!r} read")
+    def unread(text, index):
+        raise AssertionError(f"position of token {index} read")
 
-    monkeypatch.setattr(Token, "line", property(unread))
-    monkeypatch.setattr(Token, "col", property(unread))
+    monkeypatch.setattr(parser, "token_position", unread)
     for path in sorted(PROGRAMS.glob("*.trs")):
         parse_program(path.read_text())
     for path in sorted(PROGRAMS.glob("*.grsr")):
         parse_grsr(path.read_text())
+    assert parse_term("add(suc^3(zero),\n zero)  # note", NAT) == App(
+        "add", (suc_chain(3), suc_chain(0)))
+    assert cli._range_bounds("007..0000000000000000000019") == (7, 19)
+
+
+def _outcome(entry, *args):
+    try:
+        entry(*args)
+    except ParseError as e:
+        return "ParseError", str(e), e.line, e.column
+    except MemotrsError as e:
+        return type(e).__name__, str(e)
+    return "ok"
+
+
+def _token_texts(text):
+    try:
+        return parser.tokenize(text)
+    except ParseError as e:
+        return str(e), e.line, e.column
+
+
+def _reference_tokenize(text):
+    return [tok.text for tok in oracle.tokenize(text)[:-1]]
+
+
+def _reference_position(text, index):
+    tok = oracle.tokenize(text)[index]
+    return tok.line, tok.col
+
+
+_PIECES = [
+    "-", ">", "=", "#", "\r", "\t", "\x0c", "é", "\n", " ", "  ", "->", "=>",
+    *"(),;:/^{}[]@*!.",
+    "constructors", "operations", "rules", "algebra", "def", "cons", "proj",
+    "comp", "case", "rec", "over", "select", "x",
+    "zero", "suc", "add", "N", "y1", "_", "0", "7", "12", "0" * 20 + "3", "9" * 19,
+]
+
+
+def _inputs():
+    """Every program file cut at every token boundary, the files with a
+    stretch of tokens replaced by random pieces, and random texts."""
+    rng = random.Random(2024)
+    files = [path.read_text() for path in sorted(PROGRAMS.glob("*"))]
+    texts = set()
+    for text in files:
+        for tok in oracle.tokenize(text):
+            texts.add(text[:tok.pos])
+            texts.add(text[:tok.pos + len(tok.text)])
+    for _ in range(300):
+        text = rng.choice(files)
+        cuts = sorted(tok.pos for tok in rng.sample(oracle.tokenize(text), 2))
+        noise = "".join(rng.choices(_PIECES, k=rng.randint(0, 4)))
+        texts.add(text[:cuts[0]] + noise + text[cuts[1]:])
+    for _ in range(300):
+        texts.add("".join(rng.choices(_PIECES, k=rng.randint(1, 30))))
+    return sorted(texts)
+
+
+def test_tokens_and_parse_errors_match_the_reference_tokenizer(monkeypatch):
+    """The token texts are the reference tokenizer's, and every entry point
+    into the parsers succeeds, or fails with the same message at the same
+    line and column, whether tokens and positions come from the library or
+    from the reference's Token objects."""
+    sig = Signature({"zero": 0, "suc": 1, "pair": 2, "leafm": 0, "leafn": 0}, {"add": 2})
+    rng = random.Random(99)
+    digits = ["", "0", "5", "0" * 18 + "42", "1" * 18, "1" * 19, "0" * 30, "12x"]
+    ranges = [f"{rng.choice(digits)}..{rng.choice(digits)}" for _ in range(60)]
+    entries = [parse_program, parser.parse_program_loose, parse_grsr,
+               lambda text: parse_term(text, sig)]
+    inputs = _inputs()
+    assert len(inputs) > 1900
+
+    def outcomes():
+        return ([_token_texts(text) for text in inputs],
+                [_outcome(entry, text) for text in inputs for entry in entries],
+                [_outcome(cli._range_bounds, text) for text in ranges])
+
+    library = outcomes()
+    with monkeypatch.context() as m:
+        m.setattr(parser, "tokenize", _reference_tokenize)
+        m.setattr(parser, "token_position", _reference_position)
+        reference = outcomes()
+    for got, want in zip(library, reference):
+        assert got == want
+    kinds = {o if o == "ok" else o[0] for o in library[1]}
+    assert {"ok", "ParseError", "RuleError"} <= kinds
+    assert sum("unexpected character" in o[1] for o in library[1] if o != "ok") > 100
 
 
 def test_sections_must_appear_in_order():
@@ -165,7 +255,17 @@ def alpha_key(t, order):
     return (t.sym, *(alpha_key(a, order) for a in t.args))
 
 
-def test_format_program_roundtrips_variables_named_like_symbols():
+def test_format_program_roundtrips_variables_named_like_symbols(monkeypatch):
+    """format_program renames the two sides of a rule, and only of one
+    whose variables clash with a declared symbol."""
+    renames = 0
+
+    def counted(*args):
+        nonlocal renames
+        renames += 1
+        return rename(*args)
+
+    monkeypatch.setattr(parser, "rename", counted)
     renamed = 0
     for seed in range(200):
         rng = random.Random(seed)
@@ -179,7 +279,10 @@ def test_format_program_roundtrips_variables_named_like_symbols():
             new = dict(zip(names, rng.sample(pool, len(names))))
             rules.append(Rule(rename(r.lhs, {}, new), rename(r.rhs, {}, new)))
         q = Program(sig, rules)
+        renames = 0
         text = format_program(q)
+        clashing = sum(not vars_of(r.lhs).isdisjoint(symbols) for r in q.rules)
+        assert renames == 2 * clashing
         back = parse_program(text)
         assert back.signature.constructors == sig.constructors
         assert back.signature.operations == sig.operations

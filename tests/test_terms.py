@@ -320,6 +320,23 @@ def test_pattern_diagnostics_name_the_first_problem_and_count_every_variable():
     ]
 
 
+def test_right_hand_diagnostics_name_the_first_problem_and_every_variable():
+    # a right-hand side is walked last argument first, once: the walk finds
+    # the problem validate_term raises first and goes on collecting variables
+    sig = Signature({"zero": 0, "suc": 1, "pair": 2}, {"f": 1})
+    x = Var("x")
+    rhs = App("pair", (App("h", (Var("z"),)), App("suc", (x, App("zero")))))
+    first = "suc declared with arity 1, applied to 2"
+    assert program_diagnostics(sig, [Rule(App("f", (x,)), rhs)]) == [
+        f"right-hand side of f(x): {first}",
+        "scope: right-hand variable(s) ['z'] of f(x) not bound on the left",
+    ]
+    with pytest.raises(ArityError, match=f"^{first}$"):
+        validate_term(sig, rhs)
+    with pytest.raises(ArityError, match=f"^right-hand side of f\\(x\\): {first}$"):
+        Program(sig, [Rule(App("f", (x,)), rhs)])
+
+
 def test_diagnostics_reports_ambiguity():
     sig = Signature({"zero": 0}, {"f": 1})
     rules = [
