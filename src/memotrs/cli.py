@@ -19,20 +19,11 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .bigstep import MemoStats, eval_memo, naive_run
-from .core import RET, VAL, compile_term
-from .errors import (
-    ArityError,
-    BudgetExceededError,
-    HeapError,
-    MemotrsError,
-    ParseError,
-    SignatureError,
-    StuckError,
-)
+from .errors import BudgetExceededError, MemotrsError, ParseError, StuckError
 from .grsr import (
     TierSignature,
     check_tiers_explained,
@@ -76,8 +67,7 @@ MAX_BUDGET_BITS = 64
 @dataclass
 class RunReport:
     engine: str
-    input_text: str
-    value_text: str
+    value_text: Optional[str]
     dag_nodes: int
     unfolded_size: Union[int, str]
     cost_m: int
@@ -91,16 +81,23 @@ def _run(
     engine: str,
     program: Program,
     term: Term,
-    text: str,
     budget: Optional[int],
-    depth_cap: int,
+    depth_cap: Optional[int],
     dot_path: Optional[str] = None,
     trace_path: Optional[str] = None,
+    shared: Optional[tuple[RunReport, int, Heap]] = None,
 ) -> tuple[RunReport, Union[Term, int], Optional[Heap]]:
     """Evaluate term under one engine; --dot and --trace apply to shared only.
+    Without a depth cap the report holds no value text.
 
-    Returns the report and the answer as the engine holds it: a term, or
-    for the shared engine a location in the returned heap."""
+    shared is what this function returned for the shared engine on the
+    same term and depth cap. A term engine's answer that denotes shared's
+    answer takes shared's value text, DAG size and unfolded size, and is
+    not walked again.
+
+    Returns the report and the answer: a location in the returned heap
+    where the answer is one (the shared engine's, or a term engine's that
+    denotes shared's), and otherwise the term and no heap."""
     if engine == "naive" and budget is None:
         budget = DEFAULT_NAIVE_BUDGET
     heap = None
@@ -129,19 +126,29 @@ def _run(
         wall = time.perf_counter_ns() - t0
         if dot is not None:
             dot.write(cfg.heap.to_dot([cfg.loc]))
+    if heap is not None:
+        heap, answer = cfg.heap, cfg.loc
+        m, total, cache_size = rs.applies, rs.total, len(cfg.cache)
+    elif shared is not None and shared[2].denotes(shared[1], answer):
+        like, answer, heap = shared
+        report = replace(
+            like, engine=engine, cost_m=m, total_steps=total, heap_size=None,
+            cache_size=cache_size, wall_ns=wall,
+        )
+        return report, answer, heap
     # sizes saturate at OVERFLOW_LIMIT, which prints as a marker anyway
     if heap is None:
         dag_nodes = minimal_shared_size([answer])
         size = term_size(answer, OVERFLOW_LIMIT)
     else:
-        heap, answer = cfg.heap, cfg.loc
-        m, total, cache_size = rs.applies, rs.total, len(cfg.cache)
         dag_nodes = heap.reachable_count(answer)
         size = heap.unfolded_size(answer, OVERFLOW_LIMIT)
+    value_text = None
+    if depth_cap is not None:
+        value_text = format_term(answer, max_depth=depth_cap, compress=True, heap=heap)
     report = RunReport(
         engine=engine,
-        input_text=text,
-        value_text=format_term(answer, max_depth=depth_cap, compress=True, heap=heap),
+        value_text=value_text,
         dag_nodes=dag_nodes,
         unfolded_size=size if size < OVERFLOW_LIMIT else "overflow",
         cost_m=m,
@@ -156,9 +163,9 @@ def _run(
 ENGINES = ("memo", "naive", "shared")
 
 
-def _print_report(r: RunReport, out) -> None:
+def _print_report(r: RunReport, text: str, out) -> None:
     out.write(f"engine: {r.engine}\n")
-    out.write(f"input: {r.input_text}\n")
+    out.write(f"input: {text}\n")
     out.write(f"value: {r.value_text}\n")
     out.write(f"value dag nodes: {r.dag_nodes}\n")
     out.write(f"unfolded size: {r.unfolded_size}\n")
@@ -200,61 +207,50 @@ def _write(path: str):
     return io.TextIOWrapper(io.BufferedWriter(raw), newline="")
 
 
-def _loads_to(program: Program, heap: Heap, value: Term, loc: int) -> bool:
-    """Whether value loads into heap as the one location loc. In a
-    maximally shared heap that is whether value is the constructor term
-    loc denotes; a value holding an operation, a variable or a symbol the
-    program does not declare at that arity is not one location."""
-    try:
-        code = compile_term(program.signature, value, heap=heap)
-    except (ArityError, HeapError, SignatureError):
-        return False
-    return code == ((VAL, loc, None), (RET, None, None))
-
-
 def cmd_run(args) -> int:
     """Evaluate a term under one engine and print its report. With
-    --check-all, under all three: the memo and naive values are loaded
-    into a copy of the shared run's heap and compared with its answer as
-    locations, so the shared answer is never unfolded into a term and the
-    reported heap size is the run's own."""
+    --check-all, under all three, shared first: a term engine agrees when
+    its value denotes the shared answer in the run's heap (Heap.denotes),
+    and its report then reads the value where the shared run left it. The
+    shared answer is never unfolded into a term, and the reported heap
+    size is the run's own."""
     program = parse_program(_read(args.file))
     term = parse_term(args.term, program.signature)
     out = sys.stdout
     if (args.trace or args.dot) and args.engine != "shared" and not args.check_all:
         raise ParseError("--trace and --dot need the shared engine")
     if args.check_all:
-        shared_rep, loc, heap = _run(
-            "shared", program, term, args.term, args.budget, args.depth_cap,
+        shared = _run(
+            "shared", program, term, args.budget, args.depth_cap,
             dot_path=args.dot, trace_path=args.trace,
         )
-        memo_rep, memo_val, _ = _run(
-            "memo", program, term, args.term, args.budget, args.depth_cap
+        memo_rep, _, memo_heap = _run(
+            "memo", program, term, args.budget, args.depth_cap, shared=shared
         )
         naive_note = None
-        naive_val = None
         try:
-            naive_rep, naive_val, _ = _run(
-                "naive", program, term, args.term, args.budget, args.depth_cap
+            naive_rep, _, naive_heap = _run(
+                "naive", program, term, args.budget, args.depth_cap,
+                shared=shared,
             )
         except BudgetExceededError as e:
             naive_rep = None
             naive_note = str(e)
+        shared_rep = shared[0]
         for rep in (shared_rep, memo_rep, naive_rep):
             if rep is not None:
-                _print_report(rep, out)
+                _print_report(rep, args.term, out)
                 out.write("\n")
         if naive_note:
             out.write(f"naive: skipped ({naive_note})\n")
-        heap = heap.copy()  # the loads below add no node to the run's heap
         problems = []
-        if not _loads_to(program, heap, memo_val, loc):
+        if memo_heap is None:
             problems.append("memo and shared values differ")
         if memo_rep.cost_m != shared_rep.cost_m:
             problems.append(
                 f"m differs: memo {memo_rep.cost_m}, shared {shared_rep.cost_m}"
             )
-        if naive_val is not None and not _loads_to(program, heap, naive_val, loc):
+        if naive_rep is not None and naive_heap is None:
             problems.append("naive and shared values differ")
         if problems:
             for p in problems:
@@ -263,10 +259,10 @@ def cmd_run(args) -> int:
         out.write("agreement: ok\n")
         return 0
     report, _, _ = _run(
-        args.engine, program, term, args.term, args.budget, args.depth_cap,
+        args.engine, program, term, args.budget, args.depth_cap,
         dot_path=args.dot, trace_path=args.trace,
     )
-    _print_report(report, out)
+    _print_report(report, args.term, out)
     return 0
 
 
@@ -371,7 +367,28 @@ def _range_bounds(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _bench_row(
+    eng: str, n: int, program: Program, term: Term, budget: Optional[int],
+    shared: Optional[tuple[RunReport, int, Heap]] = None,
+) -> tuple[str, Optional[tuple[RunReport, int, Heap]]]:
+    """One engine's CSV row for term, an overflow row when over budget, and
+    what _run returned, if it returned."""
+    t0 = time.perf_counter_ns()
+    try:
+        result = _run(eng, program, term, budget, None, shared=shared)
+    except BudgetExceededError:
+        return f"{eng},{n},,,,overflow,{time.perf_counter_ns() - t0}\n", None
+    r = result[0]
+    # answer sub-DAG size for every engine, not the whole heap
+    row = f"{eng},{n},{r.cost_m},{r.total_steps},{r.dag_nodes},{r.unfolded_size},{r.wall_ns}\n"
+    return row, result
+
+
 def cmd_bench(args) -> int:
+    """Print one CSV row per engine and n, in the order --engine lists them.
+    For each n a listed shared engine runs first, so the term engines'
+    answers are read against its answer (see _run); its row, or the error
+    it raised, still comes at its place in the order."""
     program = parse_program(_read(args.file))
     engines = args.engine.split(",")
     for e in engines:
@@ -390,21 +407,21 @@ def cmd_bench(args) -> int:
         out.write("engine,n,m,total_steps,heap_nodes,unfolded_size_or_overflow,wall_ns\n")
         for n in range(lo, hi + 1):
             term = first if n == lo else _family_term(args, program, n)
-            text = format_term(term, max_depth=4)
-            for eng in engines:
-                t0 = time.perf_counter_ns()
+            shared = early = None
+            at = engines.index("shared") if "shared" in engines else -1
+            if at >= 0:
                 try:
-                    report, _, _ = _run(eng, program, term, text, args.budget, 1)
-                except BudgetExceededError:
-                    wall = time.perf_counter_ns() - t0
-                    out.write(f"{eng},{n},,,,overflow,{wall}\n")
-                    continue
-                # answer sub-DAG size for every engine, not the whole heap
-                row_heap = report.dag_nodes
-                out.write(
-                    f"{eng},{n},{report.cost_m},{report.total_steps},"
-                    f"{row_heap},{report.unfolded_size},{report.wall_ns}\n"
-                )
+                    early, shared = _bench_row("shared", n, program, term, args.budget)
+                except MemotrsError as e:
+                    early = e
+            for i, eng in enumerate(engines):
+                if i != at:
+                    row, _ = _bench_row(eng, n, program, term, args.budget, shared)
+                elif isinstance(early, MemotrsError):
+                    raise early
+                else:
+                    row = early
+                out.write(row)
     return 0
 
 

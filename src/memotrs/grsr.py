@@ -581,7 +581,15 @@ def rename_operations(program: Program, mapping: dict[str, str]) -> Program:
         if new in new_ops or new in sig.constructors:
             raise GrsrError(f"operation rename collides on {new}")
         new_ops[new] = ar
-    new_rules = [
+    # renaming operations one to one, away from the constructors, keeps the
+    # program valid, so it is not checked again
+    rules = tuple([
         Rule(rename(r.lhs, renames, {}), rename(r.rhs, renames, {})) for r in program.rules
-    ]
-    return Program(Signature(dict(sig.constructors), new_ops), new_rules)
+    ])
+    new = dict(zip(map(id, program.rules), rules))
+    by_op = {
+        renames.get(op, op): tuple([new[id(r)] for r in group])
+        for op, group in program.by_op.items()
+    }
+    # type(program), not the module's name Program, which a tracer may wrap
+    return type(program)._valid(Signature(dict(sig.constructors), new_ops), rules, by_op)

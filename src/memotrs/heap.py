@@ -7,6 +7,10 @@ children always have smaller locations than their parents.
 
 A heap is a plain append-only store: merge extends the receiver. A caller
 that must keep a heap as it was works on a copy().
+
+In a maximally shared heap two values are equal exactly when they sit at
+one location, so denotes(loc, term) tells whether a term engine's answer
+is the value at loc without adding to the heap or unfolding loc.
 """
 
 from __future__ import annotations
@@ -72,6 +76,40 @@ class Heap:
                 n += 1
             locs.append(loc)
         return locs
+
+    def denotes(self, loc: int, term: Term) -> bool:
+        """Whether term is the constructor term at loc. Each node object of
+        term is compared with the node at its location, symbol and number
+        of arguments, a unary run in one loop; an object met again must
+        meet the same location, so a shared node is entered once and the
+        walk is linear in term's distinct nodes. A variable, an operation
+        or any other mismatch gives False. Iterative, so depth is no limit;
+        term stays alive during the walk, so no id outlives its object."""
+        entries = self.entries
+        if not 0 <= loc < len(entries):
+            raise HeapError(f"unknown location {loc}")
+        at: dict[int, int] = {}  # id(node) -> the location it denotes
+        stack = [(term, loc)]
+        while stack:
+            node, loc = stack.pop()
+            while True:  # down a unary run
+                i = id(node)
+                if i in at:
+                    if at[i] != loc:
+                        return False
+                    break
+                if type(node) is not App:
+                    return False
+                sym, args = entries[loc]
+                kids = node.args
+                if node.sym != sym or len(kids) != len(args):
+                    return False
+                at[i] = loc
+                if len(args) != 1:
+                    stack += zip(kids, args)
+                    break
+                (node,), (loc,) = kids, args
+        return True
 
     def _reachable(self, roots: Iterable[int]) -> list[int]:
         """Locations reachable from roots, in ascending order.

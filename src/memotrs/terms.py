@@ -400,6 +400,14 @@ class Program:
         self.by_op = {op: tuple(group) for op, group in by_op.items()}
         self._code = None  # decision trees over compiled bodies, see core._Trees
 
+    @classmethod
+    def _valid(cls, signature: Signature, rules: tuple, by_op: dict) -> "Program":
+        """A program from parts known to form a valid one; nothing is checked."""
+        program = cls.__new__(cls)
+        program.signature, program.rules, program.by_op = signature, rules, by_op
+        program._code = None
+        return program
+
     def __repr__(self) -> str:
         return f"Program({len(self.rules)} rules over {self.signature!r})"
 

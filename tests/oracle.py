@@ -18,7 +18,9 @@ expression, the oracle for `core.compile_term` given a heap (what
 `smallstep.initial_expression` calls), which walks unary runs at once and
 returns code. `minimal_shared_size_by_node` counts distinct subterms
 one node at a time, the reference for `terms.minimal_shared_size`, which
-numbers a unary run at once.
+numbers a unary run at once. `loads_to` loads a value into a copy of a
+heap and asks whether it became one given location, the reference for
+`Heap.denotes`, which walks the value against the heap.
 `unfused` gives a program whose rule bodies run without fused
 instructions, each turned back into its VAR pushes and CON or CALL by
 `expand_fused`: the oracle for the fused code the engines run.
@@ -59,6 +61,8 @@ from memotrs import (
     Program,
     Proj,
     Rule,
+    Signature,
+    SignatureError,
     SimRec,
     StuckError,
     Term,
@@ -67,7 +71,9 @@ from memotrs import (
     program_delta,
     terms_equal,
 )
-from memotrs.core import APPLY, CALL, CON, FCALL, FCON, MERGE, READ, RET, STORE, VAL, VAR, _Trees
+from memotrs.core import (
+    APPLY, CALL, CON, FCALL, FCON, MERGE, READ, RET, STORE, VAL, VAR, _Trees, compile_term,
+)
 from memotrs.grsr import _collect, _solve
 from memotrs.heap import Node
 from memotrs.smallstep import RefCache
@@ -570,6 +576,18 @@ def minimal_shared_size_by_node(terms: Iterable[Term]) -> int:
             stack.append((node, True))
             stack.extend((a, False) for a in node.args)
     return len(classes)
+
+
+def loads_to(sig: Signature, heap: Heap, value: Term, loc: int) -> bool:
+    """Whether value loads into a copy of heap as the one location loc: the
+    reference for `Heap.denotes`, which walks value against the heap and
+    adds nothing to it. A value holding an operation, a variable or a
+    symbol sig does not declare at that arity is not one location."""
+    try:
+        code = compile_term(sig, value, heap=heap.copy())
+    except (ArityError, HeapError, SignatureError):
+        return False
+    return code == ((VAL, loc, None), (RET, None, None))
 
 
 def unfold_expression(heap: Heap, e: Expr) -> Term:

@@ -18,10 +18,14 @@ from memotrs import (
     App,
     GrsrError,
     Heap,
+    MemoStats,
     StuckError,
     compile_function,
     eval_memo,
     format_program,
+    format_term,
+    minimal_shared_size,
+    naive_run,
     parse_grsr,
     parse_program,
     parser,
@@ -29,9 +33,16 @@ from memotrs import (
     term_size,
 )
 from memotrs import cli, grsr
-from memotrs.cli import OVERFLOW_LIMIT, _budget_value, _build_parser, main
+from memotrs.cli import (
+    DEFAULT_DEPTH_CAP,
+    DEFAULT_NAIVE_BUDGET,
+    OVERFLOW_LIMIT,
+    _budget_value,
+    _build_parser,
+    main,
+)
 from memotrs.grsr_parser import MAX_ARITY, MAX_NESTING
-from helpers import rabbit_tree, random_grsr, random_value
+from helpers import rabbit_tree, random_grsr, random_program, random_value
 from oracle import eval_grsr
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
@@ -231,6 +242,53 @@ def test_check_all_reports_the_shared_runs_heap_size(capsys):
             assert main(argv + extra) == 0
             sizes.append(report_fields(capsys.readouterr().out)["heap size"])
         assert sizes[0] == sizes[1]
+
+
+def _term_report(engine, text, value, m, total, cache_size):
+    """The report lines of a term engine's answer, wall time left out, as
+    the term printer and counters give them on the value itself."""
+    size = term_size(value, OVERFLOW_LIMIT)
+    lines = [
+        f"engine: {engine}", f"input: {text}",
+        f"value: {format_term(value, max_depth=DEFAULT_DEPTH_CAP, compress=True)}",
+        f"value dag nodes: {minimal_shared_size([value])}",
+        f"unfolded size: {size if size < OVERFLOW_LIMIT else 'overflow'}",
+        f"m: {m}", f"total steps: {total}",
+    ]
+    return lines + ([] if cache_size is None else [f"cache size: {cache_size}"])
+
+
+def test_check_all_term_reports_equal_reports_read_from_the_terms(tmp_path, capsys):
+    # the term engines' reports are read where the shared run left the
+    # answer; they must say what reading the engines' own values says
+    cases = [(parse_program((PROGRAMS / f).read_text()), t) for f, t in (
+        ("rabbits.trs", "rabbits(suc^9(zero))"), ("tree.trs", "tree(suc^11(zero))"),
+        ("add.trs", "add(suc^40(zero), suc^7(zero))"),
+        ("leafs.trs", "leafs(m(n(m(leafm, leafn)), m(leafn, n(leafn))))"))]
+    for seed in range(80):
+        p = random_program(seed)
+        rng = random.Random(seed)
+        cons = p.signature.constructors
+        for op, k in p.signature.operations.items():
+            args = [random_value(rng, cons, rng.randint(1, 4)) for _ in range(k)]
+            cases.append((p, format_term(App(op, tuple(args)))))
+    for i, (p, text) in enumerate(cases):
+        path = tmp_path / f"p{i}.trs"
+        path.write_text(format_program(p))
+        assert main(["run", str(path), text, "--check-all"]) == 0
+        blocks = capsys.readouterr().out.split("\n\n")
+        term = cli.parse_term(text, p.signature)
+        stats = MemoStats()
+        memo = eval_memo(p, {}, term, stats=stats)
+        naive = naive_run(p, term, DEFAULT_NAIVE_BUDGET)
+        want = [
+            _term_report("memo", text, memo.value, memo.cost, stats.work, len(memo.cache)),
+            _term_report("naive", text, naive.value, naive.rewrite_steps, naive.total_steps,
+                         None),
+        ]
+        got = [block.splitlines()[:-1] for block in blocks[1:3]]  # wall time last
+        assert got == want, text
+        assert blocks[3] == "agreement: ok\n"
 
 
 def test_check_all_skips_naive_beyond_budget(capsys):
@@ -777,7 +835,8 @@ def test_compile_matches_the_per_def_loop(tmp_path, capsys, monkeypatch):
         for d in gf.defs:
             calls.clear()
             assert main(["compile", str(path), "--entry", d.name]) == 0
-            assert calls == {"compile": 1, "Program": 2}
+            # one compile, validated once: renaming its operations checks no more
+            assert calls == {"compile": 1, "Program": 1}
             assert capsys.readouterr().out == compile_by_def_loop(gf, d)
 
 
@@ -966,6 +1025,63 @@ def test_bench_template_family(tmp_path):
     for r in rows:
         n = int(r[1])
         assert int(r[2]) == n + 1  # one update per recursion level plus base
+
+
+def _bench_rows(argv, capsys):
+    """Exit code, rows without their wall time, and stderr of a bench run."""
+    code = main(argv)
+    out = capsys.readouterr()
+    return code, [line.rsplit(",", 1)[0] for line in out.out.splitlines()], out.err
+
+
+@pytest.mark.parametrize("engines", ["naive,memo,shared", "shared,memo", "memo,naive",
+                                     "shared,shared,naive"])
+def test_bench_rows_are_the_single_engine_rows_in_order(engines, tmp_path, capsys):
+    # a listed shared engine runs first for each n; the rows, an overflow
+    # row or a stuck input's exit still come in the order given
+    stuck = tmp_path / "stuck.trs"
+    stuck.write_text("constructors: zero/0, suc/1;\noperations: f/1;\n"
+                     "rules: f(zero) -> suc(zero);\n")
+    families = [
+        ([str(PROGRAMS / "rabbits.trs"), "rabbits"], 0, 9, []),
+        ([str(PROGRAMS / "rabbits.trs"), "rabbits"], 3, 9, ["--budget", "30"]),
+        ([str(PROGRAMS / "tree.trs"), "tree"], 8, 14, ["--budget", "10^4"]),
+        ([str(PROGRAMS / "add.trs"), "--template", "add(suc^{n}(zero), suc^{n}(zero))"],
+         0, 30, []),
+        ([str(stuck), "f"], 0, 3, []),  # stuck from n = 1 on
+    ]
+    order = engines.split(",")
+    overflows = Counter()
+    for family, lo, hi, flags in families:
+        argv = ["bench", *family, "--range", f"{lo}..{hi}", *flags, "--engine"]
+        single = {}
+        for e in set(order):
+            code, rows, err = _bench_rows(argv + [e], capsys)
+            single[e] = ({int(r.split(",")[1]): r for r in rows[1:]}, code, err)
+            overflows[e] += sum(r.endswith("overflow") for r in rows)
+        want, want_code, want_err = [rows[0]], 0, ""
+        for n in range(lo, hi + 1):
+            missing = [e for e in order if n not in single[e][0]]
+            for e in order:
+                if e in missing:
+                    _, want_code, want_err = single[e]
+                    break
+                want.append(single[e][0][n])
+            if missing:
+                break
+        assert _bench_rows(argv + [engines], capsys) == (want_code, want, want_err)
+        assert want_code in (0, 3)
+    assert all(overflows[e] > 0 for e in order)  # the budgets stop every engine somewhere
+
+
+def test_bench_prints_rows_without_formatting_terms(monkeypatch, capsys):
+    # no row holds the input or a value, so neither is printed as text
+    argv = ["bench", str(PROGRAMS / "rabbits.trs"), "rabbits", "--range", "0..8"]
+    for engines in ("naive,memo,shared", "memo,naive"):
+        want = _bench_rows(argv + ["--engine", engines], capsys)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "format_term", None)
+            assert _bench_rows(argv + ["--engine", engines], capsys) == want
 
 
 def test_bench_refuses_oversized_families(capsys):

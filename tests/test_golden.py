@@ -44,6 +44,12 @@ JOBS = {
                       "--engine", "naive,memo,shared", "--range", "0..10", "--budget", "2000"],
     "bench_add": ["bench", "programs/add.trs", "--template", "add(suc^{n}(zero), suc(zero))",
                   "--engine", "naive,memo,shared", "--range", "1..6"],
+    # a listed shared engine runs first for each n, yet its rows, overflow
+    # rows and a stuck input's exit keep the order --engine gives
+    "bench_order": ["bench", "programs/rabbits.trs", "rabbits",
+                    "--engine", "shared,naive,memo,shared", "--range", "0..9", "--budget", "40"],
+    "bench_stuck": ["bench", "programs/leafs.trs", "--template", "leafs(suc^{n}(leafm))",
+                    "--engine", "memo,naive,shared", "--range", "0..2"],
     "budget_shared": ["run", "programs/rabbits.trs", "rabbits(suc^20(zero))",
                       "--budget", "50", "--trace", "{trace}"],
     "budget_naive": ["run", "programs/rabbits.trs", "rabbits(suc^15(zero))",

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from memotrs import (
     FunctionExpr,
     GrsrError,
     ParseError,
+    Program,
     Proj,
     SimRec,
     TierSignature,
@@ -23,6 +25,7 @@ from memotrs import (
     compile_function,
     default_tier_bound,
     eval_memo,
+    format_program,
     format_term,
     infer_tiers,
     infeasibility_reason,
@@ -33,6 +36,8 @@ from memotrs import (
 from memotrs import grsr
 from memotrs.terms import REPR_CHARS
 from helpers import nat_of, rabbit_tree, random_grsr, suc_chain
+
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 from oracle import TierDerivation, derive, eval_grsr, validate_derivation
 
 NAT = Algebra("N", [("zero", 0), ("suc", 1)])
@@ -472,6 +477,34 @@ def test_compiled_cost_is_linear(functions):
         costs[i] = eval_memo(prog, {}, call).cost
     assert costs[32] - costs[16] == 2 * (costs[16] - costs[8])
     assert costs[32] <= 6 * 32 + 12
+
+
+def test_renamed_programs_equal_validated_ones():
+    # rename_operations builds its program unchecked; validating the same
+    # renamed rules must give the same program
+    texts = [p.read_text() for p in sorted(PROGRAMS.glob("*.grsr"))]
+    texts += [random_grsr(seed) for seed in range(200)]
+    renamed_count = 0
+    for text in texts:
+        defs = parse_grsr(text).defs
+        for target in defs:
+            program, _ = compile_function(target.expr)
+            sig = program.signature
+            mapping = {}
+            for d in defs:
+                name = operation_name(d.expr, sig.constructors)
+                if name in sig.operations and d.name not in sig.constructors:
+                    mapping.setdefault(name, d.name)
+            renamed = rename_operations(program, mapping)
+            checked = Program(renamed.signature, renamed.rules)
+            assert renamed.signature.constructors == checked.signature.constructors
+            assert list(renamed.signature.operations.items()) == list(
+                checked.signature.operations.items())
+            assert format_program(renamed) == format_program(checked)
+            assert list(renamed.by_op) == list(checked.by_op)
+            assert all(renamed.by_op[op] == checked.by_op[op] for op in checked.by_op)
+            renamed_count += renamed.signature.operations.keys() != sig.operations.keys()
+    assert renamed_count > 200
 
 
 def test_rename_operations(functions):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -6,11 +7,16 @@ from memotrs import (
     App,
     Heap,
     HeapError,
+    Signature,
     Var,
+    eval_memo,
+    initial_expression,
     minimal_shared_size,
+    run,
     term_size,
 )
 from helpers import complete_tree, random_value, store_value, suc_chain
+from memotrs.core import compile_term
 from oracle import (
     Configuration,
     ECon,
@@ -19,6 +25,7 @@ from oracle import (
     is_maximally_shared,
     match_graph,
     match_pattern_at,
+    loads_to,
     match_term,
     step,
 )
@@ -351,3 +358,85 @@ def test_sizes_saturate_at_a_limit():
     assert h.unfolded_size(loc, 2**63) == 2**63
     assert term_size(complete_tree(80), 2**63) == 2**63
     assert term_size(complete_tree(10), 2**11) == 2**11 - 1
+
+
+# g and h are operations; s, t, f1 and g build unary runs
+DENOTE = Signature({"c": 0, "d": 0, "s": 1, "t": 1, "f1": 1, "f2": 2, "f3": 3},
+                   {"g": 1, "h": 2})
+
+
+def _grow(rng, pool, count, runs, nodes):
+    """Add count nodes over pool to it: unary runs of up to 300 nodes over
+    one of runs' symbol lists, or nodes of arity 0-3 from nodes, whose
+    arguments are pool nodes and so shared objects."""
+    for _ in range(count):
+        if rng.random() < 0.4:
+            t = rng.choice(pool)
+            syms = rng.choice(runs)
+            for _ in range(rng.choice([1, 2, 5, 60, 300])):
+                t = App(rng.choice(syms), (t,))
+        else:
+            sym, k = rng.choice(nodes)
+            t = App(sym, tuple(rng.choice(pool) for _ in range(k)))
+        pool.append(t)
+
+
+def test_denotes_agrees_with_loading_into_a_copy():
+    rng = random.Random(25)
+    runs = [["s"], ["s", "t"], ["s", "f1"]]
+    cons = [("c", 0), ("d", 0), ("f1", 1), ("f2", 2), ("f3", 3)]
+    answers = []
+    for _ in range(400):
+        pool = [App("c", ()), App("d", ())]
+        _grow(rng, pool, rng.randrange(1, 20), runs, cons)
+        heap = Heap()
+        roots = {}  # location -> the object loaded there
+        for t in rng.sample(pool, rng.randrange(1, 4)):
+            roots[compile_term(DENOTE, t, heap=heap)[0][1]] = t
+        # queries over the same objects and odd ones: a variable, operations,
+        # symbols off their arity, an undeclared one, runs holding them
+        odd = pool + [Var("x"), App("g", (pool[0],)), App("h", (pool[1], pool[0])),
+                      App("f2", (pool[0],)), App("s", (pool[0], pool[1])),
+                      App("c", (pool[1],)), App("zz", ())]
+        _grow(rng, odd, rng.randrange(1, 10), runs + [["s", "g"]],
+              cons + [("g", 1), ("h", 2), ("f2", 1), ("zz", 0)])
+        entries = list(heap.entries)
+        for _ in range(6):
+            loc = rng.choice([*roots, rng.randrange(heap.node_count)])
+            other = rng.randrange(heap.node_count)
+            # the node at loc with one object for all its arguments, which
+            # denotes loc only if its arguments are one location
+            sym, args = heap.entries[loc]
+            once = App(sym, (heap.unfold(args[0]),) * len(args)) if args else App(sym, ())
+            term = rng.choice([roots.get(loc, odd[-1]), rng.choice(odd), heap.unfold(loc),
+                               heap.unfold(other), rng.choice(pool), once])
+            answer = heap.denotes(loc, term)
+            assert answer == loads_to(DENOTE, heap, term, loc)
+            assert heap.entries == entries  # nothing merged
+            answers.append(answer)
+    assert 600 < answers.count(True) < 1800
+
+
+def test_denotes_walks_deep_and_shared_terms_once(programs):
+    heap = Heap()
+    loc = compile_term(Signature({"zero": 0, "suc": 1}, {}), suc_chain(200_000), heap=heap)[0][1]
+    deep = suc_chain(200_000)  # objects of its own
+    other = App("one", ())
+    for _ in range(200_000):
+        other = App("suc", (other,))
+    start = time.perf_counter()
+    assert heap.denotes(loc, deep)
+    assert not heap.denotes(loc, other)  # only at the bottom
+    assert not heap.denotes(loc - 1, deep)
+    assert time.perf_counter() - start < 1.0
+    # the memo engine's tree(suc^60(zero)): 61 distinct nodes, each level a
+    # branch over one object twice, 2^61 - 1 nodes as a tree
+    tree = programs["tree"]
+    term = App("tree", (suc_chain(60),))
+    cfg, _ = run(tree, *initial_expression(tree, Heap(), term))
+    value = eval_memo(tree, {}, term).value
+    assert value.size == cfg.heap.unfolded_size(cfg.loc) == 2**61 - 1
+    start = time.perf_counter()
+    assert cfg.heap.denotes(cfg.loc, value)
+    assert not cfg.heap.denotes(cfg.loc, value.args[0])
+    assert time.perf_counter() - start < 1.0

@@ -4,7 +4,7 @@ through the names `bench/tracing.py` patches, and reads the counts it needs."""
 import importlib.util
 from pathlib import Path
 
-from memotrs import cli, smallstep
+from memotrs import App, cli, smallstep
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,16 +58,39 @@ def test_shared_answer_is_read_without_unfolding(capsys, tmp_path):
         return [span[0] for span in traced_run(argv).spans]
 
     # the answer is counted, sized, drawn and printed where it lies; with
-    # --check-all the term engines' values are compared with it as locations
-    for flags, drawn, printed in (([], 0, 1), (["--dot", str(tmp_path / "a.dot")], 1, 1),
-                                  (["--check-all"], 0, 3)):
+    # --check-all the term engines' values denote it, and their reports
+    # read it there too, so it is printed once and no term is numbered
+    for flags, drawn in (([], 0), (["--dot", str(tmp_path / "a.dot")], 1), (["--check-all"], 0)):
         names = span_names(rabbits + flags)
-        for name in ("heap.reachable_count", "heap.unfolded_size"):
+        for name in ("heap.reachable_count", "heap.unfolded_size", "parser.format_term"):
             assert names.count(name) == 1
-        assert names.count("parser.format_term") == printed
         assert names.count("heap.to_dot") == drawn
         assert "heap.unfold" not in names
+        assert "terms.minimal_shared_size" not in names
     capsys.readouterr()
+
+
+def test_a_disagreeing_answer_is_read_as_a_term(monkeypatch, capsys):
+    right = cli.eval_memo
+
+    def skewed(*args, **kwargs):
+        out = right(*args, **kwargs)
+        out.value = App("leafn", ())
+        return out
+
+    monkeypatch.setattr(cli, "eval_memo", skewed)
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["run", "--check-all", str(ROOT / "programs" / "rabbits.trs"),
+                         "rabbits(suc^6(zero))"])
+    finally:
+        tracer.restore()
+    assert code == 1
+    names = [span[0] for span in tracer.spans]
+    assert names.count("terms.minimal_shared_size") == 1
+    assert names.count("parser.format_term") == 2
+    assert capsys.readouterr().out.endswith("DISAGREEMENT: memo and shared values differ\n")
 
 
 def test_traced_tier_sees_each_tier_entry_point(capsys, tmp_path):
