@@ -19,7 +19,6 @@ machine steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
 from typing import Callable, Optional
@@ -32,27 +31,32 @@ CacheKey = tuple[str, tuple[Term, ...]]
 TermCache = dict[CacheKey, Term]
 
 
-@dataclass
 class NaiveResult:
-    value: Term
-    rewrite_steps: int
-    total_steps: int
+    __slots__ = ("value", "rewrite_steps", "total_steps")
+
+    def __init__(self, value: Term, rewrite_steps: int, total_steps: int):
+        self.value, self.rewrite_steps, self.total_steps = value, rewrite_steps, total_steps
 
 
-@dataclass
 class CostedOutcome:
-    cache: TermCache
-    value: Term
-    cost: int
+    __slots__ = ("cache", "value", "cost")
+
+    def __init__(self, cache: TermCache, value: Term, cost: int):
+        self.cache, self.value, self.cost = cache, value, cost
 
 
-@dataclass
 class MemoStats:
     """eval_memo's counts, each a total over every call it was passed to."""
 
-    updates: int = 0
-    reads: int = 0
-    work: int = 0
+    __slots__ = ("updates", "reads", "work")
+
+    def __init__(self, updates: int = 0, reads: int = 0, work: int = 0):
+        self.updates, self.reads, self.work = updates, reads, work
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.updates, self.reads, self.work) == (other.updates, other.reads, other.work)
 
 
 def _run_terms(

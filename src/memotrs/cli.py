@@ -19,22 +19,10 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .bigstep import MemoStats, eval_memo, naive_run
 from .errors import BudgetExceededError, MemotrsError, ParseError, StuckError
-from .grsr import (
-    TierSignature,
-    check_tiers_explained,
-    compile_function,
-    default_tier_bound,
-    infeasibility_reason,
-    infer_tiers,
-    operation_name,
-    rename_operations,
-)
-from .grsr_parser import GrsrDef, parse_grsr
 from .heap import Heap
 from .parser import (
     MAX_POWER_NODES,
@@ -57,6 +45,9 @@ from .terms import (
     term_size,
 )
 
+if TYPE_CHECKING:  # loaded at run time by _load_grsr
+    from .grsr_parser import GrsrDef
+
 DEFAULT_NAIVE_BUDGET = 10**7
 DEFAULT_DEPTH_CAP = 16
 # sizes at or above this print as a marker instead of a number
@@ -64,8 +55,32 @@ OVERFLOW_LIMIT = 2**63
 MAX_BUDGET_BITS = 64
 
 
-@dataclass
-class RunReport:
+# What tier and compile use of the tier checker and compiler. cmd_tier and
+# cmd_compile bind these on their first run, as does the first read of one
+# from this module, so that run, check and bench never load grsr.
+_GRSR_NAMES = (
+    "TierSignature", "check_tiers_explained", "compile_function", "default_tier_bound",
+    "infeasibility_reason", "infer_tiers", "operation_name", "parse_grsr",
+    "rename_operations",
+)
+
+
+def _load_grsr() -> None:
+    """Bind each name above not bound yet; one set from outside stays."""
+    from . import grsr, grsr_parser
+
+    for name in _GRSR_NAMES:
+        globals().setdefault(name, getattr(grsr_parser if name == "parse_grsr" else grsr, name))
+
+
+def __getattr__(name: str):
+    if name not in _GRSR_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_grsr()
+    return globals()[name]
+
+
+class RunReport(NamedTuple):
     engine: str
     value_text: Optional[str]
     dag_nodes: int
@@ -131,8 +146,8 @@ def _run(
         m, total, cache_size = rs.applies, rs.total, len(cfg.cache)
     elif shared is not None and shared[2].denotes(shared[1], answer):
         like, answer, heap = shared
-        report = replace(
-            like, engine=engine, cost_m=m, total_steps=total, heap_size=None,
+        report = like._replace(
+            engine=engine, cost_m=m, total_steps=total, heap_size=None,
             cache_size=cache_size, wall_ns=wall,
         )
         return report, answer, heap
@@ -300,6 +315,7 @@ def _tier_line(d: GrsrDef, tmax_flag: Optional[int]) -> str:
 
 
 def cmd_tier(args) -> int:
+    _load_grsr()
     gf = parse_grsr(_read(args.file))
     for d in gf.defs:
         print(_tier_line(d, args.tmax))
@@ -307,6 +323,7 @@ def cmd_tier(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    _load_grsr()
     gf = parse_grsr(_read(args.file))
     if not gf.defs:
         raise ParseError("no definitions to compile")

@@ -15,9 +15,8 @@ per structurally distinct subexpression.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from itertools import product
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from .errors import GrsrError
 from .terms import App, Program, Rule, Signature, Var, bounded_repr, fresh_names, rename
@@ -261,8 +260,7 @@ def _walk(f: FunctionExpr, once: bool = False):
 # ---------------------------------------------------------------- tiering
 
 
-@dataclass(frozen=True)
-class TierSignature:
+class TierSignature(NamedTuple):
     inputs: tuple[int, ...]
     output: int
 

@@ -43,8 +43,7 @@ column are worked out from it only when it is raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import GrsrError
 from .grsr import Algebra, Case, Comp, ConstructorFn, FunctionExpr, Proj, SimRec
@@ -58,8 +57,7 @@ _KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class GrsrDef:
+class GrsrDef(NamedTuple):
     name: str
     expr: FunctionExpr
     # None when the def carries no annotation; otherwise one entry per
@@ -68,8 +66,7 @@ class GrsrDef:
     tier_output: Optional[int]
 
 
-@dataclass(frozen=True)
-class GrsrFile:
+class GrsrFile(NamedTuple):
     defs: tuple[GrsrDef, ...]
 
     def lookup(self, name: str) -> GrsrDef:

@@ -31,9 +31,8 @@ replays it to on_step, so the machine itself calls nothing per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import APPLY, CALL, CON, MERGE, RET, STORE, VAL, compile_term, execute
 from .errors import BudgetExceededError, HeapError
@@ -44,15 +43,13 @@ from .terms import App, Program, Signature, Term, program_delta
 RefCache = dict[tuple[str, tuple[int, ...]], int]
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(NamedTuple):
     cache: RefCache
     heap: Heap
     loc: int
 
 
-@dataclass
-class RunStats:
+class RunStats(NamedTuple):
     applies: int
     reads: int
     stores: int

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -77,8 +76,8 @@ def _by_machine(program: Program, call: App, budget=None) -> tuple:
     try:
         cfg, stats = run(program, heap, code, budget, lambda *row: steps.append(row))
     except BudgetExceededError as e:
-        return "over", dataclasses.astuple(e.stats), steps
-    return cfg.heap.unfold(cfg.loc), dataclasses.astuple(stats), steps
+        return "over", tuple(e.stats), steps
+    return cfg.heap.unfold(cfg.loc), tuple(stats), steps
 
 
 def test_fused_code_runs_as_its_expansion():
