@@ -22,19 +22,18 @@ order, and a call frame is an annotation. The expressions and the literal
 one-step machine live beside the tests, which hold `run` to it trace for
 trace.
 
-A trace row is rebuilt from `core.execute`'s step log, a batch at a time:
-an apply's leaf gives the change of weight, a merge's location is a new
-node iff it is at or above the heap's size so far, and a store adds a
-cache entry. `run_traced` renders each batch as CSV text and `run`
-replays it to on_step, so the machine itself calls nothing per step.
+`run_traced` rebuilds a trace row per step from `core.execute`'s step
+log, a batch at a time: an apply's leaf gives the change of weight, a
+merge's location is a new node iff it is at or above the heap's size so
+far, and a store adds a cache entry. So the machine itself calls nothing
+per step, and `run` passes it no log at all.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .core import APPLY, CALL, CON, MERGE, RET, STORE, VAL, compile_term, execute
+from .core import CALL, CON, RET, STORE, VAL, compile_term, execute
 from .errors import BudgetExceededError, HeapError
 from .heap import Heap
 from .terms import App, Program, Signature, Term, program_delta
@@ -59,9 +58,6 @@ class RunStats(NamedTuple):
     initial_weight: int
 
 
-TraceFn = Callable[[int, str, int, int, int], None]
-
-
 def _weight(code: tuple, n: int, sig: Signature) -> int:
     """The weight of loaded code, one per symbol. HeapError for code not
     loaded against a heap of n nodes and sig: a location outside the heap,
@@ -83,34 +79,17 @@ def _weight(code: tuple, n: int, sig: Signature) -> int:
     return weight
 
 
-class _Replay:
-    """Rows rebuilt from a machine's step log batch by batch, holding the
-    index, weight, heap nodes and cache entries after the last step."""
+class _CsvLog:
+    """execute's log for a traced run: writes each batch of the step log
+    to out as CSV rows, holding the index, weight, heap nodes and cache
+    entries after the last step. Index and weight are formatted per row,
+    the heap and cache sizes only when they change."""
 
-    def __init__(self, weight: int, nodes: int):
+    def __init__(self, out, weight: int, nodes: int):
+        self.write = out.write
         self.i, self.w, self.n, self.c = 0, weight, nodes, 0
 
-    def replay(self, batch: list, on_step: TraceFn) -> None:
-        """Call on_step with each row, in step order."""
-        i, w, n, c = self.i, self.w, self.n, self.c
-        for e in batch:
-            i += 1
-            if type(e) is int:
-                kind, w = MERGE, w - 1
-                if e >= n:
-                    n += 1
-            elif type(e) is tuple:
-                kind, w = APPLY, w + e[1]
-            else:
-                kind, w = e, w - 1
-                if e is STORE:
-                    c += 1
-            on_step(i, kind, w, n, c)
-        self.i, self.w, self.n, self.c = i, w, n, c
-
-    def csv(self, batch: list) -> str:
-        """The rows as CSV text: index and weight are formatted per row,
-        the heap and cache sizes only when they change."""
+    def __call__(self, batch: list) -> None:
         i, w, n, c = self.i, self.w, self.n, self.c
         tail = f",{n},{c}\n"
         rows: list[str] = []
@@ -135,29 +114,19 @@ class _Replay:
                 w -= 1
                 row(f"{i},read,{w}{tail}")
         self.i, self.w, self.n, self.c = i, w, n, c
-        return "".join(rows)
+        self.write("".join(rows))
 
 
 def run(
-    program: Program,
-    heap: Heap,
-    code: tuple,
-    step_budget: Optional[int] = None,
-    on_step: Optional[TraceFn] = None,
+    program: Program, heap: Heap, code: tuple, step_budget: Optional[int] = None
 ) -> tuple[Configuration, RunStats]:
     """Run code that initial_expression loaded into heap to a location;
     returns the final configuration and counts. Code loaded against
-    another heap or program raises HeapError before any step.
-
-    on_step, when given, is called with (index, kind, weight, heap nodes,
-    cache entries) after each step, in step order. The calls replay the
-    machine's step log a batch at a time, so they trail the run instead
-    of interleaving with it; every step taken has had its call when run
-    returns or raises. The default budget is (1+delta)*10^7 plus the
-    initial weight. The given heap is left as it was.
+    another heap or program raises HeapError before any step. The default
+    budget is (1+delta)*10^7 plus the initial weight. The given heap is
+    left as it was. run_traced observes the steps.
     """
-    sink = None if on_step is None else lambda rows, batch: rows.replay(batch, on_step)
-    return _drive(program, heap, code, step_budget, sink)
+    return _drive(program, heap, code, step_budget, None)
 
 
 def run_traced(
@@ -167,17 +136,17 @@ def run_traced(
     out,
     step_budget: Optional[int] = None,
 ) -> tuple[Configuration, RunStats]:
-    """run() writing a CSV trace: one post-step row per step, header
-    included, rendered from the step log a batch at a time."""
+    """run() writing a CSV trace to out: the header, then one post-step
+    row per step, rendered from the step log a batch at a time. Every
+    step taken has its row when run_traced returns or raises."""
     out.write("step,kind,weight,heap_size,cache_size\n")
-    return _drive(program, heap, code, step_budget, lambda rows, batch: out.write(rows.csv(batch)))
+    return _drive(program, heap, code, step_budget, out)
 
 
 def _drive(
-    program: Program, heap: Heap, code: tuple, step_budget: Optional[int], sink
+    program: Program, heap: Heap, code: tuple, step_budget: Optional[int], out
 ) -> tuple[Configuration, RunStats]:
-    """run(); sink(replay, batch), when given, takes each batch of the step
-    log with the _Replay that renders it."""
+    """run(), writing the trace rows to out unless it is None."""
     delta = program_delta(program)
     w0 = _weight(code, heap.node_count, program.signature)
     if step_budget is None:
@@ -206,7 +175,7 @@ def _drive(
 
     loc, counts = execute(
         program, code, entries.__getitem__, witness, merge, over, cache=cache,
-        limit=step_budget, log=None if sink is None else partial(sink, _Replay(w0, len(entries))),
+        limit=step_budget, log=None if out is None else _CsvLog(out, w0, len(entries)),
     )
     return Configuration(cache, heap, loc), RunStats(*counts, delta, w0)
 

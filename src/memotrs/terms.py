@@ -308,13 +308,6 @@ class Signature:
         self.constructors = dict(constructors)
         self.operations = dict(operations)
 
-    def arity(self, sym: str) -> int:
-        if sym in self.constructors:
-            return self.constructors[sym]
-        if sym in self.operations:
-            return self.operations[sym]
-        raise SignatureError(f"undeclared symbol: {sym}")
-
     def __repr__(self) -> str:
         return f"Signature({self.constructors!r}, {self.operations!r})"
 

@@ -3,8 +3,8 @@
 reference_eval is a deliberately simple recursive interpreter used as an
 oracle; it shares no code with the engines under test (its own matching and
 substitution). Also here: value enumeration, seeded generators of
-structurally recursive programs and of .grsr files, and tree-shape
-accounting.
+structurally recursive programs and of .grsr files, tree-shape
+accounting, and the rows of a CSV trace.
 """
 
 from __future__ import annotations
@@ -62,6 +62,14 @@ def suc_chain(n: int) -> Term:
     for _ in range(n):
         t = App("suc", (t,))
     return t
+
+
+def trace_rows(text: str) -> list[tuple]:
+    """The rows of a CSV trace that run_traced wrote, as (index, kind,
+    weight, heap nodes, cache entries), after checking its header."""
+    head, *rows = text.splitlines()
+    assert head == "step,kind,weight,heap_size,cache_size"
+    return [(int(i), k, int(w), int(h), int(c)) for i, k, w, h, c in (r.split(",") for r in rows)]
 
 
 def store_value(heap: Heap, value: Term) -> int:

@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -15,13 +16,14 @@ from memotrs import (
     naive_run,
     parse_program,
     run,
+    run_traced,
     term_size,
 )
 from memotrs.core import (
     APPLY, CALL, CON, FCALL, FCON, MERGE, READ, RET, STORE, VAR, _Trees, compile_term, execute,
 )
 from memotrs.terms import term_view, validate_term
-from helpers import random_program, random_value
+from helpers import random_program, random_value, trace_rows
 from oracle import expand_fused, unfused
 
 
@@ -71,21 +73,23 @@ def _by_terms(program: Program, call: App, budget=None, **domain) -> tuple:
 
 
 def _by_machine(program: Program, call: App, budget=None) -> tuple:
-    steps: list = []
+    """The machine's value, or its counts where the budget ran out, and the
+    rows of its trace."""
+    out = io.StringIO()
     heap, code = initial_expression(program, Heap(), call)
     try:
-        cfg, stats = run(program, heap, code, budget, lambda *row: steps.append(row))
+        cfg, stats = run_traced(program, heap, code, out, budget)
     except BudgetExceededError as e:
-        return "over", tuple(e.stats), steps
-    return cfg.heap.unfold(cfg.loc), tuple(stats), steps
+        return "over", tuple(e.stats), trace_rows(out.getvalue())
+    return cfg.heap.unfold(cfg.loc), tuple(stats), trace_rows(out.getvalue())
 
 
 def test_fused_code_runs_as_its_expansion():
     """On each engine, a program's fused bodies give the value, the counts
     (applies, reads, stores, merges, steps) and the logged steps (index,
-    kind and change of weight) of the
-    same bodies with each fused instruction expanded, without a budget and
-    at each budget up to the steps the run takes."""
+    kind and change of weight; the machine's trace rows) of the same
+    bodies with each fused instruction expanded, without a budget and at
+    each budget up to the steps the run takes."""
     rng = random.Random(5)
     fused = kinds = 0
     for seed in range(60):

@@ -35,6 +35,7 @@ from helpers import (
     random_value,
     store_value,
     suc_chain,
+    trace_rows,
 )
 from oracle import (
     Configuration,
@@ -183,17 +184,20 @@ def test_machine_totals_for_id(programs):
 def test_run_matches_manual_stepping(programs):
     p = programs["rabbits"]
     heap, expr = initial_call(p, "rabbits", [suc_chain(5)])
-    observed = []
-    cfg, stats = run(
-        p, heap, expression_code(expr),
-        on_step=lambda i, k, w, h, c: observed.append((i, k, w, h, c)),
-    )
+    buf = io.StringIO()
+    cfg, stats = run_traced(p, heap, expression_code(expr), buf)
+    observed = trace_rows(buf.getvalue())
     mcfg, kinds, seen = drive(p, heap, expr)
     assert [k for _, k, *_ in observed] == kinds
+    assert [i for i, *_ in observed] == list(range(1, len(kinds) + 1))
     assert expr_equal(mcfg.expr, ELoc(cfg.loc))
     assert mcfg.cache == cfg.cache
     assert mcfg.heap.entries == cfg.heap.entries
     assert stats.total == len(kinds)
+    # the untraced run ends as the traced one
+    ucfg, ustats = run(p, heap, expression_code(expr))
+    assert ustats == stats and ucfg.loc == cfg.loc
+    assert ucfg.cache == cfg.cache and ucfg.heap.entries == cfg.heap.entries
     # the incremental weight column equals the recomputed weight
     for (_, _, w, h, c), after in zip(observed, seen[1:]):
         assert w == expression_weight(after.expr)
@@ -231,10 +235,10 @@ def test_run_refuses_what_the_loader_never_builds(programs):
         (val,),
         (),
     ]:
-        steps = []
+        buf = io.StringIO()
         with pytest.raises(HeapError):
-            run(p, heap, code, on_step=lambda *row: steps.append(row))
-        assert steps == [] and heap.entries == nodes
+            run_traced(p, heap, code, buf)
+        assert trace_rows(buf.getvalue()) == [] and heap.entries == nodes
 
 
 def test_rabbits_generation_six_run(programs):
@@ -394,29 +398,41 @@ def test_trace_rows_and_determinism(programs):
     assert again == text
 
 
-def _trace_of_rows(rows: list) -> str:
-    return "step,kind,weight,heap_size,cache_size\n" + "".join(
-        f"{i},{k},{w},{h},{c}\n" for i, k, w, h, c in rows
-    )
+class _Chunks(list):
+    """An output that keeps each text written to it."""
+
+    write = list.append
 
 
-def _run_both(p, heap, code, budget) -> tuple:
-    """run_traced's text and run's on_step rows, and how each run ended."""
-    buf, rows, ends = io.StringIO(), [], []
-    for go in (lambda: run_traced(p, heap, code, buf, budget),
-               lambda: run(p, heap, code, budget, lambda *row: rows.append(row))):
+def test_trace_is_the_replayed_step_log(monkeypatch):
+    """Over random programs, run_traced writes the same trace from the step
+    log in batches as from the step log in one batch, on runs longer than
+    a log batch too, and on stuck and over-budget runs that stop inside
+    one."""
+
+    def traced(p, heap, code, budget, batch: int) -> tuple:
+        monkeypatch.setattr("memotrs.core.LOG_BATCH", batch)
+        out = _Chunks()
         try:
-            cfg, stats = go()
-            ends.append(("value", cfg.loc, cfg.heap.entries, stats))
+            cfg, stats = run_traced(p, heap, code, out, budget)
+            return out, ("value", cfg.loc, cfg.heap.entries, stats)
         except (BudgetExceededError, StuckError) as e:
-            ends.append((type(e), str(e)))
-    return buf.getvalue(), rows, ends
+            return out, (type(e), str(e))
 
+    def batched_and_whole(p, heap, code, budget) -> tuple:
+        """The trace's rows and how the run ended, once both runs agree."""
+        batched, end = traced(p, heap, code, budget, LOG_BATCH)
+        rows = trace_rows("".join(batched))
+        whole, whole_end = traced(p, heap, code, budget, len(rows) + 1)
+        # compared outside the assert: pytest's diff of two long texts takes minutes
+        same = "".join(whole) == "".join(batched)
+        assert same, "the trace in one batch differs"
+        assert whole_end == end
+        # the header, then one write per batch of the step log
+        assert len(whole) == 1 + bool(rows)
+        assert (len(batched) > 2) == (len(rows) > LOG_BATCH)
+        return rows, end
 
-def test_trace_is_the_replayed_step_log():
-    """Over random programs, run_traced writes exactly the rows that run
-    hands on_step, on runs longer than a log batch too, and on stuck and
-    over-budget runs that stop inside one."""
     rng = random.Random(17)
     long = stopped = 0
     for seed in range(24):
@@ -431,18 +447,16 @@ def test_trace_is_the_replayed_step_log():
             # without op's rule for a, the recursion gets stuck at the chain's bottom
             stuck = Program(sig, [r for r in p.rules
                                   if r.lhs.sym != op or r.lhs.args[0] != App("a")])
-            text, rows, ends = _run_both(p, heap, code, None)
+            rows, end = batched_and_whole(p, heap, code, None)
             total = len(rows)
-            assert text == _trace_of_rows(rows) and ends[0] == ends[1]
-            assert ends[0][0] == "value" and ends[0][3].total == total
+            assert end[0] == "value" and end[3].total == total
             long += total > LOG_BATCH
             cases = [(stuck, None)]
             if total > LOG_BATCH + 1:
                 cases.append((p, rng.randrange(LOG_BATCH + 1, total)))
             for q, budget in cases:
-                text, rows, ends = _run_both(q, heap, code, budget)
-                assert text == _trace_of_rows(rows) and ends[0] == ends[1], (seed, op)
-                stopped += ends[0][0] != "value" and len(rows) > LOG_BATCH \
+                rows, end = batched_and_whole(q, heap, code, budget)
+                stopped += end[0] != "value" and len(rows) > LOG_BATCH \
                     and len(rows) % LOG_BATCH > 0
     assert long >= 10 and stopped >= 10
 
