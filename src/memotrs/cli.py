@@ -36,7 +36,6 @@ from .parser import (
 )
 from .smallstep import initial_expression, run, run_traced
 from .terms import (
-    App,
     Program,
     Term,
     fresh_names,
@@ -95,15 +94,16 @@ class RunReport(NamedTuple):
 def _run(
     engine: str,
     program: Program,
-    term: Term,
+    term: Union[Term, str],
     budget: Optional[int],
     depth_cap: Optional[int],
     dot_path: Optional[str] = None,
     trace_path: Optional[str] = None,
     shared: Optional[tuple[RunReport, int, Heap]] = None,
 ) -> tuple[RunReport, Union[Term, int], Optional[Heap]]:
-    """Evaluate term under one engine; --dot and --trace apply to shared only.
-    Without a depth cap the report holds no value text.
+    """Evaluate term (for the shared engine, a term or its text) under one
+    engine; --dot and --trace apply to shared only. Without a depth cap the
+    report holds no value text.
 
     shared is what this function returned for the shared engine on the
     same term and depth cap. A term engine's answer that denotes shared's
@@ -228,17 +228,19 @@ def cmd_run(args) -> int:
     its value denotes the shared answer in the run's heap (Heap.denotes),
     and its report then reads the value where the shared run left it. The
     shared answer is never unfolded into a term, and the reported heap
-    size is the run's own."""
+    size is the run's own. The term is parsed only for a term engine."""
     program = parse_program(_read(args.file))
-    term = parse_term(args.term, program.signature)
+    from_text = args.check_all or args.engine == "shared"
+    term = args.term if from_text else parse_term(args.term, program.signature)
     out = sys.stdout
-    if (args.trace or args.dot) and args.engine != "shared" and not args.check_all:
+    if (args.trace or args.dot) and not from_text:
         raise ParseError("--trace and --dot need the shared engine")
     if args.check_all:
         shared = _run(
             "shared", program, term, args.budget, args.depth_cap,
             dot_path=args.dot, trace_path=args.trace,
         )
+        term = parse_term(args.term, program.signature)
         memo_rep, _, memo_heap = _run(
             "memo", program, term, args.budget, args.depth_cap, shared=shared
         )
@@ -358,20 +360,6 @@ def cmd_compile(args) -> int:
     return 0
 
 
-def _family_term(args, program: Program, n: int) -> Term:
-    sig = program.signature
-    if args.template is not None:
-        return parse_term(args.template.replace("{n}", str(n)), sig)
-    if sig.constructors.get("zero") != 0 or sig.constructors.get("suc") != 1:
-        raise ParseError("the sucN family needs constructors zero/0 and suc/1")
-    if sig.operations.get(args.entry) != 1:
-        raise ParseError(f"the sucN family needs a unary operation, got {args.entry}")
-    t: Term = App("zero", ())
-    for _ in range(n):
-        t = App("suc", (t,))
-    return App(args.entry, (t,))
-
-
 def _range_bounds(text: str) -> tuple[int, int]:
     """The bounds A <= B of A..B, each read as a number in a term is read."""
     lo_text, dots, hi_text = text.partition("..")
@@ -385,7 +373,7 @@ def _range_bounds(text: str) -> tuple[int, int]:
 
 
 def _bench_row(
-    eng: str, n: int, program: Program, term: Term, budget: Optional[int],
+    eng: str, n: int, program: Program, term: Union[Term, str], budget: Optional[int],
     shared: Optional[tuple[RunReport, int, Heap]] = None,
 ) -> tuple[str, Optional[tuple[RunReport, int, Heap]]]:
     """One engine's CSV row for term, an overflow row when over budget, and
@@ -403,9 +391,9 @@ def _bench_row(
 
 def cmd_bench(args) -> int:
     """Print one CSV row per engine and n, in the order --engine lists them.
-    For each n a listed shared engine runs first, so the term engines'
-    answers are read against its answer (see _run); its row, or the error
-    it raised, still comes at its place in the order."""
+    For each n a listed shared engine runs first, from the term's text, so
+    the term engines, which share one parse of it, are read against its
+    answer (see _run); its row, or its error, still comes at its place."""
     program = parse_program(_read(args.file))
     engines = args.engine.split(",")
     for e in engines:
@@ -414,21 +402,29 @@ def cmd_bench(args) -> int:
     lo, hi = _range_bounds(args.range)
     if args.template is None and args.entry is None:
         raise ParseError("give an entry operation or --template")
-    if args.template is None and hi > MAX_POWER_NODES:
-        # the limit run puts on suc^N, checked before any term is built
-        raise ParseError(
-            f"suc^{hi} would expand the term beyond {MAX_POWER_NODES} nodes"
-        )
-    first = _family_term(args, program, lo)  # before any output
+    sig = program.signature
+    family = args.template
+    if family is None:
+        if hi > MAX_POWER_NODES:  # the limit run puts on suc^N, checked first
+            raise ParseError(f"suc^{hi} would expand the term beyond {MAX_POWER_NODES} nodes")
+        if sig.constructors.get("zero") != 0 or sig.constructors.get("suc") != 1:
+            raise ParseError("the sucN family needs constructors zero/0 and suc/1")
+        if sig.operations.get(args.entry) != 1:
+            raise ParseError(f"the sucN family needs a unary operation, got {args.entry}")
+        family = args.entry + "(suc^{n}(zero))"
+    parsed = any(e != "shared" for e in engines)
+    if parsed or args.template is not None:  # a bad template is refused before any output
+        first = parse_term(family.replace("{n}", str(lo)), sig)
     with _write(args.csv) if args.csv else contextlib.nullcontext(sys.stdout) as out:
         out.write("engine,n,m,total_steps,heap_nodes,unfolded_size_or_overflow,wall_ns\n")
         for n in range(lo, hi + 1):
-            term = first if n == lo else _family_term(args, program, n)
+            text = family.replace("{n}", str(n))
+            term = (first if n == lo else parse_term(text, sig)) if parsed else text
             shared = early = None
             at = engines.index("shared") if "shared" in engines else -1
             if at >= 0:
                 try:
-                    early, shared = _bench_row("shared", n, program, term, args.budget)
+                    early, shared = _bench_row("shared", n, program, text, args.budget)
                 except MemotrsError as e:
                     early = e
             for i, eng in enumerate(engines):

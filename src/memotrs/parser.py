@@ -24,6 +24,7 @@ import re
 from itertools import islice
 from typing import Optional
 
+from .core import CALL, CON, RET, VAL
 from .errors import MemotrsError, ParseError
 from .heap import Heap
 from .terms import (
@@ -132,93 +133,150 @@ def read_nat(ts: TokenStream) -> int:
     return int(digits)
 
 
-def parse_term_tokens(ts: TokenStream, sig: Signature, allow_vars: bool) -> Term:
-    """Parse one term over sig; with allow_vars an undeclared nullary name
-    is a variable. Iterative, so deeply nested input cannot overflow. The
-    tokens are read by index here, and ts.pos is set where the term ends or
-    an error is raised."""
-    constructors, operations = sig.constructors, sig.operations
-
-    def make(sym: str, args: tuple[Term, ...], at: int) -> Term:
-        ar = constructors.get(sym, operations.get(sym))
-        if ar is None:
-            if not args and allow_vars:
-                return Var(sym)
-            raise ts.error(f"undeclared symbol: {sym}", at)
-        if ar != len(args):
-            raise ts.error(f"{sym} declared with arity {ar}, applied to {len(args)}", at)
-        return App(sym, args)
-
+def _read_term(ts: TokenStream, arity: dict[str, int], allow_vars: bool) -> list:
+    """The symbols of one term over a symbol -> arity map in reading order,
+    a name or (name, N) for name^N, each checked as its token is read; with
+    allow_vars an undeclared nullary name is a variable. Iterative, so deep
+    input cannot overflow. ts.pos is set where the term ends or fails."""
     tokens = ts.tokens
     i = ts.pos
-    result: Optional[Term] = None
-    frames: list[list] = []  # [sym, power, args, index of sym]
+    syms: list = []
+    frames: list[list] = []  # [sym, power, arguments read, index of sym]
     room = MAX_POWER_NODES  # nodes the powers read so far leave to expand
     while True:
-        if result is None:
-            sym = tokens[i]
-            if not sym.isidentifier():
-                ts.pos = i
-                raise ts.expected("name")
-            at = i
-            i += 1
-            power: Optional[int] = None
-            if tokens[i] == "^":
-                ts.pos = i + 1
-                power = read_nat(ts)
-                i = ts.pos
-                if power > room:
-                    raise ts.error(
-                        f"{sym}^{power} would expand the term beyond "
-                        f"{MAX_POWER_NODES} nodes", at
-                    )
-                room -= power
-            if tokens[i] == "(":
-                i += 1
-                if tokens[i] == ")":
-                    i += 1
-                    if power is not None:
-                        raise ts.error(f"{sym}^{power} needs one argument", at)
-                    result = make(sym, (), at)
-                else:
-                    frames.append([sym, power, [], at])
-                    continue
-            else:
-                if power is not None:
-                    raise ts.error(f"{sym}^{power} needs a parenthesized argument", at)
-                result = make(sym, (), at)
-        if not frames:
+        sym = tokens[i]
+        if not sym.isidentifier():
             ts.pos = i
-            return result
-        frame = frames[-1]
-        tok = tokens[i]
-        if tok == ",":
-            i += 1
-            frame[2].append(result)
-            result = None
-            continue
-        if tok != ")":
-            ts.pos = i
-            raise ts.expected(")")
+            raise ts.expected("name")
+        at = i
         i += 1
-        frame[2].append(result)
-        frames.pop()
-        sym, power, args, at = frame
-        if power is not None:
-            if len(args) != 1:
+        power: Optional[int] = None
+        if tokens[i] == "^":
+            ts.pos = i + 1
+            power = read_nat(ts)
+            i = ts.pos
+            if power > room:
+                msg = f"{sym}^{power} would expand the term beyond {MAX_POWER_NODES} nodes"
+                raise ts.error(msg, at)
+            room -= power
+        if tokens[i] == "(":
+            i += 1
+            if tokens[i] != ")":
+                frames.append([sym, power, 0, at])
+                syms.append(sym if power is None else (sym, power))
+                continue
+            i += 1
+            if power is not None:
+                raise ts.error(f"{sym}^{power} needs one argument", at)
+        elif power is not None:
+            raise ts.error(f"{sym}^{power} needs a parenthesized argument", at)
+        ar = arity.get(sym)
+        if ar != 0 and not (ar is None and allow_vars):
+            raise _misapplied(ts, sym, ar, 0, at)
+        syms.append(sym)
+        while frames:  # close the applications this argument ends
+            frame = frames[-1]
+            frame[2] += 1
+            tok = tokens[i]
+            if tok == ",":
+                i += 1
+                break
+            if tok != ")":
+                ts.pos = i
+                raise ts.expected(")")
+            i += 1
+            frames.pop()
+            sym, power, n, at = frame
+            if power is not None and n != 1:
                 raise ts.error(f"{sym}^{power} takes one argument", at)
-            probe = make(sym, (args[0],), at)  # arity check on the repeated symbol
-            result = probe if power else args[0]
-            for _ in range(power - 1):
-                result = App(sym, (result,))
+            if arity.get(sym) != n:
+                raise _misapplied(ts, sym, arity.get(sym), n, at)
         else:
-            result = make(sym, tuple(args), at)
+            ts.pos = i
+            return syms
+
+
+def _misapplied(ts: TokenStream, sym: str, ar: Optional[int], n: int, at: int) -> ParseError:
+    """The error for sym, of arity ar (None: undeclared), applied to n arguments."""
+    wrong = f"{sym} declared with arity {ar}, applied to {n}"
+    return ts.error(f"undeclared symbol: {sym}" if ar is None else wrong, at)
+
+
+def parse_term_tokens(ts: TokenStream, arity: dict[str, int], allow_vars: bool) -> Term:
+    """Parse one term over a signature's symbol -> arity map; with
+    allow_vars an undeclared nullary name is a variable. The symbols
+    _read_term gives are built from the last: each finds its arguments on
+    a stack, the first on top."""
+    stack: list[Term] = []
+    push = stack.append
+    for sym in _read_term(ts, arity, allow_vars)[::-1]:
+        k = arity.get(sym, -1) if type(sym) is str else -2  # -1: a variable, -2: a power
+        if k == 0:
+            push(App(sym, ()))
+        elif k == -1:
+            push(Var(sym))
+        elif k == 1:
+            stack[-1] = App(sym, (stack[-1],))
+        elif k == 2:
+            push(App(sym, (stack.pop(), stack.pop())))
+        elif k == -2:
+            sym, power = sym
+            t = stack[-1]
+            for _ in range(power):
+                t = App(sym, (t,))
+            stack[-1] = t
+        else:
+            args = stack[len(stack) - k :]
+            del stack[len(stack) - k :]
+            args.reverse()
+            push(App(sym, tuple(args)))
+    return stack[0]
+
+
+def load_term(text: str, sig: Signature, heap: Heap) -> tuple:
+    """compile_term's code for parse_term(text, sig) with heap, and its
+    merges, or parse_term's error, without building the term. Merges go
+    children first, last argument first: the reverse of reading order, in
+    which the symbols are taken. A constructor over locations merges,
+    name^N over one is one Heap.merge_run, anything else is code: nested
+    lists of instructions, locations and arguments' code, flattened last."""
+    ts = TokenStream(text)
+    cons = sig.constructors
+    arity = {**cons, **sig.operations}
+    syms = _read_term(ts, arity, False)
+    if ts.peek():
+        raise ts.expected("eof")
+    stack: list = []
+    for sym in reversed(syms):
+        if type(sym) is tuple:
+            sym, power = sym
+            a = stack[-1]
+            if type(a) is not int or sym not in cons:
+                stack[-1] = [a, *[(CON if sym in cons else CALL, sym, 1)] * power]
+            elif power:
+                stack[-1] = heap.merge_run([sym] * power, a)[-1]
+            continue
+        k = arity[sym]
+        args = stack[len(stack) - k :][::-1]
+        del stack[len(stack) - k :]
+        if sym in cons and all(type(a) is int for a in args):
+            stack.append(heap.merge(sym, tuple(args)))
+        else:
+            stack.append([*args, (CON if sym in cons else CALL, sym, k)])
+    code: list = []
+    while stack:
+        ins = stack.pop()
+        if type(ins) is list:
+            stack += reversed(ins)
+        else:
+            code.append((VAL, ins, None) if type(ins) is int else ins)
+    return (*code, (RET, None, None))
 
 
 def parse_term(text: str, sig: Signature) -> Term:
     """Parse a standalone ground term, validating its symbols against sig."""
     ts = TokenStream(text)
-    t = parse_term_tokens(ts, sig, False)
+    t = parse_term_tokens(ts, {**sig.constructors, **sig.operations}, False)
     if ts.peek():
         raise ts.expected("eof")
     return t
@@ -255,14 +313,15 @@ def parse_program_loose(text: str) -> tuple[Signature, list[Rule]]:
     ts.expect(":")
     operations = _parse_decls(ts)
     sig = Signature(constructors, operations)
+    arity = {**constructors, **operations}
     ts.expect("rules")
     ts.expect(":")
     rules: list[Rule] = []
     while ts.peek():
         at = ts.pos
-        lhs = parse_term_tokens(ts, sig, allow_vars=True)
+        lhs = parse_term_tokens(ts, arity, allow_vars=True)
         ts.expect("->", "arrow")
-        rhs = parse_term_tokens(ts, sig, allow_vars=True)
+        rhs = parse_term_tokens(ts, arity, allow_vars=True)
         ts.expect(";")
         if not isinstance(lhs, App):
             raise ts.error("left-hand side must be an operation call", at)

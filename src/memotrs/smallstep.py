@@ -16,7 +16,8 @@ leftmost-innermost redex:
 Here no expression is built. `initial_expression` loads a ground term
 with `core.compile_term`, the compiler all engines share: given the heap,
 its one walk merges the term's constructor-only subterms and turns the
-rest into postfix code whose values are their locations. `run` drives
+rest into postfix code whose values are their locations; from the
+term's text `parser.load_term` does the same, building no term. `run` drives
 that code through `core.execute`: postfix order is leftmost-innermost
 order, and a call frame is an annotation. The expressions and the literal
 one-step machine live beside the tests, which hold `run` to it trace for
@@ -31,11 +32,12 @@ per step, and `run` passes it no log at all.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .core import CALL, CON, RET, STORE, VAL, compile_term, execute
 from .errors import BudgetExceededError, HeapError
 from .heap import Heap
+from .parser import load_term
 from .terms import App, Program, Signature, Term, program_delta
 
 
@@ -180,8 +182,10 @@ def _drive(
     return Configuration(cache, heap, loc), RunStats(*counts, delta, w0)
 
 
-def initial_expression(program: Program, heap: Heap, term: Term) -> tuple[Heap, tuple]:
-    """Load a ground term for run: compile_term merges its constructor-only
-    subterms into heap and makes the rest code that pushes their
-    locations. Returns heap, extended, with the code."""
+def initial_expression(program: Program, heap: Heap, term: Union[Term, str]) -> tuple[Heap, tuple]:
+    """Load a ground term, or its text, for run: constructor-only subterms
+    merge into heap, the rest becomes code that pushes their locations, by
+    compile_term or parser.load_term alike. Returns heap with the code."""
+    if type(term) is str:
+        return heap, load_term(term, program.signature, heap)
     return heap, compile_term(program.signature, term, heap=heap)

@@ -71,6 +71,11 @@ JOBS = {
                      "--trace", "{trace}", "--dot", "{dot}"],
     "mixed_shared": ["run", "programs/rabbits.trs", "m(rabbits(suc^3(zero)), n(leafm))",
                      "--trace", "{trace}", "--dot", "{dot}"],
+    # powers over a value and over a call, under a constructor with a
+    # value beside it: the right argument merges first, so leafm is l0
+    "loader_shared": ["run", "programs/rabbits.trs",
+                      "m(n^2(babies(suc^3(zero))), m(leafn, n^3(leafm)))",
+                      "--trace", "{trace}", "--dot", "{dot}"],
 }
 
 

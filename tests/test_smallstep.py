@@ -14,19 +14,23 @@ from memotrs import (
     Heap,
     HeapError,
     MemoStats,
+    ParseError,
     Program,
     Signature,
     StuckError,
     Var,
     eval_memo,
+    format_term,
     initial_expression,
     minimal_shared_size,
     naive_run,
+    parse_term,
     program_delta,
     run,
     run_traced,
 )
 from memotrs.core import CALL, CON, FCALL, LOG_BATCH, RET, VAL, VAR, compile_term
+from memotrs.parser import MAX_POWER_NODES
 from memotrs.terms import REPR_CHARS, vars_of
 from helpers import (
     complete_tree,
@@ -707,6 +711,136 @@ def test_loader_is_linear_in_distinct_nodes():
     heap, code = initial_expression(LOAD_PROGRAM, Heap(), App("f", (t,)))
     assert time.perf_counter() - start < 1.0
     assert heap.node_count == 91 and code[0] == (VAL, 90, None)
+
+
+# ---------------------------------------------------- loading from text
+
+
+def loaded_from(program, heap, text, parse):
+    """initial_expression's code, with the entries and index of the heap it
+    leaves, loading text itself or, with parse, parse_term's term of it,
+    into a copy of heap; or the ParseError's message, line and column."""
+    heap = heap.copy()
+    try:
+        term = parse_term(text, program.signature) if parse else text
+        _, code = initial_expression(program, heap, term)
+    except ParseError as e:
+        return str(e), e.line, e.column
+    return code, heap.entries, heap.index
+
+
+def assert_text_loads_like_its_term(program, heap, text):
+    got = loaded_from(program, heap, text, False)
+    assert got == loaded_from(program, heap, text, True), text
+    return got
+
+
+def test_text_loads_like_its_parsed_term():
+    """Random ground terms, printed as trees with and without sym^N, load
+    from their text to parse_term's code and heap; so do the texts with a
+    stretch of characters replaced, or fail with its error."""
+    loaded = powers = failed = 0
+    pieces = ["", "(", ")", ",", "^2", "^0", "zero", "a", "f", "!", "x", " ", "suc^3"]
+    for seed in range(200):
+        rng = random.Random(seed)
+        program = random_program(seed) if seed % 3 else LOAD_PROGRAM
+        sig = program.signature
+        heap = Heap()
+        if seed % 2:  # into a heap that already holds values
+            for _ in range(3):
+                store_value(heap, random_value(rng, sig.constructors, rng.randint(0, 4)))
+        term = shared_input(rng, sig, rng.randint(1, 25))
+        if vars_of(term):
+            continue
+        for compress in (False, True):
+            text = format_term(term, compress=compress)
+            got = assert_text_loads_like_its_term(program, heap, text)
+            assert type(got[0]) is tuple and got[0][-1] == (RET, None, None)
+            loaded += 1
+            powers += "^" in text
+            i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+            bad = text[:i] + rng.choice(pieces) + text[j:]
+            failed += type(assert_text_loads_like_its_term(program, heap, bad)[0]) is str
+    assert loaded > 250 and powers > 40 and failed > 100
+
+
+def test_text_loading_cases():
+    warm = Heap()
+    store_value(warm, suc_chain(3))
+    store_value(warm, App("pair", (App("zero"), suc_chain(1))))
+    cases = [
+        "suc^0(zero)",
+        "suc^0(f(zero))",
+        "suc^2(suc^3(zero))",  # nested powers
+        "f^3(suc^2(zero))",  # a power of a call
+        "suc^2(f^2(suc^4(zero)))",  # a power over a call
+        "suc(suc(f(suc(zero))))",
+        "zero",  # bare values
+        "suc^5(zero)",
+        "pair(suc^2(zero), pair(zero, suc(zero)))",
+        "k",
+        "pair(f(zero), suc(h(k(), zero)))",  # calls under constructors
+        "pair(suc^3(zero), f(pair(zero, suc^2(zero))))",  # values of several arguments
+        "h(pair(zero, suc(zero)), pair(zero, suc(zero)))",
+        "h(f(pair(suc(k), zero)), pair(suc^2(zero), h(zero, zero)))",
+    ]
+    for text in cases:
+        for heap in (Heap(), warm):
+            code, entries, _ = assert_text_loads_like_its_term(LOAD_PROGRAM, heap, text)
+            assert entries[: heap.node_count] == heap.entries
+    # the right argument merges first, and a power is one run of merges
+    code, entries, _ = loaded_from(LOAD_PROGRAM, Heap(), "pair(suc^2(zero), f(suc(zero)))", False)
+    assert entries == [("zero", ()), ("suc", (0,)), ("suc", (1,))]
+    assert code == ((VAL, 2, None), (VAL, 1, None), (CALL, "f", 1), (CON, "pair", 2),
+                    (RET, None, None))
+
+
+def test_text_loading_takes_deep_input():
+    # nested code and values, each argument nested deeper on the left or right
+    for text in ("suc(" * 20_000 + "f(zero)" + ")" * 20_000,
+                 "f(" * 20_000 + "suc(zero)" + ")" * 20_000,
+                 "h(k, " * 5_000 + "zero" + ")" * 5_000,
+                 "pair(" * 5_000 + "zero" + ", zero)" * 5_000):
+        code, entries, _ = assert_text_loads_like_its_term(LOAD_PROGRAM, Heap(), text)
+        assert len(code) + len(entries) > 5_000
+
+
+def test_text_loading_errors():
+    """A bad text fails as parse_term fails on it, at the same place, and
+    the heap it was to load into is left as it was."""
+    half = MAX_POWER_NODES // 2
+    cases = {
+        "f(boom)": "1:3: undeclared symbol: boom",
+        "pair(zero, nope(zero))": "1:12: undeclared symbol: nope",
+        "pair(zero)": "1:1: pair declared with arity 2, applied to 1",
+        "suc(zero, zero)": "1:1: suc declared with arity 1, applied to 2",
+        "f()": "1:1: f declared with arity 1, applied to 0",
+        "pair(zero, zero(suc(zero)))": "1:12: zero declared with arity 0, applied to 1",
+        "suc^2": "1:1: suc^2 needs a parenthesized argument",
+        "f(suc^2 zero)": "1:3: suc^2 needs a parenthesized argument",
+        "suc^2()": "1:1: suc^2 needs one argument",
+        "pair^2(zero, zero)": "1:1: pair^2 takes one argument",
+        "pair^2(zero)": "1:1: pair declared with arity 2, applied to 1",
+        f"suc^{MAX_POWER_NODES + 1}(zero)":
+            f"1:1: suc^{MAX_POWER_NODES + 1} would expand the term beyond "
+            f"{MAX_POWER_NODES} nodes",
+        f"pair(suc^{half}(zero),\n suc^{half + 1}(zero))":
+            f"2:2: suc^{half + 1} would expand the term beyond {MAX_POWER_NODES} nodes",
+        "suc(zero) !": "1:11: unexpected character '!'",
+        "suc(zero) zero": "1:11: expected 'eof', found 'zero'",
+        "f(zero))": "1:8: expected 'eof', found ')'",
+        "pair(zero zero)": "1:11: expected ')', found 'zero'",
+        "": "1:1: expected 'name', found 'end of input'",
+    }
+    heap = Heap()
+    store_value(heap, suc_chain(2))
+    before = heap.copy()
+    for text, message in cases.items():
+        got = assert_text_loads_like_its_term(LOAD_PROGRAM, heap, text)
+        assert got[0] == message, text
+        with pytest.raises(ParseError):
+            initial_expression(LOAD_PROGRAM, heap, text)
+        assert heap.entries == before.entries and heap.index == before.index
 
 
 def test_expression_reprs_are_bounded():

@@ -41,6 +41,19 @@ def test_traced_run_sees_the_machine(capsys):
     capsys.readouterr()
 
 
+def test_shared_run_loads_the_text_and_term_engines_parse_it_once(capsys):
+    rabbits = ["run", str(ROOT / "programs" / "rabbits.trs"), "rabbits(suc^6(zero))"]
+    names = [span[0] for span in traced_run(rabbits).spans]
+    assert names.count("smallstep.load") == 1
+    assert "parser.parse_term" not in names
+    # --check-all loads the text for the shared engine, and parses it once
+    # for the memo and naive engines
+    names = [span[0] for span in traced_run(rabbits + ["--check-all"]).spans]
+    assert names.count("smallstep.load") == 1
+    assert names.count("parser.parse_term") == 1
+    capsys.readouterr()
+
+
 def test_traced_check_all_sees_both_term_engines(capsys):
     tracer = traced_run(["run", "--check-all", str(ROOT / "programs" / "rabbits.trs"),
                          "rabbits(suc^6(zero))"])
