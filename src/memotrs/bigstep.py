@@ -1,6 +1,8 @@
 """Big-step evaluation: plain call-by-value and the cost-annotated memoizing form.
 
-Both run the compiled program in `core.execute` over terms. The plain
+Both run the compiled program in `core.execute` over terms. An input is
+a term, which `core.compile_term` compiles, or its code as
+`parser.load_term` gives it from the term's text. The plain
 evaluator counts one inference per node of every value it touches, as a
 derivation that re-derives each value node by node would (that exponential
 count on duplication-heavy programs is the point of having it), and its
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from operator import attrgetter
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .core import compile_term, execute
 from .errors import BudgetExceededError
@@ -60,20 +62,25 @@ class MemoStats:
 
 
 def _run_terms(
-    program: Program, term: Term, over: Callable, limit: Optional[float], **domain
+    program: Program, term: Union[Term, tuple], over: Callable, limit: Optional[float],
+    **domain,
 ):
-    """Run a term through `core.execute` with terms as values; over() makes
-    the error raised when the run needs more than limit steps. It makes a
-    new one each time, so that no frame of an error's traceback holds the
-    error: that would be a reference cycle, which only the collector frees."""
-    code = compile_term(program.signature, term)
+    """Run a term, or its code, through `core.execute` with terms as
+    values; over() makes the error raised when the run needs more than
+    limit steps. It makes a new one each time, so that no frame of an
+    error's traceback holds the error: that would be a reference cycle,
+    which only the collector frees."""
+    code = term if type(term) is tuple else compile_term(program.signature, term)
     return execute(
         program, code, term_view, App, App, lambda counts: over(), limit=limit, **domain
     )
 
 
-def naive_run(program: Program, term: Term, budget: Optional[int] = None) -> NaiveResult:
-    """Call-by-value evaluation as if without caching.
+def naive_run(
+    program: Program, term: Union[Term, tuple], budget: Optional[int] = None
+) -> NaiveResult:
+    """Call-by-value evaluation as if without caching, of a term or of
+    its code (see _run_terms).
 
     Every inference counts toward the budget: one per constructor node
     derived (values included, every time they are derived), one per
@@ -97,11 +104,12 @@ def naive_run(program: Program, term: Term, budget: Optional[int] = None) -> Nai
 def eval_memo(
     program: Program,
     cache: TermCache,
-    term: Term,
+    term: Union[Term, tuple],
     budget: Optional[int] = None,
     stats: Optional[MemoStats] = None,
 ) -> CostedOutcome:
-    """Memoized call-by-value evaluation with cost accounting.
+    """Memoized call-by-value evaluation with cost accounting, of a term
+    or of its code (see _run_terms).
 
     Cost counts cache writes (one per operation call evaluated via its rule);
     cache reads cost nothing. The input cache is not modified; the outcome

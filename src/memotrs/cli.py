@@ -29,9 +29,9 @@ from .parser import (
     TokenStream,
     format_program,
     format_term,
+    load_term,
     parse_program,
     parse_program_loose,
-    parse_term,
     read_nat,
 )
 from .smallstep import initial_expression, run, run_traced
@@ -73,6 +73,10 @@ def _load_grsr() -> None:
 
 
 def __getattr__(name: str):
+    if name == "parse_term":  # not called here; bench/tracing.py patches it by name
+        from .parser import parse_term
+
+        return parse_term
     if name not in _GRSR_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load_grsr()
@@ -94,16 +98,17 @@ class RunReport(NamedTuple):
 def _run(
     engine: str,
     program: Program,
-    term: Union[Term, str],
+    term: Union[tuple, str],
     budget: Optional[int],
     depth_cap: Optional[int],
     dot_path: Optional[str] = None,
     trace_path: Optional[str] = None,
     shared: Optional[tuple[RunReport, int, Heap]] = None,
 ) -> tuple[RunReport, Union[Term, int], Optional[Heap]]:
-    """Evaluate term (for the shared engine, a term or its text) under one
-    engine; --dot and --trace apply to shared only. Without a depth cap the
-    report holds no value text.
+    """Evaluate term under one engine: for the shared engine its text, for
+    a term engine the code load_term gives for it without a heap. --dot
+    and --trace apply to shared only. Without a depth cap the report holds
+    no value text.
 
     shared is what this function returned for the shared engine on the
     same term and depth cap. A term engine's answer that denotes shared's
@@ -228,10 +233,12 @@ def cmd_run(args) -> int:
     its value denotes the shared answer in the run's heap (Heap.denotes),
     and its report then reads the value where the shared run left it. The
     shared answer is never unfolded into a term, and the reported heap
-    size is the run's own. The term is parsed only for a term engine."""
+    size is the run's own. The shared engine loads the term's text into
+    its heap; for the term engines the text is loaded once, without a
+    heap, and both run that code."""
     program = parse_program(_read(args.file))
     from_text = args.check_all or args.engine == "shared"
-    term = args.term if from_text else parse_term(args.term, program.signature)
+    term = args.term if from_text else load_term(args.term, program.signature)
     out = sys.stdout
     if (args.trace or args.dot) and not from_text:
         raise ParseError("--trace and --dot need the shared engine")
@@ -240,7 +247,7 @@ def cmd_run(args) -> int:
             "shared", program, term, args.budget, args.depth_cap,
             dot_path=args.dot, trace_path=args.trace,
         )
-        term = parse_term(args.term, program.signature)
+        term = load_term(args.term, program.signature)
         memo_rep, _, memo_heap = _run(
             "memo", program, term, args.budget, args.depth_cap, shared=shared
         )
@@ -373,7 +380,7 @@ def _range_bounds(text: str) -> tuple[int, int]:
 
 
 def _bench_row(
-    eng: str, n: int, program: Program, term: Union[Term, str], budget: Optional[int],
+    eng: str, n: int, program: Program, term: Union[tuple, str], budget: Optional[int],
     shared: Optional[tuple[RunReport, int, Heap]] = None,
 ) -> tuple[str, Optional[tuple[RunReport, int, Heap]]]:
     """One engine's CSV row for term, an overflow row when over budget, and
@@ -392,8 +399,10 @@ def _bench_row(
 def cmd_bench(args) -> int:
     """Print one CSV row per engine and n, in the order --engine lists them.
     For each n a listed shared engine runs first, from the term's text, so
-    the term engines, which share one parse of it, are read against its
-    answer (see _run); its row, or its error, still comes at its place."""
+    the term engines, which share one load of that text (load_term without
+    a heap), are read against its answer (see _run); its row, or its
+    error, still comes at its place. A shared engine listed again also
+    runs from the text."""
     program = parse_program(_read(args.file))
     engines = args.engine.split(",")
     for e in engines:
@@ -414,12 +423,12 @@ def cmd_bench(args) -> int:
         family = args.entry + "(suc^{n}(zero))"
     parsed = any(e != "shared" for e in engines)
     if parsed or args.template is not None:  # a bad template is refused before any output
-        first = parse_term(family.replace("{n}", str(lo)), sig)
+        first = load_term(family.replace("{n}", str(lo)), sig)
     with _write(args.csv) if args.csv else contextlib.nullcontext(sys.stdout) as out:
         out.write("engine,n,m,total_steps,heap_nodes,unfolded_size_or_overflow,wall_ns\n")
         for n in range(lo, hi + 1):
             text = family.replace("{n}", str(n))
-            term = (first if n == lo else parse_term(text, sig)) if parsed else text
+            term = (first if n == lo else load_term(text, sig)) if parsed else text
             shared = early = None
             at = engines.index("shared") if "shared" in engines else -1
             if at >= 0:
@@ -429,7 +438,8 @@ def cmd_bench(args) -> int:
                     early = e
             for i, eng in enumerate(engines):
                 if i != at:
-                    row, _ = _bench_row(eng, n, program, term, args.budget, shared)
+                    given = text if eng == "shared" else term
+                    row, _ = _bench_row(eng, n, program, given, args.budget, shared)
                 elif isinstance(early, MemotrsError):
                     raise early
                 else:

@@ -5,10 +5,12 @@ Code is a postfix tuple of instructions (op, a, b): (VAR, slot, None) and
 arguments, and (RET, None, None) ends a body, storing its value under the
 call's key. Postfix order is leftmost-innermost order, so no redex is ever
 searched for. In a rule body a slot is the occurrence the matched call
-bound the variable to; an input holds no variables. `compile_term` is the
-one walker of inputs for all engines: a VAL of an input holds a term for
-the memo and naive engines, and for the shared engine the heap location
-the same walk merges the term into. A CON or CALL of a rule
+bound the variable to; an input holds no variables. A VAL of an input
+holds a term for the memo and naive engines, and for the shared engine
+the heap location the term is merged into. The CLI loads inputs from
+their text with `parser.load_term`, for either kind of value;
+`compile_term` compiles rule bodies, and gives library callers passing a
+term the same code load_term gives for its text. A CON or CALL of a rule
 body whose arguments are all variables compiles, without their pushes, to
 one (FCON, sym, get) or (FCALL, sym, get), where get(binding) gives the
 arguments (Proebsting's superoperators, POPL 1995). The naive engine still
@@ -50,7 +52,8 @@ def compile_term(
     sig: Signature, t: Term, slots: Optional[dict] = None, heap: Optional[Heap] = None
 ) -> tuple:
     """Postfix code of t: of a rule body whose variables have the given
-    slots, or without them of an input term, whose constructor-only
+    slots, or without them of an input term (parser.load_term gives the
+    same code from the term's text), whose constructor-only
     subterms are one VAL push each: of the node itself or, given a heap,
     of the location the node is merged into. Nodes are merged children
     first, last argument first, and a node object met again keeps the

@@ -233,34 +233,41 @@ def parse_term_tokens(ts: TokenStream, arity: dict[str, int], allow_vars: bool) 
     return stack[0]
 
 
-def load_term(text: str, sig: Signature, heap: Heap) -> tuple:
-    """compile_term's code for parse_term(text, sig) with heap, and its
-    merges, or parse_term's error, without building the term. Merges go
+def load_term(text: str, sig: Signature, heap: Optional[Heap] = None) -> tuple:
+    """compile_term's code for parse_term(text, sig), with heap if given,
+    or parse_term's error, without building the term. Values are built
     children first, last argument first: the reverse of reading order, in
-    which the symbols are taken. A constructor over locations merges,
-    name^N over one is one Heap.merge_run, anything else is code: nested
-    lists of instructions, locations and arguments' code, flattened last."""
+    which the symbols are taken. A constructor over values is a value, as
+    is name^N over one: heap locations, name^N merged by one
+    Heap.merge_run, or without a heap the Apps parse_term builds. Anything
+    else is code: nested lists of instructions, values and arguments'
+    code, flattened last."""
     ts = TokenStream(text)
     cons = sig.constructors
     arity = {**cons, **sig.operations}
     syms = _read_term(ts, arity, False)
     if ts.peek():
         raise ts.expected("eof")
+    build = App if heap is None else heap.merge
     stack: list = []
     for sym in reversed(syms):
         if type(sym) is tuple:
             sym, power = sym
             a = stack[-1]
-            if type(a) is not int or sym not in cons:
+            if type(a) is list or sym not in cons:
                 stack[-1] = [a, *[(CON if sym in cons else CALL, sym, 1)] * power]
+            elif heap is None:
+                for _ in range(power):
+                    a = App(sym, (a,))
+                stack[-1] = a
             elif power:
                 stack[-1] = heap.merge_run([sym] * power, a)[-1]
             continue
         k = arity[sym]
         args = stack[len(stack) - k :][::-1]
         del stack[len(stack) - k :]
-        if sym in cons and all(type(a) is int for a in args):
-            stack.append(heap.merge(sym, tuple(args)))
+        if sym in cons and list not in map(type, args):
+            stack.append(build(sym, tuple(args)))
         else:
             stack.append([*args, (CON if sym in cons else CALL, sym, k)])
     code: list = []
@@ -269,7 +276,7 @@ def load_term(text: str, sig: Signature, heap: Heap) -> tuple:
         if type(ins) is list:
             stack += reversed(ins)
         else:
-            code.append((VAL, ins, None) if type(ins) is int else ins)
+            code.append(ins if type(ins) is tuple else (VAL, ins, None))
     return (*code, (RET, None, None))
 
 

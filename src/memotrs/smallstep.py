@@ -13,15 +13,15 @@ leftmost-innermost redex:
             location
     merge   constructor on locations: merge into the heap, keep the location
 
-Here no expression is built. `initial_expression` loads a ground term
-with `core.compile_term`, the compiler all engines share: given the heap,
-its one walk merges the term's constructor-only subterms and turns the
-rest into postfix code whose values are their locations; from the
-term's text `parser.load_term` does the same, building no term. `run` drives
-that code through `core.execute`: postfix order is leftmost-innermost
-order, and a call frame is an annotation. The expressions and the literal
-one-step machine live beside the tests, which hold `run` to it trace for
-trace.
+Here no expression is built. `initial_expression` loads a ground term's
+text with `parser.load_term`, or a term with `core.compile_term`: given
+the heap, either merges the term's constructor-only subterms and turns
+the rest into postfix code whose values are their locations. It is the
+code the memo and naive engines run, which load_term gives them without
+a heap, with terms as the values. `run` drives that code through
+`core.execute`: postfix order is leftmost-innermost order, and a call
+frame is an annotation. The expressions and the literal one-step machine
+live beside the tests, which hold `run` to it trace for trace.
 
 `run_traced` rebuilds a trace row per step from `core.execute`'s step
 log, a batch at a time: an apply's leaf gives the change of weight, a

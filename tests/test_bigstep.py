@@ -1,4 +1,5 @@
 import random
+import re
 import time
 import tracemalloc
 
@@ -8,6 +9,7 @@ from memotrs import (
     App,
     BudgetExceededError,
     MemoStats,
+    ParseError,
     Program,
     Rule,
     Signature,
@@ -15,10 +17,14 @@ from memotrs import (
     Term,
     Var,
     eval_memo,
+    format_term,
     naive_run,
     parse_program,
+    parse_term,
 )
 from memotrs.cli import main
+from memotrs.core import compile_term
+from memotrs.parser import load_term
 from memotrs.terms import SIZE_CAP
 from helpers import (
     complete_tree,
@@ -654,3 +660,111 @@ def test_a_run_out_of_budget_leaves_no_reference_cycle(programs):
     finally:
         if collecting:
             gc.enable()
+
+
+# ---------------------------------------------- term inputs loaded from text
+
+
+def call_inputs(rng, sig, depth):
+    """A random ground term over sig: values, powers of a unary symbol over
+    anything (a call too), and applications whose arguments may repeat one
+    value; calls nest up to depth."""
+    cons, ops = sig.constructors, sig.operations
+    unary = sorted(s for s, k in {**cons, **ops}.items() if k == 1)
+    applied = sorted(s for s, k in {**cons, **ops}.items() if k)
+    roll = rng.random()
+    if depth <= 0 or roll < 0.25:
+        return random_value(rng, cons, rng.randint(0, 5))
+    if roll < 0.4 and unary:
+        t, sym = call_inputs(rng, sig, depth - 1), rng.choice(unary)
+        for _ in range(rng.randint(3, 6)):
+            t = App(sym, (t,))
+        return t
+    sym = rng.choice(sorted(ops) if roll < 0.8 else applied)
+    v = random_value(rng, cons, rng.randint(0, 4))
+    args = [v if rng.random() < 0.3 else call_inputs(rng, sig, depth - 1)
+            for _ in range({**cons, **ops}[sym])]
+    return App(sym, tuple(args))
+
+
+def all_nodes(t):
+    """The nodes of t, one per position."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        yield t
+        todo += t.args
+
+
+def term_outcomes(program, term, budget):
+    """naive_run's and eval_memo's outcome on term or its code: the value,
+    m, total steps and (memo) cache, or the error's kind, text and witness."""
+    outcomes = []
+    for memo in (False, True):
+        try:
+            if memo:
+                stats = MemoStats()
+                out = eval_memo(program, {}, term, budget, stats)
+                outcomes.append((out.value, out.cost, stats.work, out.cache))
+            else:
+                res = naive_run(program, term, budget)
+                outcomes.append((res.value, res.rewrite_steps, res.total_steps))
+        except (StuckError, BudgetExceededError) as e:
+            outcomes.append((type(e), str(e), getattr(e, "witness", None)))
+    return outcomes
+
+
+def test_term_engines_run_the_code_loaded_from_text():
+    """load_term without a heap gives compile_term's code of the parsed
+    term, or parse_term's error at the same place; naive_run and eval_memo
+    given that code end as they end on the term: value, m, total steps and
+    cache, over budget at the same budgets, stuck at the same call."""
+    seen = dict.fromkeys(["nested", "power over call", "repeated", "stuck", "over", "failed"], 0)
+    pieces = ["", "(", ")", ",", "^2", "^0", "a", "f", "!", "x", " ", "b^3"]
+    for seed in range(80):
+        rng = random.Random(seed)
+        program = random_program(seed)
+        sig = program.signature
+        if seed % 3 == 0:  # a rule less, so that some calls are stuck
+            rules = list(program.rules)
+            del rules[rng.randrange(len(rules))]
+            program = Program(sig, rules)
+        for _ in range(3):
+            text = format_term(call_inputs(rng, sig, 3), compress=True)
+            term = parse_term(text, sig)
+            code = load_term(text, sig)
+            assert code == compile_term(sig, term), text
+            calls = [n for n in all_nodes(term) if n.sym in sig.operations]
+            seen["nested"] += any(
+                n is not c and n.sym in sig.operations for c in calls for n in all_nodes(c))
+            seen["power over call"] += bool(re.search(r"\^\d+\([fgh]\(", text))
+            seen["repeated"] += any(
+                len(n.args) > 1 and n.args[0] == n.args[1]
+                and all(m.sym in sig.constructors for m in all_nodes(n.args[0]))
+                for n in all_nodes(term))
+            want = term_outcomes(program, term, 10**5)
+            assert term_outcomes(program, code, 10**5) == want, text
+            seen["stuck"] += want[0][0] is StuckError
+            budgets = {0, 1, rng.randrange(50)}
+            for outcome in want:
+                if not isinstance(outcome[0], type):  # a value: budgets around its total
+                    total = outcome[2]
+                    budgets |= {total // 2, total - 1, total}
+            for budget in sorted(budgets):
+                outcomes = term_outcomes(program, term, budget)
+                assert term_outcomes(program, code, budget) == outcomes, (text, budget)
+                seen["over"] += outcomes[0][0] is BudgetExceededError
+            i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
+            bad = text[:i] + rng.choice(pieces) + text[j:]
+            try:
+                want = compile_term(sig, parse_term(bad, sig))
+            except ParseError as e:
+                seen["failed"] += 1
+                with pytest.raises(ParseError) as got:
+                    load_term(bad, sig)
+                assert (str(got.value), got.value.line, got.value.column) == (
+                    str(e), e.line, e.column), bad
+            else:
+                assert load_term(bad, sig) == want, bad
+    assert min(seen.values()) >= 10, seen
+

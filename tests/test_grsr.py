@@ -611,6 +611,20 @@ def test_arith_costs_follow_the_recursion_nesting(functions):
             assert abs(math.log2(hi / lo) - degree) <= 0.15, (name, lo, hi)
 
 
+def test_exp_is_untierable_and_its_cost_explodes(functions):
+    """programs/exp.grsr doubles its result at each step: the tier checker
+    finds no signature for exp, and the memo cost m of the compiled def on
+    suc^n(zero) grows 16-fold every 4 steps of n (196,658 at n = 16, left
+    out as it takes about 0.4 s)."""
+    f = functions["exp"].lookup("exp").expr
+    assert infer_tiers(f, default_tier_bound(f)) == []
+    assert "recursion argument must sit strictly above" in infeasibility_reason(f)
+    prog, entry = compile_function(f)
+    results = [eval_memo(prog, {}, App(entry, (suc_chain(n),))) for n in (8, 12)]
+    assert [nat_of(out.value) for out in results] == [2**8, 2**12]
+    assert [out.cost for out in results] == [794, 12326]
+
+
 # ------------------------------------------------------------- walking
 
 

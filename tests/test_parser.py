@@ -166,6 +166,9 @@ def _inputs():
         texts.add(text[:cuts[0]] + noise + text[cuts[1]:])
     for _ in range(300):
         texts.add("".join(rng.choices(_PIECES, k=rng.randint(1, 30))))
+    # one text for each kind of RuleError, which the texts above reach only by chance
+    head = "constructors: zero/0;\noperations: f/1;\nrules:\n  "
+    texts.update(head + rule for rule in ("f(x) -> y;", "f(f(x)) -> x;", "zero -> zero;"))
     return sorted(texts)
 
 

@@ -4,7 +4,7 @@ through the names `bench/tracing.py` patches, and reads the counts it needs."""
 import importlib.util
 from pathlib import Path
 
-from memotrs import App, cli, smallstep
+from memotrs import App, cli, parser, smallstep
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,16 +41,45 @@ def test_traced_run_sees_the_machine(capsys):
     capsys.readouterr()
 
 
-def test_shared_run_loads_the_text_and_term_engines_parse_it_once(capsys):
+def test_shared_run_loads_the_text_and_term_engines_load_it_once(monkeypatch, capsys):
+    """Each input's text is loaded once for the shared engine
+    (initial_expression) and once more for both term engines together
+    (load_term without a heap); parse_term is never called."""
+    loads = []
+
+    def counted(name, fn, at):
+        def wrapper(*args, **kwargs):
+            loads.append((name, args[at]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def refused(*args, **kwargs):
+        raise AssertionError("parse_term was called")
+
+    monkeypatch.setattr(cli, "load_term", counted("term", cli.load_term, 0))
+    monkeypatch.setattr(cli, "initial_expression", counted("shared", cli.initial_expression, 2))
+    monkeypatch.setattr(parser, "parse_term", refused)
+    monkeypatch.setattr(cli, "parse_term", refused)
     rabbits = ["run", str(ROOT / "programs" / "rabbits.trs"), "rabbits(suc^6(zero))"]
-    names = [span[0] for span in traced_run(rabbits).spans]
-    assert names.count("smallstep.load") == 1
-    assert "parser.parse_term" not in names
-    # --check-all loads the text for the shared engine, and parses it once
-    # for the memo and naive engines
-    names = [span[0] for span in traced_run(rabbits + ["--check-all"]).spans]
-    assert names.count("smallstep.load") == 1
-    assert names.count("parser.parse_term") == 1
+    text = rabbits[-1]
+    cases = [
+        (rabbits, [("shared", text)]),
+        (rabbits + ["--engine", "memo"], [("term", text)]),
+        (rabbits + ["--check-all"], [("shared", text), ("term", text)]),
+        (["bench", rabbits[1], "rabbits", "--engine", "naive,memo,shared", "--range", "5..6"],
+         [("term", "rabbits(suc^5(zero))"), ("shared", "rabbits(suc^5(zero))"),
+          ("term", "rabbits(suc^6(zero))"), ("shared", "rabbits(suc^6(zero))")]),
+        # a shared engine listed twice runs from the text both times
+        (["bench", rabbits[1], "rabbits", "--engine", "shared,memo,shared", "--range", "4..4"],
+         [("term", "rabbits(suc^4(zero))"), ("shared", "rabbits(suc^4(zero))"),
+          ("shared", "rabbits(suc^4(zero))")]),
+    ]
+    for argv, want in cases:
+        loads.clear()
+        names = [span[0] for span in traced_run(argv).spans]
+        assert loads == want, argv
+        assert names.count("smallstep.load") == [n for n, _ in want].count("shared")
+        assert "parser.parse_term" not in names
     capsys.readouterr()
 
 
