@@ -1,8 +1,8 @@
 """Big-step evaluation: plain call-by-value and the cost-annotated memoizing form.
 
 Both run the compiled program in `core.execute` over terms. An input is
-a term, which `core.compile_term` compiles, or its code as
-`parser.load_term` gives it from the term's text. The plain
+a term or the code of its text, both loaded by `parser.load_term`
+without a heap. The plain
 evaluator counts one inference per node of every value it touches, as a
 derivation that re-derives each value node by node would (that exponential
 count on duplication-heavy programs is the point of having it), and its
@@ -25,8 +25,9 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, Optional, Union
 
-from .core import compile_term, execute
+from .core import execute
 from .errors import BudgetExceededError
+from .parser import load_term
 from .terms import SIZE_CAP, App, Program, Term, term_size, term_view
 
 CacheKey = tuple[str, tuple[Term, ...]]
@@ -70,7 +71,7 @@ def _run_terms(
     limit steps. It makes a new one each time, so that no frame of an
     error's traceback holds the error: that would be a reference cycle,
     which only the collector frees."""
-    code = term if type(term) is tuple else compile_term(program.signature, term)
+    code = term if type(term) is tuple else load_term(term, program.signature)
     return execute(
         program, code, term_view, App, App, lambda counts: over(), limit=limit, **domain
     )

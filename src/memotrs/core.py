@@ -7,15 +7,14 @@ call's key. Postfix order is leftmost-innermost order, so no redex is ever
 searched for. In a rule body a slot is the occurrence the matched call
 bound the variable to; an input holds no variables. A VAL of an input
 holds a term for the memo and naive engines, and for the shared engine
-the heap location the term is merged into. The CLI loads inputs from
-their text with `parser.load_term`, for either kind of value;
-`compile_term` compiles rule bodies, and gives library callers passing a
-term the same code load_term gives for its text. A CON or CALL of a rule
-body whose arguments are all variables compiles, without their pushes, to
-one (FCON, sym, get) or (FCALL, sym, get), where get(binding) gives the
-arguments (Proebsting's superoperators, POPL 1995). The naive engine still
-charges each of them, left to right as its push was, before the step's
-budget check.
+the heap location the term is merged into. `parser.load_term` loads
+every input, a term or its text, for either kind of value;
+`compile_term` compiles rule bodies only. A CON or CALL of a rule body
+whose arguments are all variables compiles, without their pushes, to one
+(FCON, sym, get) or (FCALL, sym, get), where get(binding) gives the
+arguments (Proebsting's superoperators, POPL 1995). The naive engine
+still charges each of them, left to right as its push was, before the
+step's budget check.
 
 Each operation's rules compile into a decision tree (Maranget, "Compiling
 Pattern Matching to Good Decision Trees", ML 2008). A call's arguments are
@@ -39,8 +38,7 @@ import sys
 from operator import itemgetter
 from typing import Callable, Optional
 
-from .errors import HeapError, StuckError
-from .heap import Heap
+from .errors import StuckError
 from .terms import App, Program, Rule, Signature, Term, Var, validate_term
 
 VAR, VAL, RET, CON, CALL, FCON, FCALL = range(7)
@@ -48,65 +46,18 @@ APPLY, READ, STORE, MERGE = "apply", "read", "store", "merge"
 LOG_BATCH = 4096  # steps per batch of the step log
 
 
-def compile_term(
-    sig: Signature, t: Term, slots: Optional[dict] = None, heap: Optional[Heap] = None
-) -> tuple:
-    """Postfix code of t: of a rule body whose variables have the given
-    slots, or without them of an input term (parser.load_term gives the
-    same code from the term's text), whose constructor-only
-    subterms are one VAL push each: of the node itself or, given a heap,
-    of the location the node is merged into. Nodes are merged children
-    first, last argument first, and a node object met again keeps the
-    value it got the first time. A variable in an input is free, and
-    raises StuckError, or HeapError given a heap; a symbol the signature
-    does not declare at that arity raises as validate_term does, before
-    any merge of a node holding it.
-
+def compile_term(sig: Signature, t: Term, slots: dict) -> tuple:
+    """Postfix code of a rule body t whose variables have the given slots.
     The one walk goes in pre-order from right to left and emits the code
     reversed, so a node's finish finds its arguments' code after its own
-    instruction. In an input a maximal run of unary nodes is walked down
-    at once, and its constructor bottom folds into one value by one
-    Heap.merge_run, so merging is linear in the input's distinct nodes.
-    Where the node below the run is known to be a value at the run's top
-    (a node met before, or a constant), the run folds there and no
-    instruction of its constructor bottom is made; otherwise it is
-    emitted whole, and folds at its finish if the node below turned out
-    to be one value."""
+    instruction."""
     cons, ops = sig.constructors, sig.operations
-    unary = {s: (CON if s in cons else CALL, s, 1) for s, k in {**cons, **ops}.items() if k == 1}
-    unary_cons = {s for s, ins in unary.items() if ins[0] == CON}
     rev: list = [(RET, None, None)]  # the code, last instruction first
-    vals: dict = {}  # id(node) -> the value pushed for an input's value node
-    stack: list = [t]  # nodes to walk, and (node or run, its symbols, index in rev)
-
-    def fold(run: list, syms: list, v) -> None:
-        """Emit a run of unary nodes over the value v: its constructor
-        bottom merges into one value, the rest is code."""
-        if not unary.keys() >= set(syms):
-            validate_term(sig, t)  # raises the signature's complaint
-        j = len(syms)
-        # the run's constructor bottom ends at its lowest operation symbol
-        k = j - [*map(unary_cons.__contains__, reversed(syms)), False].index(False)
-        if k < j:
-            run = run[k:][::-1]  # the constructors, from the bottom up
-            locs = run if heap is None else heap.merge_run(syms[k:][::-1], v)
-            vals.update(zip(map(id, run), locs))
-            v = locs[-1]
-        rev.extend(map(unary.get, syms[:k]))
-        rev.append((VAL, v, None))
-
+    stack: list = [t]  # nodes to walk, and the index in rev of a node's instruction
     while stack:
         node = stack.pop()
-        if type(node) is tuple:  # a finish: rev[i] holds node's instruction
-            node, syms, i = node
-            if syms is not None:  # a run, walked before its bottom's value was known
-                if len(rev) == i + len(syms) + 1 and rev[-1][0] == VAL:
-                    v = rev[-1][1]
-                    del rev[i:]
-                    fold(node, syms, v)
-                elif not unary.keys() >= set(syms):
-                    validate_term(sig, t)
-                continue
+        if type(node) is int:  # a finish: rev[node] holds the instruction
+            i = node
             op, sym, k = rev[i]
             con = op == CON
             if (cons if con else ops).get(sym) != k:
@@ -114,45 +65,15 @@ def compile_term(
             if len(rev) != i + k + 1:  # an argument is more than one push
                 continue
             args = rev[:i:-1]
-            if slots is not None:
-                if all(ins[0] == VAR for ins in args):
-                    # operands read from the binding tuple; a slice of one is a tuple
-                    at = [ins[1] for ins in args] or [0]
-                    get = itemgetter(*at) if k > 1 else itemgetter(slice(at[0], at[0] + k))
-                    rev[i:] = [(FCON if con else FCALL, sym, get)]
-            elif con and all(ins[0] == VAL for ins in args):  # its arguments are values
-                v = node if heap is None else heap.merge(sym, tuple([ins[1] for ins in args]))
-                vals[id(node)] = v
-                rev[i:] = [(VAL, v, None)]
-            continue
-        v = vals.get(id(node))
-        if v is not None:  # a shared value is pushed, not walked again
-            rev.append((VAL, v, None))
+            if all(ins[0] == VAR for ins in args):
+                # operands read from the binding tuple; a slice of one is a tuple
+                at = [ins[1] for ins in args] or [0]
+                get = itemgetter(*at) if k > 1 else itemgetter(slice(at[0], at[0] + k))
+                rev[i:] = [(FCON if con else FCALL, sym, get)]
         elif type(node) is Var:
-            if slots is not None:
-                rev.append((VAR, slots[node.name], None))
-            elif heap is None:
-                raise StuckError(f"free variable {node.name} in evaluated term", node)
-            else:
-                raise HeapError(f"term is not ground: variable {node.name}")
-        elif slots is None and len(node.args) == 1:
-            run = [node]
-            node = node.args[0]
-            while type(node) is App and len(node.args) == 1 and id(node) not in vals:
-                run.append(node)
-                node = node.args[0]
-            syms = [n.sym for n in run]
-            v = vals.get(id(node))
-            if v is None and type(node) is App and not node.args and cons.get(node.sym) == 0:
-                v = vals[id(node)] = node if heap is None else heap.merge(node.sym, ())
-            if v is None:  # the bottom's code decides at the run's finish
-                stack.append((run, syms, len(rev)))
-                rev += map(unary.get, syms)  # None for a symbol that is not unary
-                stack.append(node)
-            else:  # over a value: no instruction of the run's constructor bottom is made
-                fold(run, syms, v)
+            rev.append((VAR, slots[node.name], None))
         else:
-            stack.append((node, None, len(rev)))
+            stack.append(len(rev))
             rev.append((CON if node.sym in cons else CALL, node.sym, len(node.args)))
             stack += node.args  # the last argument is walked first
     rev.reverse()
@@ -176,7 +97,7 @@ def _decision_tree(sig: Signature, op: str, rules: tuple[Rule, ...]) -> object:
                 break
         else:  # the first rule matches whatever is left
             env = {**env, **{p.name: at for p, at in zip(pats, cols) if p is not None}}
-            body = compile_term(sig, rule.rhs, slots=env)
+            body = compile_term(sig, rule.rhs, env)
             into[key] = (body, sum(ins[0] >= CON for ins in body))
             continue
         at, rest = cols[j], cols[:j] + cols[j + 1 :]

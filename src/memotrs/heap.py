@@ -59,23 +59,21 @@ class Heap:
         self.index[key] = loc
         return loc
 
-    def merge_run(self, syms: list[str], loc: int) -> list[int]:
-        """Merge the unary chain syms[0](loc), syms[1](that), ... bottom-up,
-        as merge would node by node; returns each node's location."""
+    def merge_run(self, sym: str, n: int, loc: int) -> int:
+        """Merge the unary chain sym^n(loc) bottom-up, as merge would node by
+        node; returns the location of its top, loc itself when n is 0."""
         entries = self.entries
-        n = len(entries)
-        if not 0 <= loc < n:
+        size = len(entries)
+        if not 0 <= loc < size:
             raise HeapError(f"dangling argument location {loc}")
         find = self.index.setdefault
-        locs: list[int] = []
-        for sym in syms:
+        for _ in range(n):
             key = (sym, (loc,))
-            loc = find(key, n)
-            if loc == n:  # a new node
+            loc = find(key, size)
+            if loc == size:  # a new node
                 entries.append(key)
-                n += 1
-            locs.append(loc)
-        return locs
+                size += 1
+        return loc
 
     def denotes(self, loc: int, term: Term) -> bool:
         """Whether term is the constructor term at loc. Each node object of

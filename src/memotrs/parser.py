@@ -25,10 +25,11 @@ from itertools import islice
 from typing import Optional
 
 from .core import CALL, CON, RET, VAL
-from .errors import MemotrsError, ParseError
+from .errors import HeapError, MemotrsError, ParseError, StuckError
 from .heap import Heap
 from .terms import (
-    App, Program, Rule, Signature, Term, Var, fresh_names, rename, term_view, vars_of
+    App, Program, Rule, Signature, Term, Var, fresh_names, rename, term_view, validate_term,
+    vars_of,
 )
 
 # whitespace and comments match without the group, so findall yields ""
@@ -233,15 +234,34 @@ def parse_term_tokens(ts: TokenStream, arity: dict[str, int], allow_vars: bool) 
     return stack[0]
 
 
-def load_term(text: str, sig: Signature, heap: Optional[Heap] = None) -> tuple:
-    """compile_term's code for parse_term(text, sig), with heap if given,
-    or parse_term's error, without building the term. Values are built
-    children first, last argument first: the reverse of reading order, in
-    which the symbols are taken. A constructor over values is a value, as
-    is name^N over one: heap locations, name^N merged by one
-    Heap.merge_run, or without a heap the Apps parse_term builds. Anything
-    else is code: nested lists of instructions, values and arguments'
-    code, flattened last."""
+def load_term(term: Term | str, sig: Signature, heap: Optional[Heap] = None) -> tuple:
+    """The postfix code of a ground term, or of its text, for the engines
+    (see core): with heap given, for the shared engine, or else for the
+    memo and naive engines. A constructor over values is a value: with a
+    heap the location it merges into, or else the App node itself. Anything
+    else is code: nested lists of instructions, values and arguments' code,
+    flattened last. Values are built children first, last argument first.
+
+    A text is read in one pass and no term is built. Its symbols, taken in
+    reading order and checked as parse_term checks them (raising its error),
+    are built from the last; name^N over a value is one Heap.merge_run, or
+    without a heap the Apps parse_term builds. A term is checked by
+    validate_term before any merge, then each of its distinct node objects
+    is loaded once, so loading is linear in them; a variable raises
+    HeapError, or StuckError without a heap, where the walk meets it."""
+    stack = _load_text(term, sig, heap) if type(term) is str else [_load_nodes(term, sig, heap)]
+    code: list = []
+    while stack:
+        ins = stack.pop()
+        if type(ins) is list:
+            stack += reversed(ins)
+        else:
+            code.append(ins if type(ins) is tuple else (VAL, ins, None))
+    return (*code, (RET, None, None))
+
+
+def _load_text(text: str, sig: Signature, heap: Optional[Heap]) -> list:
+    """load_term's value or nested code of a text, alone on a list."""
     ts = TokenStream(text)
     cons = sig.constructors
     arity = {**cons, **sig.operations}
@@ -260,8 +280,8 @@ def load_term(text: str, sig: Signature, heap: Optional[Heap] = None) -> tuple:
                 for _ in range(power):
                     a = App(sym, (a,))
                 stack[-1] = a
-            elif power:
-                stack[-1] = heap.merge_run([sym] * power, a)[-1]
+            else:
+                stack[-1] = heap.merge_run(sym, power, a)
             continue
         k = arity[sym]
         args = stack[len(stack) - k :][::-1]
@@ -270,14 +290,34 @@ def load_term(text: str, sig: Signature, heap: Optional[Heap] = None) -> tuple:
             stack.append(build(sym, tuple(args)))
         else:
             stack.append([*args, (CON if sym in cons else CALL, sym, k)])
-    code: list = []
+    return stack
+
+
+def _load_nodes(t: Term, sig: Signature, heap: Optional[Heap]) -> object:
+    """load_term's value or nested code of a term. Each node is pushed, and
+    again as (node,) below its arguments, which are loaded first."""
+    validate_term(sig, t)
+    cons = sig.constructors
+    loaded: dict[int, object] = {}  # id(node) -> its value or code; t keeps each id alive
+    stack: list = [t]
     while stack:
-        ins = stack.pop()
-        if type(ins) is list:
-            stack += reversed(ins)
-        else:
-            code.append(ins if type(ins) is tuple else (VAL, ins, None))
-    return (*code, (RET, None, None))
+        node = stack.pop()
+        if type(node) is tuple:  # its arguments are loaded
+            (node,) = node
+            args = [loaded[id(a)] for a in node.args]
+            con = node.sym in cons
+            if con and list not in map(type, args):
+                loaded[id(node)] = node if heap is None else heap.merge(node.sym, tuple(args))
+            else:
+                loaded[id(node)] = [*args, (CON if con else CALL, node.sym, len(args))]
+        elif type(node) is Var:
+            if heap is None:
+                raise StuckError(f"free variable {node.name} in evaluated term", node)
+            raise HeapError(f"term is not ground: variable {node.name}")
+        elif id(node) not in loaded:
+            stack.append((node,))
+            stack += node.args  # the last argument is loaded first
+    return loaded[id(t)]
 
 
 def parse_term(text: str, sig: Signature) -> Term:

@@ -13,12 +13,12 @@ leftmost-innermost redex:
             location
     merge   constructor on locations: merge into the heap, keep the location
 
-Here no expression is built. `initial_expression` loads a ground term's
-text with `parser.load_term`, or a term with `core.compile_term`: given
-the heap, either merges the term's constructor-only subterms and turns
-the rest into postfix code whose values are their locations. It is the
-code the memo and naive engines run, which load_term gives them without
-a heap, with terms as the values. `run` drives that code through
+Here no expression is built. `initial_expression` loads a ground term,
+or its text, with `parser.load_term`: given the heap, it merges the
+term's constructor-only subterms and turns the rest into postfix code
+whose values are their locations. It is the code the memo and naive
+engines run, which load_term gives them without a heap, with terms as
+the values. `run` drives that code through
 `core.execute`: postfix order is leftmost-innermost order, and a call
 frame is an annotation. The expressions and the literal one-step machine
 live beside the tests, which hold `run` to it trace for trace.
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .core import CALL, CON, RET, STORE, VAL, compile_term, execute
+from .core import CALL, CON, RET, STORE, VAL, execute
 from .errors import BudgetExceededError, HeapError
 from .heap import Heap
 from .parser import load_term
@@ -183,9 +183,7 @@ def _drive(
 
 
 def initial_expression(program: Program, heap: Heap, term: Union[Term, str]) -> tuple[Heap, tuple]:
-    """Load a ground term, or its text, for run: constructor-only subterms
-    merge into heap, the rest becomes code that pushes their locations, by
-    compile_term or parser.load_term alike. Returns heap with the code."""
-    if type(term) is str:
-        return heap, load_term(term, program.signature, heap)
-    return heap, compile_term(program.signature, term, heap=heap)
+    """Load a ground term, or its text, for run with parser.load_term:
+    constructor-only subterms merge into heap, the rest becomes code that
+    pushes their locations. Returns heap with the code."""
+    return heap, load_term(term, program.signature, heap)

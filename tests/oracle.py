@@ -14,9 +14,8 @@ the morphism into the heap. The library's `run` and its compiled decision
 trees are held to these by the tests.
 
 `initial_expression_by_node` loads a term one node at a time into an
-expression, the oracle for `core.compile_term` given a heap (what
-`smallstep.initial_expression` calls), which walks unary runs at once and
-returns code. `minimal_shared_size_by_node` counts distinct subterms
+expression, the oracle for `parser.load_term` given a term and a heap
+(what `smallstep.initial_expression` calls), which returns code. `minimal_shared_size_by_node` counts distinct subterms
 one node at a time, the reference for `terms.minimal_shared_size`, which
 numbers a unary run at once. `loads_to` loads a value into a copy of a
 heap and asks whether it became one given location, the reference for
@@ -71,11 +70,10 @@ from memotrs import (
     program_delta,
     terms_equal,
 )
-from memotrs.core import (
-    APPLY, CALL, CON, FCALL, FCON, MERGE, READ, RET, STORE, VAL, VAR, _Trees, compile_term,
-)
+from memotrs.core import APPLY, CALL, CON, FCALL, FCON, MERGE, READ, RET, STORE, VAL, VAR, _Trees
 from memotrs.grsr import _collect, _solve
 from memotrs.heap import Node
+from memotrs.parser import load_term
 from memotrs.smallstep import RefCache
 from memotrs.terms import bounded_repr, call_repr_parts
 
@@ -527,9 +525,9 @@ def initial_call(program: Program, op: str, values: list[Term]) -> tuple[Heap, E
 def initial_expression_by_node(
     program: Program, heap: Heap, term: Term
 ) -> tuple[Heap, Expr]:
-    """The loader one node at a time, the reference for `compile_term`
-    given a heap: one stack entry and one `Heap.merge` per node, children
-    first, last argument first."""
+    """The loader one node at a time, the reference for `load_term` given
+    a term and a heap: one stack entry and one `Heap.merge` per node,
+    children first, last argument first, building an expression."""
     constructors = program.signature.constructors
     built: dict[int, object] = {}  # id(node) -> its location, or its Expr
     stack: list[tuple[Term, bool]] = [(term, False)]
@@ -584,7 +582,7 @@ def loads_to(sig: Signature, heap: Heap, value: Term, loc: int) -> bool:
     adds nothing to it. A value holding an operation, a variable or a
     symbol sig does not declare at that arity is not one location."""
     try:
-        code = compile_term(sig, value, heap=heap.copy())
+        code = load_term(value, sig, heap.copy())
     except (ArityError, HeapError, SignatureError):
         return False
     return code == ((VAL, loc, None), (RET, None, None))

@@ -23,7 +23,6 @@ from memotrs import (
     parse_term,
 )
 from memotrs.cli import main
-from memotrs.core import compile_term
 from memotrs.parser import load_term
 from memotrs.terms import SIZE_CAP
 from helpers import (
@@ -486,7 +485,7 @@ def test_shared_input_is_compiled_once_per_node():
     """An input whose value nodes are shared compiles to one push of the
     value, each distinct node looked at once however large its tree, and
     evaluates to that same value."""
-    from memotrs.core import CALL, RET, VAL, compile_term
+    from memotrs.core import CALL, RET, VAL
 
     p = parse_program("constructors: zero/0, pair/2 ; operations: f/1 ; rules: f(x) -> x ;")
     sig = Signature(p.signature.constructors, p.signature.operations)
@@ -499,7 +498,7 @@ def test_shared_input_is_compiled_once_per_node():
         call = App("f", (t,))
         constructors.asked = 0
         t0 = time.perf_counter()
-        code = compile_term(sig, call)
+        code = load_term(call, sig)
         seconds = time.perf_counter() - t0
         # compared without showing a term, as a failure report would print t
         same_code = code == ((VAL, t, None), (CALL, "f", 1), (RET, None, None))
@@ -715,8 +714,8 @@ def term_outcomes(program, term, budget):
 
 
 def test_term_engines_run_the_code_loaded_from_text():
-    """load_term without a heap gives compile_term's code of the parsed
-    term, or parse_term's error at the same place; naive_run and eval_memo
+    """load_term without a heap gives the same code for a text as for
+    the parsed term, or parse_term's error at the same place; naive_run and eval_memo
     given that code end as they end on the term: value, m, total steps and
     cache, over budget at the same budgets, stuck at the same call."""
     seen = dict.fromkeys(["nested", "power over call", "repeated", "stuck", "over", "failed"], 0)
@@ -733,7 +732,7 @@ def test_term_engines_run_the_code_loaded_from_text():
             text = format_term(call_inputs(rng, sig, 3), compress=True)
             term = parse_term(text, sig)
             code = load_term(text, sig)
-            assert code == compile_term(sig, term), text
+            assert code == load_term(term, sig), text
             calls = [n for n in all_nodes(term) if n.sym in sig.operations]
             seen["nested"] += any(
                 n is not c and n.sym in sig.operations for c in calls for n in all_nodes(c))
@@ -757,7 +756,7 @@ def test_term_engines_run_the_code_loaded_from_text():
             i, j = sorted(rng.randrange(len(text) + 1) for _ in range(2))
             bad = text[:i] + rng.choice(pieces) + text[j:]
             try:
-                want = compile_term(sig, parse_term(bad, sig))
+                want = load_term(parse_term(bad, sig), sig)
             except ParseError as e:
                 seen["failed"] += 1
                 with pytest.raises(ParseError) as got:

@@ -20,8 +20,9 @@ from memotrs import (
     term_size,
 )
 from memotrs.core import (
-    APPLY, CALL, CON, FCALL, FCON, MERGE, READ, RET, STORE, VAR, _Trees, compile_term, execute,
+    APPLY, CALL, CON, FCALL, FCON, MERGE, READ, RET, STORE, VAR, _Trees, execute,
 )
+from memotrs.parser import load_term
 from memotrs.terms import term_view, validate_term
 from helpers import random_program, random_value, trace_rows
 from oracle import expand_fused, unfused
@@ -62,7 +63,7 @@ def _by_terms(program: Program, call: App, budget=None, **domain) -> tuple:
     log: list = []
     try:
         value, counts = execute(
-            program, compile_term(program.signature, call), term_view, App, App, Over,
+            program, load_term(call, program.signature), term_view, App, App, Over,
             limit=budget, log=log.extend, **domain
         )
     except Over as e:
@@ -165,7 +166,7 @@ def _engines(program: Program, term: App) -> dict:
         "memo": lambda: eval_memo(program, {}, term),
         "naive": lambda: naive_run(program, term),
         "shared": shared,
-        "compile": lambda: compile_term(program.signature, term),
+        "load": lambda: load_term(term, program.signature),
     }
 
 
@@ -195,6 +196,10 @@ def test_inputs_the_signature_rejects_are_refused_before_any_step():
         for name, evaluate in _engines(add, term).items():
             with pytest.raises(error, match=f"^{message}$"):
                 evaluate()
+        heap = Heap()  # refused before any merge
+        with pytest.raises(error, match=f"^{message}$"):
+            initial_expression(add, heap, term)
+        assert heap.entries == []
 
 
 def test_corrupted_random_inputs_raise_as_validate_term():

@@ -16,7 +16,7 @@ from memotrs import (
     term_size,
 )
 from helpers import complete_tree, random_value, store_value, suc_chain
-from memotrs.core import compile_term
+from memotrs.parser import load_term
 from oracle import (
     Configuration,
     ECon,
@@ -72,17 +72,17 @@ def test_merge_run_is_merge_node_by_node():
             store_value(h, suc_chain(3))
             h.merge("s", (h.merge("zero", ()),))
         bottom = rng.randrange(one.node_count)
-        syms = [rng.choice(("suc", "s")) for _ in range(rng.randint(0, 8))]
-        locs, loc = [], bottom
-        for sym in syms:
+        sym, n = rng.choice(("suc", "s")), rng.randint(0, 8)
+        loc = bottom
+        for _ in range(n):
             loc = one.merge(sym, (loc,))
-            locs.append(loc)
-        assert many.merge_run(syms, bottom) == locs
+        assert many.merge_run(sym, n, bottom) == loc
         assert many.entries == one.entries and many.index == one.index
+    assert many.merge_run("suc", 0, 2) == 2
     with pytest.raises(HeapError):
-        Heap().merge_run(["suc"], 0)
+        Heap().merge_run("suc", 1, 0)
     with pytest.raises(HeapError):
-        many.merge_run([], -1)
+        many.merge_run("suc", 0, -1)
 
 
 def test_store_value_shares_equal_subtrees():
@@ -392,7 +392,7 @@ def test_denotes_agrees_with_loading_into_a_copy():
         heap = Heap()
         roots = {}  # location -> the object loaded there
         for t in rng.sample(pool, rng.randrange(1, 4)):
-            roots[compile_term(DENOTE, t, heap=heap)[0][1]] = t
+            roots[load_term(t, DENOTE, heap)[0][1]] = t
         # queries over the same objects and odd ones: a variable, operations,
         # symbols off their arity, an undeclared one, runs holding them
         odd = pool + [Var("x"), App("g", (pool[0],)), App("h", (pool[1], pool[0])),
@@ -419,7 +419,7 @@ def test_denotes_agrees_with_loading_into_a_copy():
 
 def test_denotes_walks_deep_and_shared_terms_once(programs):
     heap = Heap()
-    loc = compile_term(Signature({"zero": 0, "suc": 1}, {}), suc_chain(200_000), heap=heap)[0][1]
+    loc = load_term(suc_chain(200_000), Signature({"zero": 0, "suc": 1}, {}), heap)[0][1]
     deep = suc_chain(200_000)  # objects of its own
     other = App("one", ())
     for _ in range(200_000):

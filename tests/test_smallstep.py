@@ -29,8 +29,8 @@ from memotrs import (
     run,
     run_traced,
 )
-from memotrs.core import CALL, CON, FCALL, LOG_BATCH, RET, VAL, VAR, compile_term
-from memotrs.parser import MAX_POWER_NODES
+from memotrs.core import CALL, CON, FCALL, LOG_BATCH, RET, VAL, VAR
+from memotrs.parser import MAX_POWER_NODES, load_term
 from memotrs.terms import REPR_CHARS, vars_of
 from helpers import (
     complete_tree,
@@ -227,7 +227,7 @@ def test_run_refuses_what_the_loader_never_builds(programs):
         initial_expression(programs["add"], heap.copy(), App("add", (App("zero"),) * 2))[1],
         ((VAL, -1, None), ret),
         # a term, as the memo and naive engines push it
-        compile_term(p.signature, App("rabbits", (suc_chain(3),))),
+        load_term(App("rabbits", (suc_chain(3),)), p.signature),
         # instructions only rule bodies hold, and stacks that do not hold
         # one value at the end
         ((VAR, 0, None), ret),
@@ -546,7 +546,7 @@ def test_loaded_code_is_compile_terms():
             if vars_of(term):
                 continue
             heap, code = initial_expression(p, heap, term)
-            want = compile_term(sig, term)
+            want = load_term(term, sig)
             assert len(code) == len(want)
             for (op, a, b), (wop, wa, wb) in zip(code, want):
                 assert (op, b) == (wop, wb)
@@ -561,7 +561,7 @@ def test_loaded_code_is_compile_terms():
 def assert_loads_like_reference(program, heap, term):
     """initial_expression and the node-by-node loader agree on the heap
     they leave, the code of the expression, its weight, and HeapError.
-    compile_term without a heap gives that code, a value pushed as the
+    load_term without a heap gives that code, a value pushed as the
     input's node itself, or StuckError for the variable: the shared engine
     runs the code the memo and naive engines run."""
     mine, ref = heap.copy(), heap.copy()
@@ -573,7 +573,7 @@ def assert_loads_like_reference(program, heap, term):
         assert str(got.value) == str(e)
         free = str(e).removeprefix("term is not ground: variable ")
         with pytest.raises(StuckError, match=f"^free variable {free} in evaluated term$"):
-            compile_term(program.signature, term)
+            load_term(term, program.signature)
     else:
         got_heap, got = initial_expression(program, mine, term)
         assert got_heap is mine
@@ -589,7 +589,7 @@ def assert_loads_like_reference(program, heap, term):
             if id(t) not in nodes:
                 nodes[id(t)] = t
                 todo += t.args
-        terms = compile_term(program.signature, term)
+        terms = load_term(term, program.signature)
         assert [(op, b) for op, _, b in terms] == [(op, b) for op, _, b in got]
         for (op, node, _), (_, loc, _) in zip(terms, got):
             if op == VAL:
@@ -684,10 +684,10 @@ def test_loader_sharing_cases(programs):
             assert_loads_like_reference(LOAD_PROGRAM, heap, term)
     _, code = initial_expression(LOAD_PROGRAM, Heap(), suc(f(suc(zero))))
     assert code == expression_code(ECon("suc", (ECall("f", (ELoc(1),)),)))
-    heap = Heap()  # a run's symbols are checked before its constructors merge
+    heap = Heap()  # the term's symbols are checked before any node merges
     with pytest.raises(ArityError, match="^zero declared with arity 0, applied to 1$"):
         initial_expression(programs["id"], heap, App("id", (App("zero", (suc(zero, 2),)),)))
-    assert heap.entries == [("zero", ())]
+    assert heap.entries == []
 
 
 def test_loader_takes_deep_runs(programs):

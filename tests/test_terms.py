@@ -29,7 +29,7 @@ from memotrs import (
     validate_term,
 )
 from memotrs.cli import MAX_BUDGET_BITS
-from memotrs.core import compile_term
+from memotrs.parser import load_term
 from memotrs.terms import REPR_CHARS, SIZE_CAP
 from helpers import complete_tree, enum_values, random_value, subst, suc_chain
 from oracle import match_term, minimal_shared_size_by_node
@@ -262,7 +262,7 @@ def test_minimal_shared_size_agrees_with_the_reference_and_the_heap():
             # loaded into one maximally shared heap, the roots are its nodes
             heap = Heap()
             for t in roots:
-                compile_term(RUNS, t, heap=heap)
+                load_term(t, RUNS, heap)
             assert heap.node_count == size
 
 
